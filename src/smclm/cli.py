@@ -18,6 +18,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .decoding import BeamSearchConfig
 from .encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder, encoder_from_spec
+from .jsonl import read_jsonl, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
 from .tokenization import build_vocabulary, load_vocabulary, save_vocabulary
@@ -50,24 +51,6 @@ def _write_lines(lines: list[str], path: str) -> None:
         with open(tmp, "w", encoding="utf-8") as f:
             for line in lines:
                 f.write(line + "\n")
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {e}") from None
-    return records
-
-
-def _write_jsonl(records: list[dict], path: str) -> None:
-    _write_lines([json.dumps(r) for r in records], path)
 
 
 def _resolve_encoder(args, dim: int, meta_spec: dict | None = None):
@@ -132,7 +115,8 @@ def cmd_split_dataset(args) -> dict:
             if len(g.sentences) >= 2
         ]
         path = os.path.join(args.out_dir, "test_records.jsonl")
-        _write_jsonl(records, path)
+        with atomic_path(path) as tmp:
+            write_jsonl(records, tmp)
         summary["test_records"] = {"path": path, "records": len(records)}
     return summary
 
@@ -235,15 +219,18 @@ def cmd_generate(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
-    records = _read_jsonl(args.records)
+    records = read_jsonl(args.records)
     if args.copy_input:
         joined = [
             {**r, "candidates": [r.get("source")] * args.copies, "best": 0} for r in records
         ]
     else:
         by_source: dict[str, dict] = {}
-        for c in _read_jsonl(args.candidates):
-            by_source[c.get("source")] = c
+        for c in read_jsonl(args.candidates):
+            source = c.get("source")
+            if source in by_source:
+                raise ValueError(f"duplicate source in {args.candidates}: {source!r}")
+            by_source[source] = c
         joined = []
         for r in records:
             cand = by_source.get(r.get("source"))
@@ -274,7 +261,7 @@ def cmd_evaluate(args) -> dict:
 
 def cmd_calibrate_beta(args) -> dict:
     pairs = []
-    for rec in _read_jsonl(args.pairs):
+    for rec in read_jsonl(args.pairs):
         if "input" in rec and "reference" in rec:
             pairs.append((rec["input"], rec["reference"]))
         elif "source" in rec and "references" in rec:

@@ -8,13 +8,14 @@ sentence can straddle train/valid/test.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from .jsonl import read_jsonl, write_jsonl
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -198,10 +199,14 @@ def split_groups(
 
 
 def make_supervised_pairs(group: ParaphraseGroup, seed: int = 0) -> list[tuple[str, str]]:
-    """Pick one member as the source (seeded) and pair it with every other."""
+    """Pick one member as the source and pair it with every other.
+
+    The pick is seeded from (seed, hash of the group id), so groups of the
+    same size do not all pick the same position.
+    """
     if len(group.sentences) < 2:
         raise ValueError(f"group {group.id!r} needs >= 2 sentences for pairs")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, fnv1a64(group.id.encode("utf-8"))])
     src = int(rng.integers(len(group.sentences)))
     source = group.sentences[src]
     return [(source, s) for i, s in enumerate(group.sentences) if i != src]
@@ -223,24 +228,11 @@ def flatten_unsupervised(splits: Mapping[str, Sequence[ParaphraseGroup]]) -> dic
 
 
 def read_groups_jsonl(path: str) -> list[ParaphraseGroup]:
-    groups = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                groups.append(ParaphraseGroup(str(rec["id"]), tuple(rec["sentences"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: bad group record: {e}") from None
-    return groups
+    return read_jsonl(path, lambda rec: ParaphraseGroup(str(rec["id"]), tuple(rec["sentences"])))
 
 
 def write_groups_jsonl(groups: Sequence[ParaphraseGroup], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for g in groups:
-            f.write(json.dumps({"id": g.id, "sentences": list(g.sentences)}) + "\n")
+    write_jsonl(({"id": g.id, "sentences": list(g.sentences)} for g in groups), path)
 
 
 def group_to_test_record(group: ParaphraseGroup, seed: int = 0) -> dict:

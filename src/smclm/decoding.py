@@ -69,6 +69,20 @@ def _next_logprobs(model, prefix: tuple[int, ...], injection) -> np.ndarray:
     return z - np.log(np.exp(z).sum())
 
 
+def _check_window(model, max_length: int) -> None:
+    """Fail before decoding when max_length tokens cannot fit the position window.
+
+    The last step reads max_length positions: the injected slot (or <bos>)
+    plus max_length - 1 generated tokens. Models without a config are not
+    checked.
+    """
+    config = getattr(model, "config", None)
+    if config is not None and max_length > config.max_positions:
+        raise ValueError(
+            f"max_length={max_length} exceeds the model's max_positions={config.max_positions}"
+        )
+
+
 def banned_next_tokens(tokens: tuple[int, ...], n: int) -> set[int]:
     """Tokens whose selection would repeat an n-gram already in ``tokens``."""
     if n <= 0 or len(tokens) < n - 1:
@@ -89,6 +103,7 @@ def greedy_decode(model, injection, max_length: int, eos_id: int = EOS_ID) -> li
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
+    _check_window(model, max_length)
     out: list[int] = []
     for _ in range(max_length):
         lp = _next_logprobs(model, tuple(out), injection)
@@ -153,19 +168,20 @@ def beam_search(
     length_alpha: float = 1.0,
     eos_id: int = EOS_ID,
 ) -> list[Hypothesis]:
-    """Plain beam search; the single-group, zero-diversity reference path."""
-    if beam_count < 1 or max_length < 1:
-        raise ValueError("beam_count and max_length must be >= 1")
-    live = [_Beam((), 0.0, 0.0)]
-    pool: list[Hypothesis] = []
-    for _ in range(max_length):
-        if not live:
-            break
-        candidates = _expand(model, injection, live, Counter(), 0.0, no_repeat_ngram)
-        live, finished, _ = _select(candidates, live, beam_count, eos_id, 0)
-        pool.extend(finished)
-    pool.extend(Hypothesis(h.tokens, h.log_prob, finished=True, group=0) for h in live)
-    return _rank(pool, length_alpha, beam_count)
+    """Plain beam search: diverse beam search with one group and no penalty."""
+    return diverse_beam_search(
+        model,
+        injection,
+        BeamSearchConfig(
+            beam_count=beam_count,
+            group_count=1,
+            diversity_strength=0.0,
+            no_repeat_ngram=no_repeat_ngram,
+            max_length=max_length,
+            length_alpha=length_alpha,
+            eos_id=eos_id,
+        ),
+    )
 
 
 def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothesis]:
@@ -180,6 +196,7 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     vocabularies can leave a group with fewer finished hypotheses; whatever
     exists is returned.
     """
+    _check_window(model, cfg.max_length)
     per_group = cfg.beam_count // cfg.group_count
     live: list[list[_Beam]] = [[_Beam((), 0.0, 0.0)] for _ in range(cfg.group_count)]
     pools: list[list[Hypothesis]] = [[] for _ in range(cfg.group_count)]

@@ -7,17 +7,17 @@ and never touch a model vocabulary.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoders import HashedTokenEmbedder, cosine
+from .encoders import HashedTokenEmbedder, cosine, sentence_key
+from .jsonl import read_jsonl
 from .tokenization import normalize, words
 
 DEFAULT_BETA = 2.0
@@ -195,14 +195,7 @@ class CalibrationResult:
     beta: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_token_sim": self.mean_token_sim,
-            "mean_sentence_sim": self.mean_sentence_sim,
-            "mean_bleu": self.mean_bleu,
-            "ratio_token": self.ratio_token,
-            "ratio_sentence": self.ratio_sentence,
-            "beta": self.beta,
-        }
+        return asdict(self)
 
 
 def calibrate_beta_from_scores(
@@ -329,23 +322,12 @@ def _group_slices(groups) -> list[tuple[int, int]]:
 
 
 def fluency_key(sentence: str) -> str:
-    return hashlib.sha256(normalize(sentence).encode("utf-8")).hexdigest()
+    return sentence_key(sentence).hex()
 
 
 def load_fluency_file(path: str) -> dict[str, float]:
     """Read external per-sentence fluency scores from JSONL."""
-    table = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                table[rec["sentence_sha256"]] = float(rec["fluency"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: bad fluency record: {e}") from None
-    return table
+    return dict(read_jsonl(path, lambda rec: (rec["sentence_sha256"], float(rec["fluency"]))))
 
 
 def _check_record(rec: dict) -> tuple[str, list[str], list[str], int | None]:

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .decoding import BeamSearchConfig, diverse_beam_search
+from .jsonl import read_jsonl, write_jsonl
 from .metrics import DEFAULT_BETA, sbert_ibleu
 from .tokenization import Vocabulary, normalize
 
 logger = logging.getLogger(__name__)
-
-THREADS_ENV = "SMCLM_THREADS"
 
 
 @dataclass
@@ -30,12 +26,7 @@ class CandidateSet:
         return self.candidates[self.best]
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "candidates": self.candidates,
-            "scores": self.scores,
-            "best": self.best,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -71,60 +62,22 @@ def paraphrase_batch(
     """paraphrase() over many sources, order-preserving.
 
     Failures raise unless cfg.skip_errors, in which case the failing source is
-    logged and dropped. SMCLM_THREADS > 1 runs sources on a thread pool;
-    results are reassembled by index so the output matches the serial run.
+    logged and dropped.
     """
-    workers = _worker_count()
-
-    def run(item):
-        idx, source = item
+    results = []
+    for idx, source in enumerate(sources):
         try:
-            return idx, paraphrase(model, vocab, encoder, source, cfg), None
+            results.append(paraphrase(model, vocab, encoder, source, cfg))
         except Exception as e:  # noqa: BLE001 - per-source isolation in batch mode
             if not cfg.skip_errors:
                 raise
-            return idx, None, e
-
-    items = list(enumerate(sources))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, items))
-    else:
-        outcomes = [run(it) for it in items]
-    outcomes.sort(key=lambda o: o[0])
-    results = []
-    for idx, cs, err in outcomes:
-        if err is not None:
-            logger.warning("skipping source %d (%r): %s", idx, sources[idx], err)
-            continue
-        results.append(cs)
+            logger.warning("skipping source %d (%r): %s", idx, source, e)
     return results
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def write_candidates_jsonl(sets: list[CandidateSet], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for cs in sets:
-            f.write(json.dumps(cs.to_dict()) + "\n")
+    write_jsonl((cs.to_dict() for cs in sets), path)
 
 
 def read_candidates_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {e}") from None
-    return records
+    return read_jsonl(path)

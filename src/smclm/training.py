@@ -6,7 +6,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,18 +40,7 @@ class TrainConfig:
             raise ValueError("warmup_steps and weight_decay must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "warmup_steps": self.warmup_steps,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -113,13 +102,7 @@ class TrainReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "epoch_losses": self.epoch_losses,
-            "valid_losses": self.valid_losses,
-            "skipped": self.skipped,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def build_examples(

@@ -268,6 +268,25 @@ class TestErrorPaths:
         assert rc == 1
         assert "no candidates" in json.loads(err)["error"]
 
+    def test_evaluate_rejects_duplicate_candidate_source(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"source": "a b c", "references": ["a c"]}\n')
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(
+            '{"source": "a b c", "candidates": ["a c b"], "best": 0}\n'
+            '{"source": "a b c", "candidates": ["c b a"], "best": 0}\n'
+        )
+        rc, _, err = run(
+            capsys,
+            "evaluate",
+            "--records", str(records),
+            "--candidates", str(cands),
+            "--encoder", "hashed-bag",
+        )
+        assert rc == 1
+        error = json.loads(err)["error"]
+        assert "duplicate source" in error and "'a b c'" in error
+
     def test_lenient_evaluate_skips_missing_source(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         records.write_text(

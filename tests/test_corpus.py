@@ -228,6 +228,13 @@ class TestPairsAndFlatten:
         group = ParaphraseGroup("g", ("s one", "s two", "s three"))
         assert make_supervised_pairs(group, seed=1) == make_supervised_pairs(group, seed=1)
 
+    def test_same_size_groups_pick_different_positions(self):
+        groups = [
+            ParaphraseGroup(f"g{i}", tuple(f"s{i} m{k}" for k in range(4))) for i in range(6)
+        ]
+        picked = {g.sentences.index(make_supervised_pairs(g, seed=0)[0][0]) for g in groups}
+        assert len(picked) > 1
+
     def test_singleton_group_rejected(self):
         with pytest.raises(ValueError, match="needs"):
             make_supervised_pairs(ParaphraseGroup("g", ("only",)))

@@ -320,3 +320,37 @@ class TestInvariants:
         h = Hypothesis(tokens=(4, 5, 6, 1), log_prob=-2.0)
         assert h.ranking_score(1.0) == pytest.approx(-0.5)
         assert h.ranking_score(0.0) == pytest.approx(-2.0)
+
+
+class TestPositionWindow:
+    @staticmethod
+    def counted(model):
+        calls = []
+        forward = model.forward
+
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        model.forward = wrapped
+        return calls
+
+    def test_overlong_max_length_fails_before_any_forward(self):
+        model = random_model(700)  # max_positions=12
+        calls = self.counted(model)
+        cfg = BeamSearchConfig(beam_count=2, group_count=2, max_length=13)
+        with pytest.raises(ValueError, match="max_positions=12"):
+            diverse_beam_search(model, None, cfg)
+        with pytest.raises(ValueError, match="max_positions=12"):
+            beam_search(model, None, beam_count=2, max_length=13)
+        with pytest.raises(ValueError, match="max_positions=12"):
+            greedy_decode(model, None, max_length=13)
+        assert calls == []
+
+    def test_max_length_equal_to_window_decodes(self):
+        # an eos id outside the vocabulary keeps every beam running to the cap
+        model = random_model(700)
+        cfg = BeamSearchConfig(
+            beam_count=2, group_count=2, no_repeat_ngram=0, max_length=12, eos_id=99
+        )
+        assert [len(h.tokens) for h in diverse_beam_search(model, None, cfg)] == [12, 12]

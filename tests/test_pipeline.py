@@ -131,20 +131,6 @@ class TestParaphraseBatch:
         assert [o.source for o in outs] == ["the cat sat", "the cat sat"]
         assert any("skipping source 1" in r.getMessage() for r in caplog.records)
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        model, vocab, encoder, cfg = scripted_setup()
-        sources = ["the cat sat", "the dog", "the cat sat", "the dog"]
-        serial = paraphrase_batch(model, vocab, encoder, sources, cfg)
-        monkeypatch.setenv("SMCLM_THREADS", "4")
-        threaded = paraphrase_batch(model, vocab, encoder, sources, cfg)
-        assert [o.to_dict() for o in threaded] == [o.to_dict() for o in serial]
-
-    def test_bad_thread_env_means_serial(self, monkeypatch):
-        model, vocab, encoder, cfg = scripted_setup()
-        monkeypatch.setenv("SMCLM_THREADS", "many")
-        outs = paraphrase_batch(model, vocab, encoder, ["the cat sat"], cfg)
-        assert len(outs) == 1
-
 
 class TestCandidateFiles:
     def test_round_trip(self, tmp_path):
