@@ -22,7 +22,7 @@ from .jsonl import read_jsonl, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
 from .tokenization import build_vocabulary, load_vocabulary, save_vocabulary
-from .training import TrainConfig, evaluate_nll, train
+from .training import TrainConfig, train
 
 
 @contextlib.contextmanager
@@ -207,8 +207,7 @@ def cmd_generate(args) -> dict:
         group_count=args.groups,
         diversity_strength=args.diversity,
         no_repeat_ngram=args.no_repeat,
-        # a length-L hypothesis plus the injected slot occupies L+1 positions
-        max_length=min(args.max_length, model.config.max_positions - 1),
+        max_length=min(args.max_length, model.config.max_positions),
         length_alpha=args.alpha,
     )
     cfg = PipelineConfig(beam=beam, beta=args.beta, skip_errors=args.skip_errors)
@@ -218,19 +217,32 @@ def cmd_generate(args) -> dict:
     return {"out": args.out, "sources": len(sources), "written": len(results)}
 
 
+def _by_source(items: list[dict], path: str) -> dict[str, dict]:
+    """Index items by their 'source' string, rejecting a repeated source.
+
+    A repeated source would be scored twice. Items without a string source
+    are left to evaluate_corpus, which treats them as malformed.
+    """
+    index: dict[str, dict] = {}
+    for item in items:
+        source = item.get("source")
+        if not isinstance(source, str):
+            continue
+        if source in index:
+            raise ValueError(f"duplicate source in {path}: {source!r}")
+        index[source] = item
+    return index
+
+
 def cmd_evaluate(args) -> dict:
     records = read_jsonl(args.records)
+    _by_source(records, args.records)
     if args.copy_input:
         joined = [
             {**r, "candidates": [r.get("source")] * args.copies, "best": 0} for r in records
         ]
     else:
-        by_source: dict[str, dict] = {}
-        for c in read_jsonl(args.candidates):
-            source = c.get("source")
-            if source in by_source:
-                raise ValueError(f"duplicate source in {args.candidates}: {source!r}")
-            by_source[source] = c
+        by_source = _by_source(read_jsonl(args.candidates), args.candidates)
         joined = []
         for r in records:
             cand = by_source.get(r.get("source"))
@@ -350,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diversity", type=float, default=0.6)
     p.add_argument("--no-repeat", type=int, dest="no_repeat", default=2)
     p.add_argument("--max-length", type=int, dest="max_length", default=32,
-                   help="token budget per candidate; clamped to the model's position window")
+                   help="token budget per candidate, <eos> included; clamped to the "
+                        "model's max_positions")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--skip-errors", action="store_true", dest="skip_errors")

@@ -9,10 +9,11 @@ recomputed each step.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .model import log_softmax
 from .tokenization import BOS_ID, EOS_ID
 
 
@@ -64,9 +65,7 @@ def _next_logprobs(model, prefix: tuple[int, ...], injection) -> np.ndarray:
         logits = model.forward(context)
     else:
         logits = model.forward(list(prefix), injection)
-    z = logits[-1].astype(np.float64)
-    z = z - z.max()
-    return z - np.log(np.exp(z).sum())
+    return log_softmax(logits[-1])
 
 
 def _check_window(model, max_length: int) -> None:

@@ -11,7 +11,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -353,9 +353,11 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
 
     Each record carries source, references, candidates, and optionally the
     selected candidate index; when 'best' is absent the candidate maximizing
-    SBERT-iBLEU against the source is selected here. Records with a single
-    candidate report selfBLEU as missing. Malformed records raise when
-    cfg.strict, otherwise they are skipped and counted.
+    SBERT-iBLEU against the source is selected here by the pipeline's rule
+    (a candidate that normalizes to nothing scores 0, ties go to the
+    earliest). Records with a single candidate report selfBLEU as missing.
+    Malformed records raise when cfg.strict, otherwise they are skipped and
+    counted.
     """
     if cfg.encoder is None:
         raise ValueError("EvalConfig.encoder is required")
@@ -371,7 +373,10 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
             skipped += 1
             continue
         if best_idx is None:
-            scores = [sbert_ibleu(source, c, cfg.encoder, cfg.beta) for c in candidates]
+            scores = [
+                0.0 if not normalize(c) else sbert_ibleu(source, c, cfg.encoder, cfg.beta)
+                for c in candidates
+            ]
             best_idx = int(np.argmax(scores))
         best = candidates[best_idx]
         row = {

@@ -154,28 +154,13 @@ class TransformerLM:
     def astype(self, dtype) -> "TransformerLM":
         return TransformerLM(self.config, {k: v.astype(dtype) for k, v in self.params.items()})
 
-    def _check_tokens(self, tokens, with_injection: bool):
+    def _ids(self, tokens) -> list[int]:
+        """``tokens`` as a list, every id range-checked once."""
         tokens = list(tokens)
-        n = len(tokens) + (1 if with_injection else 0)
-        if n == 0:
-            raise ValueError("empty input")
-        if n > self.config.max_positions:
-            raise ValueError(f"sequence of {n} positions exceeds max_positions={self.config.max_positions}")
         for t in tokens:
             if not 0 <= t < self.config.vocab_size:
                 raise ValueError(f"token id {t} out of range")
         return tokens
-
-    def _input_rows(self, tokens: list[int], injection: np.ndarray | None) -> np.ndarray:
-        p = self.params
-        tok_rows = p["tok_emb"][np.asarray(tokens, dtype=np.intp)] if tokens else \
-            np.zeros((0, self.config.embed_dim), dtype=self.dtype)
-        if injection is None:
-            return tok_rows
-        inj = np.asarray(injection, dtype=self.dtype)
-        if inj.shape != (self.config.embed_dim,):
-            raise ValueError(f"injection shape {inj.shape}, expected ({self.config.embed_dim},)")
-        return np.concatenate([inj[None, :], tok_rows], axis=0)
 
     def _forward_cache(self, tokens: list[int], injection: np.ndarray | None):
         p = self.params
@@ -184,8 +169,17 @@ class TransformerLM:
         dh = cfg.embed_dim // H
         scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
 
-        rows = self._input_rows(tokens, injection)
-        T = rows.shape[0]
+        T = len(tokens) + (injection is not None)
+        if T == 0:
+            raise ValueError("empty input")
+        if T > cfg.max_positions:
+            raise ValueError(f"sequence of {T} positions exceeds max_positions={cfg.max_positions}")
+        rows = p["tok_emb"][np.asarray(tokens, dtype=np.intp)]
+        if injection is not None:
+            inj = np.asarray(injection, dtype=self.dtype)
+            if inj.shape != (cfg.embed_dim,):
+                raise ValueError(f"injection shape {inj.shape}, expected ({cfg.embed_dim},)")
+            rows = np.concatenate([inj[None, :], rows], axis=0)
         x = rows + p["pos_emb"][:T]
         causal = np.tril(np.ones((T, T), dtype=bool))
 
@@ -220,7 +214,7 @@ class TransformerLM:
             x = x_out
         y, xhatf, invf = _layer_norm(x, p["lnf_g"], p["lnf_b"])
         logits = y @ p["tok_emb"].T
-        cache = dict(tokens=tokens, injection=injection, T=T, layers=layers,
+        cache = dict(tokens=tokens, T=T, layers=layers,
                      y=y, xhatf=xhatf, invf=invf, scale=scale, H=H, dh=dh)
         return logits, cache
 
@@ -230,22 +224,26 @@ class TransformerLM:
         With ``injection`` the input is the injected vector followed by the
         token embeddings; otherwise it is the token embeddings alone.
         """
-        tokens = self._check_tokens(tokens, injection is not None)
-        logits, _ = self._forward_cache(tokens, injection)
-        return logits
+        return self._forward_cache(self._ids(tokens), injection)[0]
 
-    def _targets_and_inputs(self, tokens, injection):
-        tokens = list(tokens)
-        for t in tokens:
-            if not 0 <= t < self.config.vocab_size:
-                raise ValueError(f"token id {t} out of range")
-        if injection is None:
-            if len(tokens) < 2:
-                raise ValueError("need at least 2 tokens for next-token loss")
-            return tokens[:-1], tokens[1:]
-        if len(tokens) < 1:
-            raise ValueError("need at least 1 target token")
-        return tokens[:-1], tokens
+    def _loss(self, tokens, injection: np.ndarray | None, with_grads: bool):
+        """The one next-token loss body behind nll and nll_and_grads."""
+        tokens = self._ids(tokens)
+        targets = tokens if injection is not None else tokens[1:]
+        if not targets:
+            raise ValueError("need at least 1 target token (2 tokens without an injection)")
+        logits, cache = self._forward_cache(tokens[:-1], injection)
+        ls = log_softmax(logits)
+        rows = np.arange(len(targets))
+        lp = ls[rows, targets]
+        loss = float(-lp.mean())
+        if not with_grads:
+            return loss, lp
+        # d(mean nll)/dlogits = (softmax - onehot) / T
+        dlogits = np.exp(ls)
+        dlogits[rows, targets] -= 1.0
+        grads = self._backward((dlogits / len(targets)).astype(self.dtype), cache)
+        return loss, lp, grads
 
     def nll(self, tokens, injection: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """Mean per-token NLL in nats and the float64 per-token log-probs.
@@ -255,29 +253,11 @@ class TransformerLM:
         every element (including the trailing <eos>) is predicted, the first
         from the injected vector itself.
         """
-        inputs, targets = self._targets_and_inputs(tokens, injection)
-        inputs = self._check_tokens(inputs, injection is not None)
-        logits, _ = self._forward_cache(inputs, injection)
-        lp = _log_probs(logits, targets)
-        return float(-lp.mean()), lp
+        return self._loss(tokens, injection, with_grads=False)
 
     def nll_and_grads(self, tokens, injection: np.ndarray | None = None):
         """Loss, per-token log-probs, and exact gradients of the mean NLL."""
-        inputs, targets = self._targets_and_inputs(tokens, injection)
-        inputs = self._check_tokens(inputs, injection is not None)
-        logits, cache = self._forward_cache(inputs, injection)
-        lp = _log_probs(logits, targets)
-        loss = float(-lp.mean())
-        # d(mean nll)/dlogits = (softmax - onehot) / T
-        z = logits.astype(np.float64)
-        z -= z.max(axis=-1, keepdims=True)
-        soft = np.exp(z)
-        soft /= soft.sum(axis=-1, keepdims=True)
-        dlogits = soft
-        dlogits[np.arange(len(targets)), targets] -= 1.0
-        dlogits = (dlogits / len(targets)).astype(self.dtype)
-        grads = self._backward(dlogits, cache)
-        return loss, lp, grads
+        return self._loss(tokens, injection, with_grads=True)
 
     def _backward(self, dlogits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         p = self.params
@@ -335,13 +315,8 @@ class TransformerLM:
             dx = dx_ln + dx_mid
 
         grads["pos_emb"][:T] += dx
-        tokens = cache["tokens"]
-        if cache["injection"] is not None:
-            token_rows = dx[1:]
-        else:
-            token_rows = dx
-        if tokens:
-            np.add.at(grads["tok_emb"], np.asarray(tokens, dtype=np.intp), token_rows)
+        tokens = cache["tokens"]  # their rows follow the injected slot, if any
+        np.add.at(grads["tok_emb"], np.asarray(tokens, dtype=np.intp), dx[T - len(tokens):])
         return grads
 
     def batch_nll_and_grads(self, batch: list[tuple[list[int], np.ndarray | None]]):
@@ -372,9 +347,8 @@ class TransformerLM:
         return self.params["tok_emb"][BOS_ID].copy()
 
 
-def _log_probs(logits: np.ndarray, targets: list[int]) -> np.ndarray:
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """float64 log-softmax over the last axis."""
     z = logits.astype(np.float64)
     z = z - z.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    ls = z - logz
-    return ls[np.arange(len(targets)), targets]
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

@@ -6,7 +6,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,9 +62,14 @@ def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a dict of named tensors.
+    """Adam with weight decay kept out of the moments, over named tensors.
 
-    Decay applies uniformly to every tensor (no layer-norm/bias exemptions).
+    Each step first applies the Adam update, then decays the already-updated
+    weight: p -= lr * mhat / (sqrt(vhat) + eps); p -= lr * weight_decay * p.
+    Decoupled AdamW (Loshchilov & Hutter, arXiv:1711.05101) decays the
+    previous weight instead; the two differ by lr**2 * weight_decay times the
+    Adam step. Decay applies uniformly to every tensor (no layer-norm/bias
+    exemptions).
     """
 
     def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
@@ -122,19 +127,16 @@ def build_examples(
     skipped = 0
     for sentence in corpus:
         ids = vocab.tokenize(sentence)
-        if mode == "smclm":
-            tokens: list[int] = ids + [EOS_ID]
-            rows = len(tokens)  # injection + len(tokens)-1 token inputs
-        else:
-            tokens = [BOS_ID] + ids + [EOS_ID]
-            rows = len(tokens) - 1
-        if max_positions is not None and rows > max_positions:
+        # both modes read len(ids) + 1 positions: the start slot (injection
+        # or <bos>) plus the body; the final <eos> is only ever a target
+        if max_positions is not None and len(ids) + 1 > max_positions:
             skipped += 1
             continue
-        injection = (
-            np.asarray(encoder.encode(sentence), dtype=np.float32) if mode == "smclm" else None
-        )
-        examples.append((tokens, injection))
+        if mode == "smclm":
+            injection = np.asarray(encoder.encode(sentence), dtype=np.float32)
+            examples.append((ids + [EOS_ID], injection))
+        else:
+            examples.append(([BOS_ID] + ids + [EOS_ID], None))
     if skipped:
         warnings.warn(f"skipped {skipped} sequences longer than max_positions={max_positions}")
     return examples, skipped

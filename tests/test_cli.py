@@ -27,6 +27,28 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def write_tiny_checkpoint(tmp_path):
+    """An untrained 8-position model, its vocabulary and a one-line input;
+    returns the checkpoint and input paths."""
+    from smclm.checkpoint import save_checkpoint
+    from smclm.encoders import HashedBagEncoder
+    from smclm.model import ModelConfig, TransformerLM
+
+    model = TransformerLM(
+        ModelConfig(vocab_size=7, embed_dim=8, layer_count=1, head_count=2,
+                    ff_dim=12, max_positions=8, seed=0)
+    )
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(["<bos>", "<eos>", "<unk>", "<pad>", "cat", "sat", "mat"]) + "\n")
+    save_checkpoint(
+        f"{tmp_path}/m.smck", model,
+        encoder_spec=HashedBagEncoder(dim=8).spec(), vocab_path=str(vocab),
+    )
+    src = tmp_path / "in.txt"
+    src.write_text("cat sat mat\n")
+    return f"{tmp_path}/m.smck", str(src)
+
+
 def write_groups(path, count=20):
     with open(path, "w", encoding="utf-8") as f:
         for i in range(count):
@@ -287,6 +309,20 @@ class TestErrorPaths:
         error = json.loads(err)["error"]
         assert "duplicate source" in error and "'a b c'" in error
 
+    @pytest.mark.parametrize("copy_input", [False, True])
+    def test_evaluate_rejects_duplicate_record_source(self, tmp_path, capsys, copy_input):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"source": "a b c", "references": ["a c"]}\n' * 2)
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"source": "a b c", "candidates": ["a c b"], "best": 0}\n')
+        mode = ["--copy-input"] if copy_input else ["--candidates", str(cands)]
+        rc, _, err = run(
+            capsys, "evaluate", "--records", str(records), *mode, "--encoder", "hashed-bag"
+        )
+        assert rc == 1
+        error = json.loads(err)["error"]
+        assert "duplicate source" in error and str(records) in error and "'a b c'" in error
+
     def test_lenient_evaluate_skips_missing_source(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         records.write_text(
@@ -334,28 +370,13 @@ class TestErrorPaths:
         assert "does not match" in json.loads(err)["error"]
 
     def test_generate_clamps_max_length_to_position_window(self, tmp_path, capsys):
-        from smclm.encoders import HashedBagEncoder
-        from smclm.checkpoint import save_checkpoint
-        from smclm.model import ModelConfig, TransformerLM
-
-        model = TransformerLM(
-            ModelConfig(vocab_size=7, embed_dim=8, layer_count=1, head_count=2,
-                        ff_dim=12, max_positions=8, seed=0)
-        )
-        vocab = tmp_path / "vocab.txt"
-        vocab.write_text("\n".join(["<bos>", "<eos>", "<unk>", "<pad>", "cat", "sat", "mat"]) + "\n")
-        save_checkpoint(
-            f"{tmp_path}/m.smck", model,
-            encoder_spec=HashedBagEncoder(dim=8).spec(), vocab_path=str(vocab),
-        )
-        src = tmp_path / "in.txt"
-        src.write_text("cat sat mat\n")
-        # default --max-length 32 would need 33 positions; the window has 8
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        # default --max-length 32 would need 32 positions; the window has 8
         rc, out, _ = run(
             capsys,
             "generate",
-            "--checkpoint", f"{tmp_path}/m.smck",
-            "--input", str(src),
+            "--checkpoint", ckpt,
+            "--input", src,
             "--out", f"{tmp_path}/out.jsonl",
             "--beams", "2",
             "--groups", "2",
@@ -363,7 +384,26 @@ class TestErrorPaths:
         assert rc == 0
         assert json.loads(out)["written"] == 1
         record = json.loads((tmp_path / "out.jsonl").read_text().splitlines()[0])
-        assert all(len(c.split()) <= 7 for c in record["candidates"])
+        assert all(len(c.split()) <= 8 for c in record["candidates"])
+
+    def test_generate_clamp_is_the_whole_window(self, tmp_path, capsys, monkeypatch):
+        # the decoders fit max_length == max_positions: the last token is never fed back
+        import smclm.cli as cli_mod
+
+        seen = []
+
+        def capture(model, vocab, encoder, sources, cfg):
+            seen.append(cfg.beam)
+            return []
+
+        monkeypatch.setattr(cli_mod, "paraphrase_batch", capture)
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        rc, _, _ = run(
+            capsys, "generate", "--checkpoint", ckpt, "--input", src,
+            "--out", f"{tmp_path}/out.jsonl",
+        )
+        assert rc == 0
+        assert [b.max_length for b in seen] == [8]
 
     def test_runtime_error_exits_two(self, tmp_path, capsys, monkeypatch):
         import smclm.cli as cli_mod

@@ -274,6 +274,14 @@ class TestEvaluateCorpus:
         report = evaluate_corpus(_records([(src, [src], cands)]), self.cfg)
         assert report.rows[0]["best"] == 1
 
+    def test_empty_candidate_scores_zero_as_in_the_pipeline(self):
+        # "..." normalizes to nothing; paraphrase() scores it 0 without the
+        # encoder, so "the cat" must win here too
+        recs = _records([("he cat", ["he cat"], ["the cat", "..."])])
+        row = evaluate_corpus(recs, self.cfg).rows[0]
+        assert row["best"] == 0
+        assert row["SBERT-iBLEU"] == pytest.approx(sbert_ibleu("he cat", "the cat", self.enc))
+
     def test_explicit_best_respected(self):
         src = "the cat sat on the mat"
         recs = _records([(src, [src], [src, "the cat sat on mat red"])])

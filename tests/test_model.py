@@ -157,6 +157,43 @@ class TestLoss:
             m.nll([], None)
         with pytest.raises(ValueError):
             m.nll([5, 99], None)
+        inj = np.zeros(16, dtype=np.float32)
+        with pytest.raises(ValueError, match="out of range"):
+            m.nll([5, 99], inj)  # 99 is only a target, never an input
+        with pytest.raises(ValueError, match="at least 1"):
+            m.nll([], inj)
+
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_nll_and_grads_returns_the_nll_bits(self, injected):
+        m = TransformerLM(tiny_config())
+        seq, inj = [BOS_ID, 5, 6, 7, EOS_ID], None
+        if injected:
+            seq, inj = seq[1:], np.random.default_rng(11).normal(size=16).astype(np.float32)
+        loss, lp = m.nll(seq, inj)
+        loss_g, lp_g, _ = m.nll_and_grads(seq, inj)
+        assert loss == loss_g
+        assert lp.dtype == lp_g.dtype == np.float64
+        assert lp.tobytes() == lp_g.tobytes()
+
+    def test_each_call_checks_ids_once(self, monkeypatch):
+        m = TransformerLM(tiny_config())
+        calls = []
+        original = TransformerLM._ids
+
+        def counting(self, tokens):
+            calls.append(1)
+            return original(self, tokens)
+
+        monkeypatch.setattr(TransformerLM, "_ids", counting)
+        inj = np.zeros(16, dtype=np.float32)
+        for call in (
+            lambda: m.forward([5, 6], inj),
+            lambda: m.nll([5, 6, EOS_ID], inj),
+            lambda: m.nll_and_grads([BOS_ID, 5, EOS_ID]),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
     def test_batch_loss_is_mean_of_example_means(self):
         m = TransformerLM(tiny_config())

@@ -151,6 +151,17 @@ class TestBuildExamples:
         assert skipped == 1
         assert len(examples) == len(SENTENCES)
 
+    @pytest.mark.parametrize("mode", ["clm", "smclm"])
+    def test_window_boundary_is_the_same_in_both_modes(self, mode):
+        # both modes read the start slot plus the body: max_positions - 1 words fit
+        model, vocab, encoder = small_setup(mode, max_positions=8)
+        examples, skipped = build_examples(["cat " * 7], vocab, mode, encoder, 8)
+        assert (len(examples), skipped) == (1, 0)
+        model.nll(*examples[0])  # the kept example fits the model's window
+        with pytest.warns(UserWarning, match="skipped 1"):
+            examples, skipped = build_examples(["cat " * 8], vocab, mode, encoder, 8)
+        assert (examples, skipped) == ([], 1)
+
     def test_smclm_requires_encoder(self):
         _, vocab, _ = small_setup("clm")
         with pytest.raises(ValueError, match="encoder"):
