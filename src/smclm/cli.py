@@ -18,7 +18,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .decoding import BeamSearchConfig
 from .encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder, encoder_from_spec
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, string_list, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
 from .tokenization import build_vocabulary, load_vocabulary, save_vocabulary
@@ -191,6 +191,8 @@ def cmd_train(args) -> dict:
 
 
 def cmd_generate(args) -> dict:
+    sources = _read_lines(args.input)
+    _by_source([{"source": s} for s in sources], args.input)
     model, meta = ckpt.load_checkpoint(args.checkpoint)
     vocab_path = args.vocab or meta.get("vocab_path")
     if not vocab_path:
@@ -201,7 +203,6 @@ def cmd_generate(args) -> dict:
             f"vocabulary size {len(vocab)} does not match checkpoint {model.config.vocab_size}"
         )
     encoder = _resolve_encoder(args, model.config.embed_dim, meta.get("encoder"))
-    sources = _read_lines(args.input)
     beam = BeamSearchConfig(
         beam_count=args.beams,
         group_count=args.groups,
@@ -271,15 +272,21 @@ def cmd_evaluate(args) -> dict:
             "report": args.report}
 
 
+def _calibration_pairs(rec: dict) -> list[tuple[str, str]]:
+    """The (input, reference) pairs of one --pairs record."""
+    if "input" in rec and "reference" in rec:
+        source, refs = rec["input"], [rec["reference"]]
+    elif "source" in rec and "references" in rec:
+        source, refs = rec["source"], string_list(rec["references"], "references")
+    else:
+        raise ValueError("pair records need input/reference or source/references")
+    if not isinstance(source, str) or not all(isinstance(r, str) for r in refs):
+        raise ValueError(f"input and reference must be strings, got {rec!r}")
+    return [(source, ref) for ref in refs]
+
+
 def cmd_calibrate_beta(args) -> dict:
-    pairs = []
-    for rec in read_jsonl(args.pairs):
-        if "input" in rec and "reference" in rec:
-            pairs.append((rec["input"], rec["reference"]))
-        elif "source" in rec and "references" in rec:
-            pairs.extend((rec["source"], ref) for ref in rec["references"])
-        else:
-            raise ValueError("pair records need input/reference or source/references")
+    pairs = [p for rec_pairs in read_jsonl(args.pairs, _calibration_pairs) for p in rec_pairs]
     encoder = _resolve_encoder(args, args.encoder_dim or 64)
     result = metrics_mod.calibrate_beta(pairs, encoder, HashedTokenEmbedder(args.token_dim))
     return {**result.to_dict(), "pairs": len(pairs)}

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, string_list, write_jsonl
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -172,7 +172,8 @@ def split_groups(
 
     Group order is shuffled from the seed, then contiguous slices of the
     shuffled order fill each split, so splits are disjoint and their union is
-    the input. Sizes are exact when n * ratio is integral.
+    the input. Sizes are exact when n * ratio is integral. A sentence (exact
+    string) in two groups raises ValueError, since it could land in two splits.
     """
     if len(ratios) != len(names) or len(ratios) < 2:
         raise ValueError("need matching names for >= 2 ratios")
@@ -182,6 +183,11 @@ def split_groups(
         raise ValueError(f"ratios sum to {sum(ratios)}, expected 1")
     if len(groups) < len(ratios):
         raise ValueError(f"{len(groups)} groups cannot fill {len(ratios)} splits")
+    owner: dict[str, str] = {}
+    for g in groups:
+        for s in g.sentences:
+            if owner.setdefault(s, g.id) != g.id:
+                raise ValueError(f"sentence {s!r} is in groups {owner[s]!r} and {g.id!r}")
     n = len(groups)
     exact = [n * r for r in ratios]
     sizes = [int(e) for e in exact]
@@ -228,7 +234,9 @@ def flatten_unsupervised(splits: Mapping[str, Sequence[ParaphraseGroup]]) -> dic
 
 
 def read_groups_jsonl(path: str) -> list[ParaphraseGroup]:
-    return read_jsonl(path, lambda rec: ParaphraseGroup(str(rec["id"]), tuple(rec["sentences"])))
+    return read_jsonl(path, lambda rec: ParaphraseGroup(
+        str(rec["id"]), tuple(string_list(rec["sentences"], "sentences"))
+    ))
 
 
 def write_groups_jsonl(groups: Sequence[ParaphraseGroup], path: str) -> None:

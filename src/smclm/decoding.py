@@ -1,14 +1,15 @@
-"""Greedy, standard beam, and diversity-grouped beam decoding.
+"""Diversity-grouped beam decoding, with plain beam and greedy as its cases.
 
-All decoders treat the model as a next-token distribution: given the injected
-vector (or <bos> when decoding an unconditioned model) plus the tokens so far,
-the last logits row scores the next token. No prefix caching; prefixes are
+``diverse_beam_search`` is the one decode loop: ``beam_search`` is one group
+with no diversity penalty, and ``greedy_decode`` is width-one beam search.
+The model is a next-token distribution: given the injected vector (or <bos>
+when decoding an unconditioned model) plus the tokens so far, the last
+logits row scores the next token. No prefix caching; prefixes are
 recomputed each step.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,22 +96,12 @@ def banned_next_tokens(tokens: tuple[int, ...], n: int) -> set[int]:
 
 
 def greedy_decode(model, injection, max_length: int, eos_id: int = EOS_ID) -> list[int]:
-    """Repeated argmax (ties to the lowest token id); stops at eos or max_length.
+    """Width-one beam search; ties to the lowest id; the terminal eos is dropped.
 
-    Returns the generated tokens without the terminal eos, so a model whose
-    first argmax is eos yields an empty sequence.
+    A model whose first choice is eos yields an empty sequence.
     """
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    _check_window(model, max_length)
-    out: list[int] = []
-    for _ in range(max_length):
-        lp = _next_logprobs(model, tuple(out), injection)
-        nxt = int(np.argmax(lp))
-        if nxt == eos_id:
-            break
-        out.append(nxt)
-    return out
+    tokens = beam_search(model, injection, 1, max_length, eos_id=eos_id)[0].tokens
+    return list(tokens[:-1] if tokens and tokens[-1] == eos_id else tokens)
 
 
 @dataclass
@@ -120,35 +111,36 @@ class _Beam:
     sel_score: float  # log_prob minus accumulated diversity penalties
 
 
-def _expand(model, injection, live: list[_Beam], counts: Counter, strength: float, n: int):
-    """Score every (beam, token) extension; candidates carry tie-break keys."""
-    candidates = []
+def _step(model, injection, live: list[_Beam], chosen: list[int], cfg: BeamSearchConfig,
+          width: int, group: int):
+    """Extend one group's live beams by one token and keep the best width.
+
+    Each (beam, token) cell scores sel_score + log-prob minus
+    diversity_strength per pick of that token earlier in this timestep
+    (``chosen``); tokens banned by the n-gram rule are skipped. Higher score
+    wins, then the lower token id, then the earlier beam. Live beams of one
+    group always share a length, so length never breaks a tie. Returns the
+    continuing beams, the hypotheses finished by eos and the picked tokens.
+    """
+    lp = np.stack([_next_logprobs(model, h.tokens, injection) for h in live])
+    sel = np.array([h.sel_score for h in live])
+    score = sel[:, None] + lp - cfg.diversity_strength * np.bincount(chosen, minlength=lp.shape[1])
+    allowed = np.ones(lp.shape, dtype=bool)
     for bi, h in enumerate(live):
-        lp = _next_logprobs(model, h.tokens, injection)
-        banned = banned_next_tokens(h.tokens, n)
-        for w in range(lp.shape[0]):
-            if w in banned:
-                continue
-            score = h.sel_score + lp[w] - strength * counts[w]
-            candidates.append((score, w, len(h.tokens), bi, lp[w]))
-    # higher score first; ties prefer lower token id, shorter hypothesis, earlier beam
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-    return candidates
-
-
-def _select(candidates, live, width: int, eos_id: int, group: int):
-    """Take the top candidates, splitting finished (eos) from continuing beams."""
-    new_live, finished, chosen = [], [], []
-    for score, w, _, bi, lpw in candidates[:width]:
+        allowed[bi, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram))] = False
+    beam, token = np.nonzero(allowed)
+    order = np.lexsort((beam, token, -score[beam, token]))[:width]
+    new_live, finished, picks = [], [], []
+    for bi, w in zip(beam[order].tolist(), token[order].tolist()):
         parent = live[bi]
         tokens = parent.tokens + (w,)
-        log_prob = parent.log_prob + lpw
-        chosen.append(w)
-        if w == eos_id:
+        log_prob = parent.log_prob + lp[bi, w]
+        picks.append(w)
+        if w == cfg.eos_id:
             finished.append(Hypothesis(tokens, log_prob, finished=True, group=group))
         else:
-            new_live.append(_Beam(tokens, log_prob, score))
-    return new_live, finished, chosen
+            new_live.append(_Beam(tokens, log_prob, score[bi, w]))
+    return new_live, finished, picks
 
 
 def _rank(pool: list[Hypothesis], alpha: float, width: int) -> list[Hypothesis]:
@@ -202,16 +194,12 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     for _ in range(cfg.max_length):
         if not any(live):
             break
-        counts: Counter = Counter()
+        chosen: list[int] = []  # this timestep's picks, earlier groups first
         for g in range(cfg.group_count):
-            if not live[g]:
-                continue
-            candidates = _expand(
-                model, injection, live[g], counts, cfg.diversity_strength, cfg.no_repeat_ngram
-            )
-            live[g], finished, chosen = _select(candidates, live[g], per_group, cfg.eos_id, g)
-            pools[g].extend(finished)
-            counts.update(chosen)
+            if live[g]:
+                live[g], done, picks = _step(model, injection, live[g], chosen, cfg, per_group, g)
+                pools[g].extend(done)
+                chosen.extend(picks)
     result = []
     for g in range(cfg.group_count):
         pool = pools[g] + [

@@ -29,6 +29,13 @@ def read_jsonl(path: str, parse: Callable[[Any], Any] = lambda rec: rec) -> list
     return out
 
 
+def string_list(value: Any, name: str) -> list[str]:
+    """value when it is a non-empty list of strings; ValueError naming the field otherwise."""
+    if not isinstance(value, list) or not value or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{name} must be a non-empty list of strings, got {value!r}")
+    return value
+
+
 def write_jsonl(records: Iterable, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:

@@ -323,6 +323,61 @@ class TestErrorPaths:
         error = json.loads(err)["error"]
         assert "duplicate source" in error and str(records) in error and "'a b c'" in error
 
+    def test_generate_rejects_duplicate_input_line(self, tmp_path, capsys):
+        # the checkpoint does not exist: the input is checked before it is loaded
+        src = tmp_path / "in.txt"
+        src.write_text("cat sat mat\ncat mat\ncat sat mat\n")
+        out = tmp_path / "out.jsonl"
+        rc, _, err = run(
+            capsys, "generate", "--checkpoint", f"{tmp_path}/missing.smck",
+            "--input", str(src), "--out", str(out),
+        )
+        assert rc == 1
+        error = json.loads(err)["error"]
+        assert "duplicate source" in error and str(src) in error and "'cat sat mat'" in error
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": "b", "sentences": "the cat"}',
+            '{"id": "b", "sentences": ["e f", 7]}',
+            '{"id": "b", "sentences": ["a b", "g h"]}',
+        ],
+    )
+    def test_split_dataset_bad_groups_write_nothing(self, tmp_path, capsys, record):
+        # a non-list or non-string sentence, or a sentence shared with group "a"
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text(
+            '{"id": "a", "sentences": ["a b", "c d"]}\n'
+            '{"id": "c", "sentences": ["i j", "k l"]}\n' + record + "\n"
+        )
+        out_dir = tmp_path / "splits"
+        rc, _, err = run(
+            capsys, "split-dataset", "--groups", str(groups), "--out-dir", str(out_dir),
+            "--ratios", "0.4,0.3,0.3", "--emit-corpora", "--emit-pairs",
+        )
+        assert rc == 1
+        assert "sentence" in json.loads(err)["error"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"source": "a b c", "references": "the cat"}',
+            '{"source": "a b c", "references": []}',
+            '{"source": "a b c", "references": ["a c", 3]}',
+            '{"source": 5, "references": ["a c"]}',
+            '{"input": "a b c", "reference": ["a c"]}',
+        ],
+    )
+    def test_calibrate_beta_rejects_bad_pair_record(self, tmp_path, capsys, record):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"input": "a b c", "reference": "a c"}\n' + record + "\n")
+        rc, _, err = run(capsys, "calibrate-beta", "--pairs", str(pairs), "--encoder", "hashed-bag")
+        assert rc == 1
+        assert "pairs.jsonl:2: bad record" in json.loads(err)["error"]
+
     def test_lenient_evaluate_skips_missing_source(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         records.write_text(

@@ -212,6 +212,17 @@ class TestSplitGroups:
         with pytest.raises(ValueError, match="cannot fill"):
             split_groups(make_groups(2))
 
+    def test_sentence_in_two_groups_rejected(self):
+        # it could land in train and test at once
+        groups = make_groups(4) + [ParaphraseGroup("dup", ("sentence 1 b", "another one"))]
+        with pytest.raises(ValueError, match=r"'sentence 1 b' is in groups 'g1' and 'dup'"):
+            split_groups(groups, ratios=(0.4, 0.6), names=("a", "b"))
+
+    def test_repeat_within_one_group_allowed(self):
+        groups = make_groups(4) + [ParaphraseGroup("rep", ("same", "same"))]
+        splits = split_groups(groups, ratios=(0.4, 0.6), names=("a", "b"))
+        assert sum(len(part) for part in splits.values()) == 5
+
 
 class TestPairsAndFlatten:
     def test_pairs_share_one_source(self):
@@ -270,6 +281,14 @@ class TestGroupFiles:
         path = tmp_path / "groups.jsonl"
         path.write_text('{"id": "a", "sentences": ["x"]}\n{"id": "b"}\n')
         with pytest.raises(ValueError, match=r"groups\.jsonl:2"):
+            read_groups_jsonl(str(path))
+
+    @pytest.mark.parametrize("sentences", ['"the cat"', '["e f", 7]', "[]", "null"])
+    def test_sentences_must_be_a_list_of_strings(self, tmp_path, sentences):
+        # a string would become one group of one-character sentences
+        path = tmp_path / "groups.jsonl"
+        path.write_text('{"id": "a", "sentences": ["x"]}\n{"id": 1, "sentences": %s}\n' % sentences)
+        with pytest.raises(ValueError, match=r"groups\.jsonl:2: bad record: sentences must be"):
             read_groups_jsonl(str(path))
 
     def test_json_stays_loadable(self, tmp_path):

@@ -48,6 +48,19 @@ def next_lp(model, prefix, injection):
     return z - logsumexp(z)
 
 
+def reference_greedy(model, injection, max_length, eos_id):
+    """Argmax over the raw last logits row, ties to the lowest id, until eos."""
+    out = []
+    for _ in range(max_length):
+        context = [0] + out if injection is None else out
+        row = model.forward(context, injection)[-1]
+        nxt = int(np.flatnonzero(row == row.max())[0])
+        if nxt == eos_id:
+            break
+        out.append(nxt)
+    return out
+
+
 def reference_dbs(model, injection, cfg: BeamSearchConfig):
     """Straight-line reimplementation of the documented selection rules."""
     per_group = cfg.beam_count // cfg.group_count
@@ -145,6 +158,7 @@ class TestGreedy:
         assert greedy_decode(m, None, max_length=2, eos_id=3) == [0, 0]
 
     def test_matches_width_one_beam_on_random_models(self):
+        # greedy is width-one beam search; the oracle is a plain argmax loop
         rng = np.random.default_rng(11)
         for seed in range(8):
             model = random_model(seed)
@@ -152,12 +166,9 @@ class TestGreedy:
             if seed % 2:
                 v = rng.normal(size=16)
                 inj = (v / np.linalg.norm(v)).astype(np.float32)
-            got = greedy_decode(model, inj, max_length=6)
-            top = beam_search(model, inj, beam_count=1, max_length=6)[0]
-            want = top.tokens
-            if want and want[-1] == 1:
-                want = want[:-1]
-            assert tuple(got) == want, seed
+            for eos_id in (1, 99):
+                got = greedy_decode(model, inj, max_length=6, eos_id=eos_id)
+                assert got == reference_greedy(model, inj, 6, eos_id), (seed, eos_id)
 
 
 class TestHandComputedDiverseBeam:
@@ -221,6 +232,12 @@ class TestHandComputedDiverseBeam:
         assert hyps[0].tokens == (0, 1, 2, 3)
         assert hyps[0].finished
 
+    def test_every_extension_banned_ends_the_group(self):
+        # after (0, 1) and (1, 0) the unigram rule bans both tokens, and the
+        # eos id lies outside the vocabulary, so nothing finishes
+        m = RowModel([1.0, 0.5])
+        assert beam_search(m, None, beam_count=2, max_length=4, no_repeat_ngram=1, eos_id=5) == []
+
     def test_all_equal_logits_tie_breaks(self):
         m = RowModel([0.0, 0.0, 0.0, 0.0])
         hyps = beam_search(m, None, beam_count=2, max_length=2, eos_id=3)
@@ -236,6 +253,7 @@ class TestAgainstReference:
         dict(beam_count=6, group_count=3, diversity_strength=1.5, no_repeat_ngram=2),
         dict(beam_count=5, group_count=5, diversity_strength=0.6, no_repeat_ngram=2),
         dict(beam_count=4, group_count=2, diversity_strength=0.6, no_repeat_ngram=2, length_alpha=0.6),
+        dict(beam_count=20, group_count=20, diversity_strength=0.6, no_repeat_ngram=2),
     ]
 
     def test_matches_independent_implementation(self):
