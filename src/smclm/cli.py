@@ -91,8 +91,13 @@ def cmd_build_corpus(args) -> dict:
 
 
 def cmd_split_dataset(args) -> dict:
-    groups = corpus_mod.read_groups_jsonl(args.groups)
     ratios = tuple(float(x) for x in args.ratios.split(","))
+    names = corpus_mod.DEFAULT_SPLIT_NAMES
+    if len(ratios) != len(names):
+        raise ValueError(
+            f"--ratios needs {len(names)} values ({','.join(names)}), got {len(ratios)}"
+        )
+    groups = corpus_mod.read_groups_jsonl(args.groups)
     splits = corpus_mod.split_groups(groups, ratios, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     summary = {"groups": len(groups), "splits": {}}

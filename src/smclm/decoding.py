@@ -4,8 +4,11 @@
 with no diversity penalty, and ``greedy_decode`` is width-one beam search.
 The model is a next-token distribution: given the injected vector (or <bos>
 when decoding an unconditioned model) plus the tokens so far, the last
-logits row scores the next token. No prefix caching; prefixes are
-recomputed each step.
+logits row scores the next token. Each timestep runs one ``model.step`` for
+every group's live beams over a per-layer K/V cache whose rows follow the
+selected parents; diversity penalties only change selection, so the groups
+share it. A model that only exposes ``forward`` goes through ``_Recompute``,
+which re-runs the forward over each live prefix.
 """
 
 from __future__ import annotations
@@ -59,14 +62,34 @@ class Hypothesis:
         return self.log_prob / max(1, len(self.tokens)) ** alpha
 
 
-def _next_logprobs(model, prefix: tuple[int, ...], injection) -> np.ndarray:
-    """float64 log-softmax over the next token after prefix."""
-    if injection is None:
-        context = [BOS_ID] + list(prefix)
-        logits = model.forward(context)
-    else:
-        logits = model.forward(list(prefix), injection)
-    return log_softmax(logits[-1])
+class _Recompute:
+    """``start``/``step`` for a model that only exposes ``forward``.
+
+    The cache is each row's prefix; every step re-runs the forward over it.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.injection = None
+
+    def start(self, injection):
+        self.injection = injection
+        return self._next_logprobs([()]), [()]
+
+    def step(self, cache, parents, tokens):
+        prefixes = [cache[p] + (w,) for p, w in zip(parents, tokens)]
+        return self._next_logprobs(prefixes), prefixes
+
+    def _next_logprobs(self, prefixes) -> np.ndarray:
+        """float64 log-softmax over the next token after each prefix."""
+        rows = []
+        for prefix in prefixes:
+            if self.injection is None:
+                logits = self.model.forward([BOS_ID] + list(prefix))
+            else:
+                logits = self.model.forward(list(prefix), self.injection)
+            rows.append(log_softmax(logits[-1]))
+        return np.stack(rows)
 
 
 def _check_window(model, max_length: int) -> None:
@@ -109,27 +132,37 @@ class _Beam:
     tokens: tuple[int, ...]
     log_prob: float
     sel_score: float  # log_prob minus accumulated diversity penalties
+    # this beam's row in the timestep's log-probs; a new beam holds its
+    # parent's row until the next model step
+    row: int
 
 
-def _step(model, injection, live: list[_Beam], chosen: list[int], cfg: BeamSearchConfig,
+def _step(lp: np.ndarray, live: list[_Beam], chosen: list[int], cfg: BeamSearchConfig,
           width: int, group: int):
     """Extend one group's live beams by one token and keep the best width.
 
+    ``lp`` holds the timestep's next-token log-probs for every live beam.
     Each (beam, token) cell scores sel_score + log-prob minus
     diversity_strength per pick of that token earlier in this timestep
     (``chosen``); tokens banned by the n-gram rule are skipped. Higher score
-    wins, then the lower token id, then the earlier beam. Live beams of one
-    group always share a length, so length never breaks a tie. Returns the
+    wins, then the lower token id, then the earlier beam; only cells that
+    tie or beat the width-th best score are sorted. Live beams of one group
+    always share a length, so length never breaks a tie. Returns the
     continuing beams, the hypotheses finished by eos and the picked tokens.
     """
-    lp = np.stack([_next_logprobs(model, h.tokens, injection) for h in live])
+    lp = lp[[h.row for h in live]]
     sel = np.array([h.sel_score for h in live])
     score = sel[:, None] + lp - cfg.diversity_strength * np.bincount(chosen, minlength=lp.shape[1])
-    allowed = np.ones(lp.shape, dtype=bool)
     for bi, h in enumerate(live):
-        allowed[bi, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram))] = False
-    beam, token = np.nonzero(allowed)
-    order = np.lexsort((beam, token, -score[beam, token]))[:width]
+        score[bi, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram))] = -np.inf
+    flat = score.ravel()
+    k = min(width, np.count_nonzero(flat > -np.inf))
+    if k == 0:
+        return [], [], []
+    cut = np.partition(flat, flat.size - k)[flat.size - k]
+    cells = np.flatnonzero(flat >= cut)
+    beam, token = np.divmod(cells, lp.shape[1])
+    order = np.lexsort((beam, token, -flat[cells]))[:width]
     new_live, finished, picks = [], [], []
     for bi, w in zip(beam[order].tolist(), token[order].tolist()):
         parent = live[bi]
@@ -139,7 +172,7 @@ def _step(model, injection, live: list[_Beam], chosen: list[int], cfg: BeamSearc
         if w == cfg.eos_id:
             finished.append(Hypothesis(tokens, log_prob, finished=True, group=group))
         else:
-            new_live.append(_Beam(tokens, log_prob, score[bi, w]))
+            new_live.append(_Beam(tokens, log_prob, score[bi, w], parent.row))
     return new_live, finished, picks
 
 
@@ -188,18 +221,26 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     exists is returned.
     """
     _check_window(model, cfg.max_length)
+    if not hasattr(model, "step"):
+        model = _Recompute(model)
     per_group = cfg.beam_count // cfg.group_count
-    live: list[list[_Beam]] = [[_Beam((), 0.0, 0.0)] for _ in range(cfg.group_count)]
+    live: list[list[_Beam]] = [[_Beam((), 0.0, 0.0, 0)] for _ in range(cfg.group_count)]
     pools: list[list[Hypothesis]] = [[] for _ in range(cfg.group_count)]
-    for _ in range(cfg.max_length):
-        if not any(live):
-            break
+    lp, cache = model.start(injection)  # one row, shared by every group's first beam
+    for t in range(cfg.max_length):
         chosen: list[int] = []  # this timestep's picks, earlier groups first
         for g in range(cfg.group_count):
             if live[g]:
-                live[g], done, picks = _step(model, injection, live[g], chosen, cfg, per_group, g)
+                live[g], done, picks = _step(lp, live[g], chosen, cfg, per_group, g)
                 pools[g].extend(done)
                 chosen.extend(picks)
+        beams = [h for group in live for h in group]
+        if not beams or t == cfg.max_length - 1:
+            break
+        del lp  # free this timestep's (rows, V) array before the step builds the next
+        lp, cache = model.step(cache, [h.row for h in beams], [h.tokens[-1] for h in beams])
+        for row, h in enumerate(beams):
+            h.row = row
     result = []
     for g in range(cfg.group_count):
         pool = pools[g] + [

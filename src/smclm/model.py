@@ -226,6 +226,86 @@ class TransformerLM:
         """
         return self._forward_cache(self._ids(tokens), injection)[0]
 
+    def start(self, injection: np.ndarray | None = None):
+        """Decoding state after position 0: the injection, or <bos> without one.
+
+        Returns the float64 next-token log-probs, shape (1, vocab_size), and
+        the per-layer (K, V) cache that ``step`` extends, each of shape
+        (1, head_count, 1, head_dim). The log-probs are the one-row
+        forward's; K and V come from a two-row pass, as in every longer
+        forward.
+        """
+        cfg = self.config
+        logits, c = self._forward_cache([] if injection is not None else [BOS_ID], injection)
+        empty = np.zeros((1, cfg.head_count, 0, cfg.embed_dim // cfg.head_count), dtype=self.dtype)
+        x = np.repeat(c["layers"][0]["x"], 2, axis=0)  # position 0's input row, twice
+        _, cache = self._extend(x, [(empty, empty)] * cfg.layer_count, [0, 0])
+        return log_softmax(logits), [(k[:1], v[:1]) for k, v in cache]
+
+    def step(self, cache, parents, tokens):
+        """Append one position to each live row of a decoding cache.
+
+        Row i continues cache row ``parents[i]`` with ``tokens[i]``. Returns
+        the float64 next-token log-probs, shape (len(tokens), vocab_size),
+        and the grown cache. The logits row equals the last row of a full
+        ``forward`` over the same prefix up to float32 rounding in the
+        masked softmax of earlier layers (bit for bit with one layer).
+        """
+        cfg = self.config
+        tokens = self._ids(tokens)
+        parents = list(parents)
+        n = len(tokens)
+        T = cache[0][0].shape[2] + 1
+        if len(parents) != n:
+            raise ValueError(f"{len(parents)} parents for {n} tokens")
+        if T > cfg.max_positions:
+            raise ValueError(f"sequence of {T} positions exceeds max_positions={cfg.max_positions}")
+        if n == 1:
+            # numpy sends a one-row matmul to gemv, which rounds differently
+            # from the forward's gemm rows; run a copy and drop it
+            parents, tokens = parents * 2, tokens * 2
+        emb = self.params["tok_emb"]
+        x = emb[np.asarray(tokens, dtype=np.intp)] + self.params["pos_emb"][T - 1]
+        y, cache = self._extend(x, cache, parents)
+        logits = (y @ emb.T)[:n]
+        return log_softmax(logits), [(k[:n], v[:n]) for k, v in cache]
+
+    def _extend(self, x: np.ndarray, cache, parents: list[int]):
+        """One new position per row of ``x`` (at least two rows) through every layer.
+
+        Row i attends to itself and to the keys and values of cache row
+        ``parents[i]`` (``cache[layer]`` arrays of shape (rows, head_count,
+        t, head_dim)), with the full forward's operations in the same order.
+        Each query row is doubled in the attention matmuls so they stay on
+        gemm as well. Returns the final layer-normed rows and the cache grown
+        by one position.
+        """
+        p = self.params
+        n, d = x.shape
+        H = self.config.head_count
+        dh = d // H
+        scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
+        grown = []
+        for i, (keys, values) in enumerate(cache):
+            pre = f"l{i}."
+            a = _layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])[0]
+            q = a @ p[pre + "wq"] + p[pre + "bq"]
+            k = a @ p[pre + "wk"] + p[pre + "bk"]
+            v = a @ p[pre + "wv"] + p[pre + "bv"]
+            keys = np.concatenate([keys[parents], k.reshape(n, H, 1, dh)], axis=2)
+            values = np.concatenate([values[parents], v.reshape(n, H, 1, dh)], axis=2)
+            grown.append((keys, values))
+            qh = np.repeat(q.reshape(n, H, 1, dh), 2, axis=2)
+            scores = (qh @ keys.transpose(0, 1, 3, 2)) * scale
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            att = e / e.sum(axis=-1, keepdims=True)
+            o = (att @ values)[:, :, 0].reshape(n, d)
+            x = x + (o @ p[pre + "wo"] + p[pre + "bo"])
+            fpost = _layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])[0]
+            u = fpost @ p[pre + "w1"] + p[pre + "b1"]
+            x = x + (gelu(u).astype(self.dtype) @ p[pre + "w2"] + p[pre + "b2"])
+        return _layer_norm(x, p["lnf_g"], p["lnf_b"])[0], grown
+
     def _loss(self, tokens, injection: np.ndarray | None, with_grads: bool):
         """The one next-token loss body behind nll and nll_and_grads."""
         tokens = self._ids(tokens)

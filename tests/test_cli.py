@@ -361,6 +361,20 @@ class TestErrorPaths:
         assert "sentence" in json.loads(err)["error"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("ratios", ["0.5,0.5", "0.4,0.3,0.2,0.1"])
+    def test_split_dataset_ratio_count_is_three(self, tmp_path, capsys, ratios):
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text('{"id": "a", "sentences": ["a b"]}\n{"id": "c", "sentences": ["i j"]}\n')
+        out_dir = tmp_path / "splits"
+        rc, _, err = run(
+            capsys, "split-dataset", "--groups", str(groups), "--out-dir", str(out_dir),
+            "--ratios", ratios,
+        )
+        assert rc == 1
+        want = f"--ratios needs 3 values (train,valid,test), got {len(ratios.split(','))}"
+        assert json.loads(err)["error"] == want
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "record",
         [

@@ -340,17 +340,59 @@ class TestInvariants:
         assert h.ranking_score(0.0) == pytest.approx(-2.0)
 
 
+class ForwardOnly:
+    """A TransformerLM seen through forward alone, so decoding recomputes prefixes."""
+
+    def __init__(self, model):
+        self.forward = model.forward
+        self.config = model.config
+
+
+class TestCachedAgainstRecompute:
+    # a 2-layer model drifts from the full forward by float32 rounding of the
+    # masked softmax sums: at most 1.2e-6 over 32-token hypotheses
+    ATOL = 1e-5
+
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_readme_shape_at_the_window(self, injected):
+        model = TransformerLM(ModelConfig(vocab_size=2000, max_positions=16, seed=3))
+        inj = None
+        if injected:
+            v = np.random.default_rng(5).normal(size=64)
+            inj = (v / np.linalg.norm(v)).astype(np.float32)
+        cfg = BeamSearchConfig(
+            beam_count=20, group_count=20, diversity_strength=0.6, no_repeat_ngram=2, max_length=16
+        )
+        got = diverse_beam_search(model, inj, cfg)
+        want = diverse_beam_search(ForwardOnly(model), inj, cfg)
+        assert [(h.tokens, h.group, h.finished) for h in got] == [
+            (h.tokens, h.group, h.finished) for h in want
+        ]
+        assert max(len(h.tokens) for h in got) == 16
+        assert [h.log_prob for h in got] == pytest.approx([h.log_prob for h in want], abs=self.ATOL)
+
+    def test_greedy(self):
+        model = TransformerLM(ModelConfig(vocab_size=2000, max_positions=16, seed=4))
+        v = np.random.default_rng(6).normal(size=64)
+        inj = (v / np.linalg.norm(v)).astype(np.float32)
+        for injection in (None, inj):
+            got = greedy_decode(model, injection, 16, eos_id=5)
+            assert len(got) == 16
+            assert got == greedy_decode(ForwardOnly(model), injection, 16, eos_id=5)
+
+
 class TestPositionWindow:
     @staticmethod
     def counted(model):
         calls = []
-        forward = model.forward
+        for name in ("forward", "start", "step"):
+            method = getattr(model, name)
 
-        def wrapped(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
+            def wrapped(*args, _method=method, **kwargs):
+                calls.append(1)
+                return _method(*args, **kwargs)
 
-        model.forward = wrapped
+            setattr(model, name, wrapped)
         return calls
 
     def test_overlong_max_length_fails_before_any_forward(self):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from smclm.model import ModelConfig, TransformerLM, gelu, gelu_prime, init_params, param_entries
+from smclm.model import (
+    ModelConfig,
+    TransformerLM,
+    gelu,
+    gelu_prime,
+    init_params,
+    log_softmax,
+    param_entries,
+)
 from smclm.tokenization import BOS_ID, EOS_ID
 
 
@@ -119,6 +127,81 @@ class TestForward:
             m.forward(list(range(5)) * 4)  # longer than max_positions
         with pytest.raises(ValueError):
             m.forward([5], np.ones(3, dtype=np.float32))
+
+
+def walk_start_step(m, injection, prefixes):
+    """Decode ``prefixes`` (equal lengths) one token at a time through
+    start/step; yield each prefix length with the (rows, vocab) log-probs."""
+    lp, cache = m.start(injection)
+    yield 0, np.repeat(lp, len(prefixes), axis=0)
+    parents = [0] * len(prefixes)
+    for t in range(len(prefixes[0])):
+        lp, cache = m.step(cache, parents, [p[t] for p in prefixes])
+        parents = list(range(len(prefixes)))
+        yield t + 1, lp
+
+
+def full_forward_lp(m, injection, prefix):
+    context = list(prefix) if injection is not None else [BOS_ID] + list(prefix)
+    return log_softmax(m.forward(context, injection)[-1:])
+
+
+class TestStartStep:
+    # float32 rounding of the masked softmax sums in layers before the last
+    # moves a cached per-token log-prob by at most 3e-7 on this model
+    TWO_LAYER_ATOL = 1e-6
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_one_layer_is_bitwise_the_full_forward(self, rows, injected):
+        # the decoding tests' one-layer shape; every prefix length up to the window
+        m = TransformerLM(tiny_config(layer_count=1, head_count=2, seed=3))
+        rng = np.random.default_rng(rows)
+        inj = rng.normal(size=16).astype(np.float32) if injected else None
+        prefixes = rng.integers(4, 13, size=(rows, m.config.max_positions - 1)).tolist()
+        seen = 0
+        for t, lp in walk_start_step(m, inj, prefixes):
+            assert lp.shape == (rows, 13) and lp.dtype == np.float64
+            for r, prefix in enumerate(prefixes):
+                want = full_forward_lp(m, inj, prefix[:t])
+                assert lp[r : r + 1].tobytes() == want.tobytes(), (t, r)
+            seen += 1
+        assert seen == m.config.max_positions
+
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_two_layers_match_within_tolerance(self, injected):
+        m = TransformerLM(ModelConfig(vocab_size=2000, max_positions=32, seed=1))
+        rng = np.random.default_rng(2)
+        inj = rng.normal(size=64).astype(np.float32) if injected else None
+        prefixes = rng.integers(4, 2000, size=(3, 31)).tolist()
+        for t, lp in walk_start_step(m, inj, prefixes):
+            want = np.concatenate([full_forward_lp(m, inj, p[:t]) for p in prefixes])
+            np.testing.assert_allclose(lp, want, rtol=0, atol=self.TWO_LAYER_ATOL)
+
+    def test_cache_rows_follow_parents(self):
+        m = TransformerLM(tiny_config())
+        inj = np.random.default_rng(4).normal(size=16).astype(np.float32)
+        _, cache = m.start(inj)
+        _, cache = m.step(cache, [0, 0], [5, 6])
+        lp, _ = m.step(cache, [1, 1, 0], [7, 7, 8])
+        assert lp[0].tobytes() == lp[1].tobytes()
+        lp_alone, _ = m.step(cache, [1], [7])
+        np.testing.assert_allclose(lp[:1], lp_alone, rtol=0, atol=self.TWO_LAYER_ATOL)
+        for row, prefix in ((0, [6, 7]), (2, [5, 8])):
+            np.testing.assert_allclose(lp[row : row + 1], full_forward_lp(m, inj, prefix),
+                                       rtol=0, atol=self.TWO_LAYER_ATOL)
+
+    def test_step_validation(self):
+        m = TransformerLM(tiny_config(max_positions=3))
+        _, cache = m.start(None)
+        with pytest.raises(ValueError, match="out of range"):
+            m.step(cache, [0], [99])
+        with pytest.raises(ValueError, match="2 parents for 1 tokens"):
+            m.step(cache, [0, 0], [5])
+        _, cache = m.step(cache, [0], [5])
+        _, cache = m.step(cache, [0], [6])
+        with pytest.raises(ValueError, match="max_positions=3"):
+            m.step(cache, [0], [7])
 
 
 class TestLoss:
