@@ -23,7 +23,6 @@ from .decoding import (
     greedy_decode,
 )
 from .encoders import (
-    ClusterOracleEncoder,
     FileBackedEncoder,
     HashedBagEncoder,
     HashedTokenEmbedder,
@@ -59,7 +58,6 @@ __all__ = [
     "BeamSearchConfig",
     "CalibrationResult",
     "CandidateSet",
-    "ClusterOracleEncoder",
     "EvalConfig",
     "FileBackedEncoder",
     "HashedBagEncoder",

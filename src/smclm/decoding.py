@@ -2,13 +2,12 @@
 
 ``diverse_beam_search`` is the one decode loop: ``beam_search`` is one group
 with no diversity penalty, and ``greedy_decode`` is width-one beam search.
-The model is a next-token distribution: given the injected vector (or <bos>
-when decoding an unconditioned model) plus the tokens so far, the last
-logits row scores the next token. Each timestep runs one ``model.step`` for
-every group's live beams over a per-layer K/V cache whose rows follow the
-selected parents; diversity penalties only change selection, so the groups
-share it. A model that only exposes ``forward`` goes through ``_Recompute``,
-which re-runs the forward over each live prefix.
+The model is a next-token distribution behind ``TransformerLM``'s two
+decoding calls: ``start(injection)`` scores the first token from the
+injected vector (or <bos> when decoding an unconditioned model), and each
+timestep runs one ``step(cache, parents, tokens)`` for every group's live
+beams over a per-layer K/V cache whose rows follow the selected parents.
+Diversity penalties only change selection, so the groups share the step.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import log_softmax
-from .tokenization import BOS_ID, EOS_ID
+from .tokenization import EOS_ID
 
 
 @dataclass(frozen=True)
@@ -60,36 +58,6 @@ class Hypothesis:
 
     def ranking_score(self, alpha: float) -> float:
         return self.log_prob / max(1, len(self.tokens)) ** alpha
-
-
-class _Recompute:
-    """``start``/``step`` for a model that only exposes ``forward``.
-
-    The cache is each row's prefix; every step re-runs the forward over it.
-    """
-
-    def __init__(self, model):
-        self.model = model
-        self.injection = None
-
-    def start(self, injection):
-        self.injection = injection
-        return self._next_logprobs([()]), [()]
-
-    def step(self, cache, parents, tokens):
-        prefixes = [cache[p] + (w,) for p, w in zip(parents, tokens)]
-        return self._next_logprobs(prefixes), prefixes
-
-    def _next_logprobs(self, prefixes) -> np.ndarray:
-        """float64 log-softmax over the next token after each prefix."""
-        rows = []
-        for prefix in prefixes:
-            if self.injection is None:
-                logits = self.model.forward([BOS_ID] + list(prefix))
-            else:
-                logits = self.model.forward(list(prefix), self.injection)
-            rows.append(log_softmax(logits[-1]))
-        return np.stack(rows)
 
 
 def _check_window(model, max_length: int) -> None:
@@ -221,8 +189,6 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     exists is returned.
     """
     _check_window(model, cfg.max_length)
-    if not hasattr(model, "step"):
-        model = _Recompute(model)
     per_group = cfg.beam_count // cfg.group_count
     live: list[list[_Beam]] = [[_Beam((), 0.0, 0.0, 0)] for _ in range(cfg.group_count)]
     pools: list[list[Hypothesis]] = [[] for _ in range(cfg.group_count)]

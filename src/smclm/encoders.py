@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -155,52 +155,6 @@ class FileBackedEncoder:
         return {"kind": self.kind, "dim": self.dim, "path": self.path}
 
 
-class ClusterOracleEncoder:
-    """One-hot encoder for synthetic cluster corpora: sentence -> e_cluster.
-
-    ``assignment`` maps normalized sentences (or anything ``key`` reduces a
-    sentence to) to integer cluster ids; unknown sentences go to ``default``
-    when given, otherwise raise. Only kind/dim persist in checkpoints; the
-    assignment is runtime state for the test harness.
-    """
-
-    kind = "cluster-oracle"
-
-    def __init__(
-        self,
-        dim: int,
-        assignment: Mapping[str, int] | None = None,
-        default: int | None = None,
-        cluster_fn: Callable[[str], int] | None = None,
-    ):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if (assignment is None) == (cluster_fn is None):
-            raise ValueError("provide exactly one of assignment or cluster_fn")
-        self.dim = dim
-        self.assignment = dict(assignment) if assignment is not None else None
-        self.default = default
-        self.cluster_fn = cluster_fn
-
-    def cluster_id(self, sentence: str) -> int:
-        norm = normalize(sentence)
-        if self.cluster_fn is not None:
-            return self.cluster_fn(norm)
-        cid = self.assignment.get(norm, self.default)
-        if cid is None:
-            raise KeyError(f"no cluster assigned for sentence: {sentence!r}")
-        return cid
-
-    def encode(self, sentence: str) -> np.ndarray:
-        cid = self.cluster_id(sentence)
-        v = np.zeros(self.dim, dtype=np.float32)
-        v[cid % self.dim] = 1.0
-        return v
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
-
-
 def write_embedding_file(path: str, entries: Mapping[str, np.ndarray] | list[tuple[str, np.ndarray]]) -> int:
     """Write sentence embeddings in the binary table format; returns entry count.
 
@@ -234,7 +188,10 @@ def read_embedding_file(path: str) -> tuple[dict[bytes, np.ndarray], int]:
         magic = f.read(4)
         if magic != EMBED_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {EMBED_MAGIC!r}")
-        version, count, dim = struct.unpack("<III", f.read(12))
+        header = f.read(12)
+        if len(header) != 12:
+            raise ValueError(f"{path}: truncated embedding file")
+        version, count, dim = struct.unpack("<III", header)
         if version != EMBED_VERSION:
             raise ValueError(f"{path}: unsupported embedding file version {version}")
         table = {}
@@ -249,25 +206,13 @@ def read_embedding_file(path: str) -> tuple[dict[bytes, np.ndarray], int]:
     return table, dim
 
 
-def encoder_from_spec(spec: dict, **runtime) -> object:
-    """Rebuild an encoder from its checkpoint spec blob.
-
-    file-backed and cluster-oracle encoders need runtime state (a path or an
-    assignment) that the blob does not carry; pass it via keyword arguments.
-    """
+def encoder_from_spec(spec: dict) -> object:
+    """Rebuild an encoder from its checkpoint spec blob."""
     kind = spec.get("kind")
     if kind == "hashed-bag":
         return HashedBagEncoder(spec["dim"], spec.get("seed", 0))
     if kind == "file-backed":
-        path = runtime.get("path") or spec.get("path")
-        if not path:
+        if not spec.get("path"):
             raise ValueError("file-backed encoder needs a path")
-        return FileBackedEncoder.load(path)
-    if kind == "cluster-oracle":
-        return ClusterOracleEncoder(
-            spec["dim"],
-            assignment=runtime.get("assignment"),
-            default=runtime.get("default"),
-            cluster_fn=runtime.get("cluster_fn"),
-        )
+        return FileBackedEncoder.load(spec["path"])
     raise ValueError(f"unknown encoder kind: {kind!r}")

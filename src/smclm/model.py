@@ -162,44 +162,84 @@ class TransformerLM:
                 raise ValueError(f"token id {t} out of range")
         return tokens
 
-    def _forward_cache(self, tokens: list[int], injection: np.ndarray | None):
+    def _inputs(self, tokens: list[int], injection: np.ndarray | None) -> np.ndarray:
+        """Input rows of a whole sequence: embeddings plus positions, shape (T, embed_dim)."""
         p = self.params
         cfg = self.config
-        H = cfg.head_count
-        dh = cfg.embed_dim // H
-        scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
-
         T = len(tokens) + (injection is not None)
         if T == 0:
             raise ValueError("empty input")
-        if T > cfg.max_positions:
-            raise ValueError(f"sequence of {T} positions exceeds max_positions={cfg.max_positions}")
+        self._check_window(T)
         rows = p["tok_emb"][np.asarray(tokens, dtype=np.intp)]
         if injection is not None:
             inj = np.asarray(injection, dtype=self.dtype)
             if inj.shape != (cfg.embed_dim,):
                 raise ValueError(f"injection shape {inj.shape}, expected ({cfg.embed_dim},)")
             rows = np.concatenate([inj[None, :], rows], axis=0)
-        x = rows + p["pos_emb"][:T]
-        causal = np.tril(np.ones((T, T), dtype=bool))
+        return rows + p["pos_emb"][:T]
 
-        layers = []
+    def _check_window(self, T: int) -> None:
+        if T > self.config.max_positions:
+            raise ValueError(
+                f"sequence of {T} positions exceeds max_positions={self.config.max_positions}"
+            )
+
+    def _blocks(self, x: np.ndarray, t: int, past=None, parents=None):
+        """The one transformer block loop: t new positions for each of n rows.
+
+        ``x`` holds the input rows, row-major, shape (n * t, embed_dim).
+        Without ``past`` they are a whole sequence (n = 1, t = T). With
+        ``past``, a per-layer (K, V) cache of shape (rows, head_count, s,
+        head_dim), row i continues cache row ``parents[i]``. Each new position
+        attends to the cached ones and causally to the new ones.
+
+        While decoding (``past`` given), a single row or query runs twice and
+        the copy is dropped: numpy sends a one-row matmul to gemv, which
+        rounds differently from the gemm rows of a full forward.
+
+        Returns the logits (n * t, vocab_size), the activations ``_backward``
+        reads, and the cache grown by t positions.
+        """
+        p = self.params
+        cfg = self.config
+        H = cfg.head_count
+        dh = cfg.embed_dim // H
+        scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
+        n = keep = len(x) // t
+        s = 0 if past is None else past[0][0].shape[2]
+        if past is not None and n == 1:
+            x, parents, n = np.concatenate([x, x]), [parents[0]] * 2, 2
+        if t > 1:
+            causal = np.tri(t, s + t, s, dtype=bool)
+
+        layers, grown = [], []
         for i in range(cfg.layer_count):
             pre = f"l{i}."
             a, xhat1, inv1 = _layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
             q = a @ p[pre + "wq"] + p[pre + "bq"]
             k = a @ p[pre + "wk"] + p[pre + "bk"]
             v = a @ p[pre + "wv"] + p[pre + "bv"]
-            qh = q.reshape(T, H, dh).transpose(1, 0, 2)
-            kh = k.reshape(T, H, dh).transpose(1, 0, 2)
-            vh = v.reshape(T, H, dh).transpose(1, 0, 2)
+            k4 = k.reshape(n, t, H, dh).transpose(0, 2, 1, 3)
+            v4 = v.reshape(n, t, H, dh).transpose(0, 2, 1, 3)
+            if past is not None:
+                keys, values = past[i]
+                k4 = np.concatenate([keys[parents], k4], axis=2)
+                v4 = np.concatenate([values[parents], v4], axis=2)
+            grown.append((k4, v4))
+            # attention runs on (rows * heads, positions, head_dim) stacks
+            qh = q.reshape(n, t, H, dh).transpose(0, 2, 1, 3).reshape(n * H, t, dh)
+            kh = k4.reshape(n * H, s + t, dh)
+            vh = v4.reshape(n * H, s + t, dh)
+            if past is not None and t == 1:
+                qh = np.repeat(qh, 2, axis=1)
             scores = (qh @ kh.transpose(0, 2, 1)) * scale
-            scores = np.where(causal, scores, np.asarray(-np.inf, dtype=self.dtype))
+            if t > 1:
+                scores = np.where(causal, scores, np.asarray(-np.inf, dtype=self.dtype))
             m = scores.max(axis=-1, keepdims=True)
             e = np.exp(scores - m)
             att = e / e.sum(axis=-1, keepdims=True)
-            oh = att @ vh
-            o = oh.transpose(1, 0, 2).reshape(T, cfg.embed_dim)
+            oh = (att @ vh)[:, :t]
+            o = oh.reshape(n, H, t, dh).transpose(0, 2, 1, 3).reshape(n * t, cfg.embed_dim)
             attn_out = o @ p[pre + "wo"] + p[pre + "bo"]
             x_mid = x + attn_out
             fpost, xhat2, inv2 = _layer_norm(x_mid, p[pre + "ln2_g"], p[pre + "ln2_b"])
@@ -214,9 +254,10 @@ class TransformerLM:
             x = x_out
         y, xhatf, invf = _layer_norm(x, p["lnf_g"], p["lnf_b"])
         logits = y @ p["tok_emb"].T
-        cache = dict(tokens=tokens, T=T, layers=layers,
-                     y=y, xhatf=xhatf, invf=invf, scale=scale, H=H, dh=dh)
-        return logits, cache
+        acts = dict(layers=layers, y=y, xhatf=xhatf, invf=invf)
+        if keep < n:
+            logits, grown = logits[:t], [(k[:keep], v[:keep]) for k, v in grown]
+        return logits, acts, grown
 
     def forward(self, tokens, injection: np.ndarray | None = None) -> np.ndarray:
         """Logits for every input position, shape (T, vocab_size).
@@ -224,7 +265,8 @@ class TransformerLM:
         With ``injection`` the input is the injected vector followed by the
         token embeddings; otherwise it is the token embeddings alone.
         """
-        return self._forward_cache(self._ids(tokens), injection)[0]
+        x = self._inputs(self._ids(tokens), injection)
+        return self._blocks(x, len(x))[0]
 
     def start(self, injection: np.ndarray | None = None):
         """Decoding state after position 0: the injection, or <bos> without one.
@@ -232,15 +274,14 @@ class TransformerLM:
         Returns the float64 next-token log-probs, shape (1, vocab_size), and
         the per-layer (K, V) cache that ``step`` extends, each of shape
         (1, head_count, 1, head_dim). The log-probs are the one-row
-        forward's; K and V come from a two-row pass, as in every longer
-        forward.
+        forward's; K and V come from the decoding pass, which runs the row
+        twice, so they match position 0 of every longer forward.
         """
         cfg = self.config
-        logits, c = self._forward_cache([] if injection is not None else [BOS_ID], injection)
+        x = self._inputs([] if injection is not None else [BOS_ID], injection)
         empty = np.zeros((1, cfg.head_count, 0, cfg.embed_dim // cfg.head_count), dtype=self.dtype)
-        x = np.repeat(c["layers"][0]["x"], 2, axis=0)  # position 0's input row, twice
-        _, cache = self._extend(x, [(empty, empty)] * cfg.layer_count, [0, 0])
-        return log_softmax(logits), [(k[:1], v[:1]) for k, v in cache]
+        cache = self._blocks(x, 1, [(empty, empty)] * cfg.layer_count, [0])[2]
+        return log_softmax(self._blocks(x, 1)[0]), cache
 
     def step(self, cache, parents, tokens):
         """Append one position to each live row of a decoding cache.
@@ -251,60 +292,18 @@ class TransformerLM:
         ``forward`` over the same prefix up to float32 rounding in the
         masked softmax of earlier layers (bit for bit with one layer).
         """
-        cfg = self.config
         tokens = self._ids(tokens)
         parents = list(parents)
-        n = len(tokens)
-        T = cache[0][0].shape[2] + 1
-        if len(parents) != n:
-            raise ValueError(f"{len(parents)} parents for {n} tokens")
-        if T > cfg.max_positions:
-            raise ValueError(f"sequence of {T} positions exceeds max_positions={cfg.max_positions}")
-        if n == 1:
-            # numpy sends a one-row matmul to gemv, which rounds differently
-            # from the forward's gemm rows; run a copy and drop it
-            parents, tokens = parents * 2, tokens * 2
-        emb = self.params["tok_emb"]
-        x = emb[np.asarray(tokens, dtype=np.intp)] + self.params["pos_emb"][T - 1]
-        y, cache = self._extend(x, cache, parents)
-        logits = (y @ emb.T)[:n]
-        return log_softmax(logits), [(k[:n], v[:n]) for k, v in cache]
-
-    def _extend(self, x: np.ndarray, cache, parents: list[int]):
-        """One new position per row of ``x`` (at least two rows) through every layer.
-
-        Row i attends to itself and to the keys and values of cache row
-        ``parents[i]`` (``cache[layer]`` arrays of shape (rows, head_count,
-        t, head_dim)), with the full forward's operations in the same order.
-        Each query row is doubled in the attention matmuls so they stay on
-        gemm as well. Returns the final layer-normed rows and the cache grown
-        by one position.
-        """
-        p = self.params
-        n, d = x.shape
-        H = self.config.head_count
-        dh = d // H
-        scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
-        grown = []
-        for i, (keys, values) in enumerate(cache):
-            pre = f"l{i}."
-            a = _layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])[0]
-            q = a @ p[pre + "wq"] + p[pre + "bq"]
-            k = a @ p[pre + "wk"] + p[pre + "bk"]
-            v = a @ p[pre + "wv"] + p[pre + "bv"]
-            keys = np.concatenate([keys[parents], k.reshape(n, H, 1, dh)], axis=2)
-            values = np.concatenate([values[parents], v.reshape(n, H, 1, dh)], axis=2)
-            grown.append((keys, values))
-            qh = np.repeat(q.reshape(n, H, 1, dh), 2, axis=2)
-            scores = (qh @ keys.transpose(0, 1, 3, 2)) * scale
-            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            att = e / e.sum(axis=-1, keepdims=True)
-            o = (att @ values)[:, :, 0].reshape(n, d)
-            x = x + (o @ p[pre + "wo"] + p[pre + "bo"])
-            fpost = _layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])[0]
-            u = fpost @ p[pre + "w1"] + p[pre + "b1"]
-            x = x + (gelu(u).astype(self.dtype) @ p[pre + "w2"] + p[pre + "b2"])
-        return _layer_norm(x, p["lnf_g"], p["lnf_b"])[0], grown
+        rows, _, s, _ = cache[0][0].shape
+        if len(parents) != len(tokens):
+            raise ValueError(f"{len(parents)} parents for {len(tokens)} tokens")
+        for r in parents:
+            if not 0 <= r < rows:
+                raise ValueError(f"parent index {r} out of range for {rows} cache rows")
+        self._check_window(s + 1)
+        x = self.params["tok_emb"][np.asarray(tokens, dtype=np.intp)] + self.params["pos_emb"][s]
+        logits, _, cache = self._blocks(x, 1, cache, parents)
+        return log_softmax(logits), cache
 
     def _loss(self, tokens, injection: np.ndarray | None, with_grads: bool):
         """The one next-token loss body behind nll and nll_and_grads."""
@@ -312,7 +311,8 @@ class TransformerLM:
         targets = tokens if injection is not None else tokens[1:]
         if not targets:
             raise ValueError("need at least 1 target token (2 tokens without an injection)")
-        logits, cache = self._forward_cache(tokens[:-1], injection)
+        x = self._inputs(tokens[:-1], injection)
+        logits, acts, _ = self._blocks(x, len(x))
         ls = log_softmax(logits)
         rows = np.arange(len(targets))
         lp = ls[rows, targets]
@@ -322,7 +322,7 @@ class TransformerLM:
         # d(mean nll)/dlogits = (softmax - onehot) / T
         dlogits = np.exp(ls)
         dlogits[rows, targets] -= 1.0
-        grads = self._backward((dlogits / len(targets)).astype(self.dtype), cache)
+        grads = self._backward((dlogits / len(targets)).astype(self.dtype), acts, tokens[:-1])
         return loss, lp, grads
 
     def nll(self, tokens, injection: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -339,22 +339,25 @@ class TransformerLM:
         """Loss, per-token log-probs, and exact gradients of the mean NLL."""
         return self._loss(tokens, injection, with_grads=True)
 
-    def _backward(self, dlogits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+    def _backward(self, dlogits: np.ndarray, acts: dict, tokens: list[int]) -> dict[str, np.ndarray]:
+        """Gradients from the activations of a whole-sequence ``_blocks`` pass."""
         p = self.params
         cfg = self.config
-        T, H, dh = cache["T"], cache["H"], cache["dh"]
-        scale = cache["scale"]
+        T = len(dlogits)
+        H = cfg.head_count
+        dh = cfg.embed_dim // H
+        scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
         grads = {name: np.zeros_like(arr) for name, arr in p.items()}
 
-        grads["tok_emb"] += dlogits.T @ cache["y"]
+        grads["tok_emb"] += dlogits.T @ acts["y"]
         dy = dlogits @ p["tok_emb"]
-        dx, dgf, dbf = _layer_norm_backward(dy, cache["xhatf"], cache["invf"], p["lnf_g"])
+        dx, dgf, dbf = _layer_norm_backward(dy, acts["xhatf"], acts["invf"], p["lnf_g"])
         grads["lnf_g"] += dgf
         grads["lnf_b"] += dbf
 
         for i in reversed(range(cfg.layer_count)):
             pre = f"l{i}."
-            c = cache["layers"][i]
+            c = acts["layers"][i]
             # x_out = x_mid + g_act @ w2 + b2
             dm = dx
             grads[pre + "w2"] += c["g_act"].T @ dm
@@ -395,7 +398,7 @@ class TransformerLM:
             dx = dx_ln + dx_mid
 
         grads["pos_emb"][:T] += dx
-        tokens = cache["tokens"]  # their rows follow the injected slot, if any
+        # the token rows follow the injected slot, if any
         np.add.at(grads["tok_emb"], np.asarray(tokens, dtype=np.intp), dx[T - len(tokens):])
         return grads
 
@@ -416,11 +419,6 @@ class TransformerLM:
             for name in grads:
                 grads[name] += g[name] * np.asarray(inv, dtype=self.dtype)
         return total * inv, grads
-
-    def sequence_logprob(self, tokens, injection: np.ndarray | None = None) -> float:
-        """Total log-probability of the sequence in nats (sum, not mean)."""
-        _, lp = self.nll(tokens, injection)
-        return float(lp.sum())
 
     def bos_embedding(self) -> np.ndarray:
         """The <bos> input row; injecting it must reproduce the plain forward."""

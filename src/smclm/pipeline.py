@@ -6,7 +6,7 @@ import logging
 from dataclasses import asdict, dataclass, field
 
 from .decoding import BeamSearchConfig, diverse_beam_search
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import write_jsonl
 from .metrics import DEFAULT_BETA, sbert_ibleu
 from .tokenization import Vocabulary, normalize
 
@@ -77,7 +77,3 @@ def paraphrase_batch(
 
 def write_candidates_jsonl(sets: list[CandidateSet], path: str) -> None:
     write_jsonl((cs.to_dict() for cs in sets), path)
-
-
-def read_candidates_jsonl(path: str) -> list[dict]:
-    return read_jsonl(path)

@@ -1,12 +1,22 @@
-"""Independent reference implementations the library is checked against.
+"""Independent reference implementations the library is checked against,
+and the test doubles that stand in for library parts.
 
-Written deliberately plainly (position scans, full DP tables, explicit
-bookkeeping) so they share no code or structure with the package.
+The metric oracles are written deliberately plainly (position scans, full DP
+tables, explicit bookkeeping) so they share no code or structure with the
+package. ``Recompute`` is the reference decoder state: it gives any model
+with a ``forward`` the ``start``/``step`` calls the decoder takes, by
+re-running the forward over every prefix. ``ClusterOracleEncoder`` is a
+synthetic one-hot sentence encoder for clustered test corpora.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Mapping
+
+import numpy as np
+
+from smclm.tokenization import BOS_ID, normalize
 
 
 def oracle_bleu(hyp: list[str], refs: list[list[str]], max_n: int = 3) -> float:
@@ -66,3 +76,74 @@ def oracle_rouge_l(hyp: list[str], refs: list[list[str]]) -> float:
         recall = lcs / len(ref)
         best = max(best, 2 * precision * recall / (precision + recall))
     return best
+
+
+class Recompute:
+    """``start``/``step`` for a model seen through ``forward`` alone.
+
+    The cache is each row's prefix; every step re-runs the forward over it
+    and takes the float64 log-softmax of the last logits row.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.injection = None
+
+    def start(self, injection):
+        self.injection = injection
+        return self._next_logprobs([()]), [()]
+
+    def step(self, cache, parents, tokens):
+        prefixes = [cache[p] + (w,) for p, w in zip(parents, tokens)]
+        return self._next_logprobs(prefixes), prefixes
+
+    def _next_logprobs(self, prefixes) -> np.ndarray:
+        rows = []
+        for prefix in prefixes:
+            if self.injection is None:
+                logits = self.model.forward([BOS_ID] + list(prefix))
+            else:
+                logits = self.model.forward(list(prefix), self.injection)
+            z = logits[-1].astype(np.float64)
+            z = z - z.max()
+            rows.append(z - np.log(np.exp(z).sum()))
+        return np.stack(rows)
+
+
+class ClusterOracleEncoder:
+    """One-hot encoder for synthetic cluster corpora: sentence -> e_cluster.
+
+    ``assignment`` maps normalized sentences to integer cluster ids, or
+    ``cluster_fn`` computes the id from the normalized sentence. Unknown
+    sentences go to ``default`` when given, otherwise raise.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        assignment: Mapping[str, int] | None = None,
+        default: int | None = None,
+        cluster_fn: Callable[[str], int] | None = None,
+    ):
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        if (assignment is None) == (cluster_fn is None):
+            raise ValueError("provide exactly one of assignment or cluster_fn")
+        self.dim = dim
+        self.assignment = dict(assignment) if assignment is not None else None
+        self.default = default
+        self.cluster_fn = cluster_fn
+
+    def cluster_id(self, sentence: str) -> int:
+        norm = normalize(sentence)
+        if self.cluster_fn is not None:
+            return self.cluster_fn(norm)
+        cid = self.assignment.get(norm, self.default)
+        if cid is None:
+            raise KeyError(f"no cluster assigned for sentence: {sentence!r}")
+        return cid
+
+    def encode(self, sentence: str) -> np.ndarray:
+        v = np.zeros(self.dim, dtype=np.float32)
+        v[self.cluster_id(sentence) % self.dim] = 1.0
+        return v

@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import oracle_bleu, oracle_rouge_l
+from oracles import ClusterOracleEncoder, Recompute, oracle_bleu, oracle_rouge_l
 from smclm.corpus import ParaphraseGroup, build_corpus, split_groups
 from smclm.decoding import BeamSearchConfig, beam_search, diverse_beam_search
-from smclm.encoders import ClusterOracleEncoder, FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
+from smclm.encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
 from smclm.metrics import EvalConfig, bleu, calibrate_beta_from_scores, evaluate_corpus, rouge_l
 from smclm.model import ModelConfig, TransformerLM
 from smclm.pipeline import PipelineConfig, paraphrase
@@ -325,7 +325,7 @@ def test_c08_diverse_beam_search():
         # 3-token vocabulary, constant logits (1.0, 0.55, eos 0.0),
         # B=2, G=2, strength 0.6, max_length 3, bigram constraint
         z = [1.0, 0.55, 0.0]
-        model = _ConstModel(z)
+        model = Recompute(_ConstModel(z))
         cfg = BeamSearchConfig(beam_count=2, group_count=2, diversity_strength=0.6,
                                no_repeat_ngram=2, max_length=3, eos_id=2)
         got = diverse_beam_search(model, None, cfg)

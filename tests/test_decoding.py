@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from oracles import Recompute
 from smclm.decoding import (
     BeamSearchConfig,
     Hypothesis,
@@ -146,15 +147,15 @@ class TestBannedNextTokens:
 
 class TestGreedy:
     def test_repeats_argmax_until_cap(self):
-        m = RowModel([1.0, 0.7, 0.0])
+        m = Recompute(RowModel([1.0, 0.7, 0.0]))
         assert greedy_decode(m, None, max_length=4, eos_id=2) == [0, 0, 0, 0]
 
     def test_stops_at_eos_and_drops_it(self):
-        m = RowModel([0.5, 0.0, 1.0])
+        m = Recompute(RowModel([0.5, 0.0, 1.0]))
         assert greedy_decode(m, None, max_length=4, eos_id=2) == []
 
     def test_argmax_tie_takes_lowest_id(self):
-        m = RowModel([0.0, 0.0, -1.0, -1.0])
+        m = Recompute(RowModel([0.0, 0.0, -1.0, -1.0]))
         assert greedy_decode(m, None, max_length=2, eos_id=3) == [0, 0]
 
     def test_matches_width_one_beam_on_random_models(self):
@@ -176,7 +177,7 @@ class TestHandComputedDiverseBeam:
         # constant logits (1.0, 0.7, eos 0.0): the 0.3 gap between tokens 0
         # and 1 is smaller than strength 0.6, so after group 0 takes token 0
         # group 1 must prefer token 1, at both timesteps
-        m = RowModel([1.0, 0.7, 0.0])
+        m = Recompute(RowModel([1.0, 0.7, 0.0]))
         cfg = BeamSearchConfig(
             beam_count=2,
             group_count=2,
@@ -194,7 +195,7 @@ class TestHandComputedDiverseBeam:
         assert hyps[1].log_prob == pytest.approx(2 * (0.7 - lse), abs=1e-12)
 
     def test_zero_strength_collapses_groups(self):
-        m = RowModel([1.0, 0.7, 0.0])
+        m = Recompute(RowModel([1.0, 0.7, 0.0]))
         cfg = BeamSearchConfig(
             beam_count=2,
             group_count=2,
@@ -210,7 +211,7 @@ class TestHandComputedDiverseBeam:
         # eos is the argmax; group 0 finishes immediately and that choice
         # penalizes eos for group 1 (gap 0.5 < 0.6), which then emits a
         # token before finishing a step later
-        m = RowModel([0.5, 0.0, 1.0])
+        m = Recompute(RowModel([0.5, 0.0, 1.0]))
         cfg = BeamSearchConfig(
             beam_count=2,
             group_count=2,
@@ -227,7 +228,7 @@ class TestHandComputedDiverseBeam:
         assert hyps[1].log_prob == pytest.approx(1.5 - 2 * lse, abs=1e-12)
 
     def test_unigram_constraint_forces_distinct_walk(self):
-        m = RowModel([3.0, 2.0, 1.0, 0.0])
+        m = Recompute(RowModel([3.0, 2.0, 1.0, 0.0]))
         hyps = beam_search(m, None, beam_count=1, max_length=8, no_repeat_ngram=1, eos_id=3)
         assert hyps[0].tokens == (0, 1, 2, 3)
         assert hyps[0].finished
@@ -235,11 +236,11 @@ class TestHandComputedDiverseBeam:
     def test_every_extension_banned_ends_the_group(self):
         # after (0, 1) and (1, 0) the unigram rule bans both tokens, and the
         # eos id lies outside the vocabulary, so nothing finishes
-        m = RowModel([1.0, 0.5])
+        m = Recompute(RowModel([1.0, 0.5]))
         assert beam_search(m, None, beam_count=2, max_length=4, no_repeat_ngram=1, eos_id=5) == []
 
     def test_all_equal_logits_tie_breaks(self):
-        m = RowModel([0.0, 0.0, 0.0, 0.0])
+        m = Recompute(RowModel([0.0, 0.0, 0.0, 0.0]))
         hyps = beam_search(m, None, beam_count=2, max_length=2, eos_id=3)
         # ties resolve to lower token ids, then earlier parent beams
         assert [h.tokens for h in hyps] == [(0, 0), (1, 0)]
@@ -340,14 +341,6 @@ class TestInvariants:
         assert h.ranking_score(0.0) == pytest.approx(-2.0)
 
 
-class ForwardOnly:
-    """A TransformerLM seen through forward alone, so decoding recomputes prefixes."""
-
-    def __init__(self, model):
-        self.forward = model.forward
-        self.config = model.config
-
-
 class TestCachedAgainstRecompute:
     # a 2-layer model drifts from the full forward by float32 rounding of the
     # masked softmax sums: at most 1.2e-6 over 32-token hypotheses
@@ -364,7 +357,7 @@ class TestCachedAgainstRecompute:
             beam_count=20, group_count=20, diversity_strength=0.6, no_repeat_ngram=2, max_length=16
         )
         got = diverse_beam_search(model, inj, cfg)
-        want = diverse_beam_search(ForwardOnly(model), inj, cfg)
+        want = diverse_beam_search(Recompute(model), inj, cfg)
         assert [(h.tokens, h.group, h.finished) for h in got] == [
             (h.tokens, h.group, h.finished) for h in want
         ]
@@ -378,7 +371,7 @@ class TestCachedAgainstRecompute:
         for injection in (None, inj):
             got = greedy_decode(model, injection, 16, eos_id=5)
             assert len(got) == 16
-            assert got == greedy_decode(ForwardOnly(model), injection, 16, eos_id=5)
+            assert got == greedy_decode(Recompute(model), injection, 16, eos_id=5)
 
 
 class TestPositionWindow:

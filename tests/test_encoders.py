@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import ClusterOracleEncoder
 from smclm.encoders import (
     EMBED_MAGIC,
-    ClusterOracleEncoder,
     FileBackedEncoder,
     HashedBagEncoder,
     HashedTokenEmbedder,
@@ -133,6 +133,12 @@ class TestEmbeddingFile:
         trunc.write_bytes(blob[:-3])
         with pytest.raises(ValueError, match="truncated"):
             read_embedding_file(str(trunc))
+
+    def test_truncated_header_raises(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(EMBED_MAGIC + b"\x01\x00\x00")
+        with pytest.raises(ValueError, match=r"short\.bin: truncated embedding file"):
+            read_embedding_file(str(path))
 
     def test_trailing_bytes_raise(self, tmp_path):
         path = str(tmp_path / "emb.bin")

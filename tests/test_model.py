@@ -198,7 +198,12 @@ class TestStartStep:
             m.step(cache, [0], [99])
         with pytest.raises(ValueError, match="2 parents for 1 tokens"):
             m.step(cache, [0, 0], [5])
-        _, cache = m.step(cache, [0], [5])
+        _, cache = m.step(cache, [0, 0], [5, 6])
+        # negative indices would silently pick rows from the end
+        with pytest.raises(ValueError, match="parent index -1 out of range for 2 cache rows"):
+            m.step(cache, [-1, -2], [5, 6])
+        with pytest.raises(ValueError, match="parent index 5 out of range for 2 cache rows"):
+            m.step(cache, [5], [5])
         _, cache = m.step(cache, [0], [6])
         with pytest.raises(ValueError, match="max_positions=3"):
             m.step(cache, [0], [7])
@@ -217,13 +222,12 @@ class TestLoss:
         np.testing.assert_allclose(lp, want, atol=1e-12)
         assert loss == pytest.approx(-np.mean(want))
 
-    def test_sequence_logprob_is_sum(self):
+    def test_loss_is_mean_of_token_nlls(self):
         m = TransformerLM(tiny_config())
         inj = np.random.default_rng(3).normal(size=16).astype(np.float32)
         body = [5, 6, 7, EOS_ID]
         loss, lp = m.nll(body, inj)
-        assert m.sequence_logprob(body, inj) == pytest.approx(lp.sum())
-        assert m.sequence_logprob(body, inj) == pytest.approx(-loss * len(body))
+        assert lp.sum() == pytest.approx(-loss * len(body))
 
     def test_injected_loss_covers_every_body_token(self):
         m = TransformerLM(tiny_config())
@@ -310,10 +314,12 @@ class TestGradients:
         rng = np.random.default_rng(17)
         inj = rng.normal(size=16)
         inj /= np.linalg.norm(inj)
-        body = [5, 9, 6, 4, 10, EOS_ID]
-        _, _, grads = m.nll_and_grads(body, inj)
-        for name in m.params:
-            self.check_tensor(m, body, inj, grads, name, rng)
+        # [EOS_ID] alone is the one-position input build_examples makes
+        # from a sentence with no words
+        for body in ([5, 9, 6, 4, 10, EOS_ID], [EOS_ID]):
+            _, _, grads = m.nll_and_grads(body, inj)
+            for name in m.params:
+                self.check_tensor(m, body, inj, grads, name, rng)
 
     def test_gradients_without_injection(self):
         m = TransformerLM(tiny_config()).astype(np.float64)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from oracles import Recompute
 from smclm.decoding import BeamSearchConfig
 from smclm.encoders import HashedBagEncoder
+from smclm.jsonl import read_jsonl
 from smclm.metrics import sbert_ibleu
 from smclm.pipeline import (
     CandidateSet,
     PipelineConfig,
     paraphrase,
     paraphrase_batch,
-    read_candidates_jsonl,
     write_candidates_jsonl,
 )
 from smclm.tokenization import Vocabulary
@@ -51,7 +52,7 @@ def scripted_setup():
         (8, 4, 6): [-9, 0, -9, -9, -9, -9, -9, -9, -9],
         (8, 4, 7): [-9, 0, -9, -9, -9, -9, -9, -9, -9],
     }
-    model = ScriptedModel(table, len(vocab))
+    model = Recompute(ScriptedModel(table, len(vocab)))
     encoder = HashedBagEncoder(dim=16)
     beam = BeamSearchConfig(
         beam_count=2, group_count=2, diversity_strength=0.6, no_repeat_ngram=0, max_length=6
@@ -84,7 +85,7 @@ class TestParaphrase:
     def test_empty_candidate_scores_zero(self):
         vocab = make_vocab()
         # the model emits eos immediately in every group: empty candidates
-        model = ScriptedModel({}, len(vocab))
+        model = Recompute(ScriptedModel({}, len(vocab)))
         encoder = HashedBagEncoder(dim=16)
         cfg = PipelineConfig(
             beam=BeamSearchConfig(beam_count=2, group_count=2, max_length=4)
@@ -140,16 +141,16 @@ class TestCandidateFiles:
         ]
         path = tmp_path / "cands.jsonl"
         write_candidates_jsonl(sets, str(path))
-        records = read_candidates_jsonl(str(path))
+        records = read_jsonl(str(path))
         assert records == [s.to_dict() for s in sets]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "cands.jsonl"
         path.write_text('{"source": "a", "candidates": ["b"], "scores": [1.0], "best": 0}\n\n')
-        assert len(read_candidates_jsonl(str(path))) == 1
+        assert len(read_jsonl(str(path))) == 1
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "cands.jsonl"
         path.write_text('{"source": "a"}\nnot json\n')
         with pytest.raises(ValueError, match=r"cands\.jsonl:2"):
-            read_candidates_jsonl(str(path))
+            read_jsonl(str(path))
