@@ -17,7 +17,7 @@ from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .decoding import BeamSearchConfig
-from .encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder, encoder_from_spec
+from .encoders import HashedTokenEmbedder, encoder_from_spec
 from .jsonl import read_jsonl, string_list, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
@@ -56,14 +56,15 @@ def _write_lines(lines: list[str], path: str) -> None:
 def _resolve_encoder(args, dim: int, meta_spec: dict | None = None):
     """Encoder precedence: --embeddings file, then --encoder kind, then the
     spec stored in a checkpoint."""
-    if getattr(args, "embeddings", None):
-        return FileBackedEncoder.load(args.embeddings)
-    kind = getattr(args, "encoder", None)
-    if kind == "hashed-bag":
-        return HashedBagEncoder(getattr(args, "encoder_dim", None) or dim, args.encoder_seed)
-    if meta_spec:
-        return encoder_from_spec(meta_spec)
-    raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")
+    if args.embeddings:
+        spec = {"kind": "file-backed", "path": args.embeddings}
+    elif args.encoder:
+        spec = {"kind": args.encoder, "dim": args.encoder_dim or dim, "seed": args.encoder_seed}
+    elif meta_spec:
+        spec = meta_spec
+    else:
+        raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")
+    return encoder_from_spec(spec)
 
 
 def cmd_build_corpus(args) -> dict:
@@ -170,9 +171,6 @@ def cmd_train(args) -> dict:
     vocab = load_vocabulary(args.vocab)
     corpus = _read_lines(args.corpus)
     valid = _read_lines(args.valid) if args.valid else None
-    if valid is not None and not valid:
-        # fail before training, not at the end of epoch 1
-        raise ValueError(f"validation file {args.valid} has no sentences")
     model_cfg = ModelConfig(vocab_size=len(vocab), **model_kw)
     encoder = None
     if args.mode == "smclm":
@@ -223,7 +221,13 @@ def cmd_generate(args) -> dict:
     return {"out": args.out, "sources": len(sources), "written": len(results)}
 
 
-def _by_source(items: list[dict], path: str) -> dict[str, dict]:
+def _source(item) -> str | None:
+    """item's 'source' when item is an object with a string source, else None."""
+    source = item.get("source") if isinstance(item, dict) else None
+    return source if isinstance(source, str) else None
+
+
+def _by_source(items: list, path: str) -> dict[str, dict]:
     """Index items by their 'source' string, rejecting a repeated source.
 
     A repeated source would be scored twice. Items without a string source
@@ -231,8 +235,8 @@ def _by_source(items: list[dict], path: str) -> dict[str, dict]:
     """
     index: dict[str, dict] = {}
     for item in items:
-        source = item.get("source")
-        if not isinstance(source, str):
+        source = _source(item)
+        if source is None:
             continue
         if source in index:
             raise ValueError(f"duplicate source in {path}: {source!r}")
@@ -243,19 +247,17 @@ def _by_source(items: list[dict], path: str) -> dict[str, dict]:
 def cmd_evaluate(args) -> dict:
     records = read_jsonl(args.records)
     _by_source(records, args.records)
-    if args.copy_input:
-        joined = [
-            {**r, "candidates": [r.get("source")] * args.copies, "best": 0} for r in records
-        ]
-    else:
-        by_source = _by_source(read_jsonl(args.candidates), args.candidates)
-        joined = []
-        for r in records:
-            cand = by_source.get(r.get("source"))
-            if cand is None:
-                if args.strict:
-                    raise ValueError(f"no candidates for source: {r.get('source')!r}")
-                continue
+    by_source = {} if args.copy_input else _by_source(read_jsonl(args.candidates), args.candidates)
+    # every record goes to evaluate_corpus, which rejects or skips (by
+    # cfg.strict) a malformed one and one whose candidates stay None
+    joined = []
+    for r in records:
+        if not isinstance(r, dict):
+            joined.append(r)
+        elif args.copy_input:
+            joined.append({**r, "candidates": [r.get("source")] * args.copies, "best": 0})
+        else:
+            cand = by_source.get(_source(r), {})
             joined.append({**r, "candidates": cand.get("candidates"), "best": cand.get("best")})
     encoder = _resolve_encoder(args, args.encoder_dim or 64)
     cfg = metrics_mod.EvalConfig(
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split-dataset", help="split paraphrase groups into train/valid/test")
     p.add_argument("--groups", required=True, help="JSONL of {id, sentences}")
-    p.add_argument("--ratios", default="0.8,0.05,0.15")
+    p.add_argument("--ratios", default=",".join(map(str, corpus_mod.DEFAULT_RATIOS)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--emit-corpora", action="store_true", dest="emit_corpora",
@@ -369,15 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="override the vocabulary path stored in the checkpoint")
     p.add_argument("--input", required=True, help="source sentences, one per line")
     p.add_argument("--out", required=True, help="candidates JSONL")
-    p.add_argument("--beams", type=int, default=5)
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--diversity", type=float, default=0.6)
-    p.add_argument("--no-repeat", type=int, dest="no_repeat", default=2)
-    p.add_argument("--max-length", type=int, dest="max_length", default=32,
+    p.add_argument("--beams", type=int, default=BeamSearchConfig.beam_count)
+    p.add_argument("--groups", type=int, default=BeamSearchConfig.group_count)
+    p.add_argument("--diversity", type=float, default=BeamSearchConfig.diversity_strength)
+    p.add_argument("--no-repeat", type=int, dest="no_repeat",
+                   default=BeamSearchConfig.no_repeat_ngram)
+    p.add_argument("--max-length", type=int, dest="max_length",
+                   default=BeamSearchConfig.max_length,
                    help="token budget per candidate, <eos> included; clamped to the "
                         "model's max_positions")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=BeamSearchConfig.length_alpha)
+    p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
     p.add_argument("--skip-errors", action="store_true", dest="skip_errors")
     _add_encoder_flags(p)
     p.set_defaults(fn=cmd_generate)
@@ -388,12 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copy-input", action="store_true", dest="copy_input",
                    help="score the source copied as every candidate")
     p.add_argument("--copies", type=int, default=5, help="candidate count in copy-input mode")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--ref-reduce", choices=["mean", "max"], dest="ref_reduce", default="mean")
+    p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
+    p.add_argument("--ref-reduce", choices=["mean", "max"], dest="ref_reduce",
+                   default=metrics_mod.EvalConfig.ref_reduce)
     p.add_argument("--fluency", help="JSONL of {sentence_sha256, fluency}")
     p.add_argument("--report", help="write the full per-record report JSON here")
     p.add_argument("--table", action="store_true", help="also print the text table to stderr")
-    p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--strict", action=argparse.BooleanOptionalAction,
+                   default=metrics_mod.EvalConfig.strict)
     _add_encoder_flags(p, with_token_dim=True)
     p.set_defaults(fn=cmd_evaluate)
 

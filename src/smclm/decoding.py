@@ -44,16 +44,15 @@ class BeamSearchConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A finished or in-flight beam item.
+    """A decoded sequence: ended by eos, or cut at max_length.
 
     log_prob is the unpenalized cumulative model log-probability of tokens
-    (diversity penalties never leak into it); tokens include the terminal
-    eos when the hypothesis finished by eos.
+    (diversity penalties never leak into it); tokens end with eos exactly
+    when the hypothesis ended at eos.
     """
 
     tokens: tuple[int, ...]
     log_prob: float
-    finished: bool = False
     group: int = 0
 
     def ranking_score(self, alpha: float) -> float:
@@ -138,7 +137,7 @@ def _step(lp: np.ndarray, live: list[_Beam], chosen: list[int], cfg: BeamSearchC
         log_prob = parent.log_prob + lp[bi, w]
         picks.append(w)
         if w == cfg.eos_id:
-            finished.append(Hypothesis(tokens, log_prob, finished=True, group=group))
+            finished.append(Hypothesis(tokens, log_prob, group=group))
         else:
             new_live.append(_Beam(tokens, log_prob, score[bi, w], parent.row))
     return new_live, finished, picks
@@ -209,8 +208,6 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
             h.row = row
     result = []
     for g in range(cfg.group_count):
-        pool = pools[g] + [
-            Hypothesis(h.tokens, h.log_prob, finished=True, group=g) for h in live[g]
-        ]
+        pool = pools[g] + [Hypothesis(h.tokens, h.log_prob, group=g) for h in live[g]]
         result.extend(_rank(pool, cfg.length_alpha, per_group))
     return result

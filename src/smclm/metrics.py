@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .encoders import HashedTokenEmbedder, cosine, sentence_key
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, string_list
 from .tokenization import normalize, words
 
 DEFAULT_BETA = 2.0
@@ -284,41 +284,23 @@ class MetricReport:
         )
 
     def format_table(self) -> str:
-        groups = [(g, names) for g, names in METRIC_GROUPS if g != "fluency" or self._has_fluency()]
-        cells = []
-        for _, names in groups:
-            for name in names:
-                v = self.means.get(name)
-                cells.append((name, "-" if v is None else f"{v:.2f}"))
-        widths = [max(len(n), len(v)) for n, v in cells]
-        header_parts, value_parts, group_parts = [], [], []
-        i = 0
-        for g, names in groups:
-            span = sum(widths[i + k] for k in range(len(names))) + 2 * (len(names) - 1)
-            group_parts.append(g.center(span))
-            for k in range(len(names)):
-                header_parts.append(cells[i + k][0].rjust(widths[i + k]))
-                value_parts.append(cells[i + k][1].rjust(widths[i + k]))
-            i += len(names)
-        lines = [
+        group_parts, header_parts, value_parts = [], [], []
+        for group, names in METRIC_GROUPS:
+            if group == "fluency" and self.means.get("fluency") is None:
+                continue
+            values = ["-" if self.means.get(n) is None else f"{self.means[n]:.2f}" for n in names]
+            widths = [max(len(n), len(v)) for n, v in zip(names, values)]
+            headers = "  ".join(n.rjust(w) for n, w in zip(names, widths))
+            group_parts.append(group.center(len(headers)))
+            header_parts.append(headers)
+            value_parts.append("  ".join(v.rjust(w) for v, w in zip(values, widths)))
+        skipped = self.counts["skipped"]
+        return "\n".join([
             " | ".join(group_parts),
-            " | ".join("  ".join(header_parts[i:j]) for i, j in _group_slices(groups)),
-            " | ".join("  ".join(value_parts[i:j]) for i, j in _group_slices(groups)),
-            f"records: {self.counts['evaluated']}"
-            + (f", skipped: {self.counts['skipped']}" if self.counts["skipped"] else ""),
-        ]
-        return "\n".join(lines)
-
-    def _has_fluency(self) -> bool:
-        return self.means.get("fluency") is not None
-
-
-def _group_slices(groups) -> list[tuple[int, int]]:
-    out, i = [], 0
-    for _, names in groups:
-        out.append((i, i + len(names)))
-        i += len(names)
-    return out
+            " | ".join(header_parts),
+            " | ".join(value_parts),
+            f"records: {self.counts['evaluated']}" + (f", skipped: {skipped}" if skipped else ""),
+        ])
 
 
 def fluency_key(sentence: str) -> str:
@@ -334,14 +316,12 @@ def _check_record(rec: dict) -> tuple[str, list[str], list[str], int | None]:
     if not isinstance(rec, dict):
         raise ValueError("record is not an object")
     source = rec.get("source")
-    references = rec.get("references")
-    candidates = rec.get("candidates")
     if not isinstance(source, str) or not source:
         raise ValueError("record needs a non-empty 'source' string")
-    if not isinstance(references, list) or not references or not all(isinstance(r, str) for r in references):
-        raise ValueError("record needs a non-empty 'references' list of strings")
-    if not isinstance(candidates, list) or not candidates or not all(isinstance(c, str) for c in candidates):
-        raise ValueError("record needs a non-empty 'candidates' list of strings")
+    references = string_list(rec.get("references"), "references")
+    if rec.get("candidates") is None:
+        raise ValueError(f"no candidates for source: {source!r}")
+    candidates = string_list(rec["candidates"], "candidates")
     best = rec.get("best")
     if best is not None and not (isinstance(best, int) and 0 <= best < len(candidates)):
         raise ValueError(f"'best' index {best!r} out of range")
@@ -356,8 +336,9 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     SBERT-iBLEU against the source is selected here by the pipeline's rule
     (a candidate that normalizes to nothing scores 0, ties go to the
     earliest). Records with a single candidate report selfBLEU as missing.
-    Malformed records raise when cfg.strict, otherwise they are skipped and
-    counted.
+    Malformed records, and records whose candidate set is missing
+    ('candidates' absent or None), raise when cfg.strict; otherwise they are
+    skipped and counted.
     """
     if cfg.encoder is None:
         raise ValueError("EvalConfig.encoder is required")

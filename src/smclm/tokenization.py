@@ -58,9 +58,6 @@ class Vocabulary:
     def token_id(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def tokenize(self, text: str, add_markers: bool = False) -> list[int]:
         """Map text to token ids; unknown words map to the <unk> id.
 

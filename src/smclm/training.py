@@ -156,7 +156,8 @@ def train(
     The batch loss is the mean over batch examples of each example's
     per-token mean NLL. Shuffling is drawn from cfg.seed only, so a run is
     reproducible bit for bit on one platform. A non-finite loss aborts with
-    the offending step and batch index.
+    the offending step and batch index. A validation corpus with no
+    sentence that fits max_positions raises before the first step.
     """
     start = time.monotonic()
     examples, skipped = build_examples(
@@ -164,6 +165,15 @@ def train(
     )
     if not examples:
         raise ValueError("no usable training examples")
+    if valid_corpus is not None:
+        valid_examples, _ = build_examples(
+            valid_corpus, vocab, cfg.mode, encoder, model.config.max_positions
+        )
+        if not valid_examples:
+            raise ValueError(
+                f"validation corpus has no sentences that fit max_positions="
+                f"{model.config.max_positions}"
+            )
     batches_per_epoch = math.ceil(len(examples) / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
     if cfg.warmup_steps > total_steps:
@@ -193,7 +203,7 @@ def train(
                     log_file.write(json.dumps({"step": step, "lr": lr, "loss": loss}) + "\n")
             epoch_losses.append(float(np.mean(batch_losses)))
             if valid_corpus is not None:
-                valid_losses.append(evaluate_nll(model, vocab, valid_corpus, cfg.mode, encoder))
+                valid_losses.append(evaluate_nll(model, valid_examples))
     finally:
         if log_file:
             log_file.close()
@@ -207,10 +217,9 @@ def train(
 
 
 def evaluate_nll(
-    model: TransformerLM, vocab: Vocabulary, corpus: list[str], mode: str, encoder=None
+    model: TransformerLM, examples: list[tuple[list[int], np.ndarray | None]]
 ) -> float:
-    """Mean over sentences of per-token mean NLL; no parameter updates."""
-    examples, _ = build_examples(corpus, vocab, mode, encoder, model.config.max_positions)
+    """Mean over build_examples examples of per-token mean NLL; no parameter updates."""
     if not examples:
         raise ValueError("no evaluable sentences")
     losses = [model.nll(tokens, injection)[0] for tokens, injection in examples]

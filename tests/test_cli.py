@@ -409,6 +409,31 @@ class TestErrorPaths:
             "--no-strict",
         )
         assert summary["counts"]["evaluated"] == 1
+        assert summary["counts"]["skipped"] == 1
+
+    @pytest.mark.parametrize("copy_input", [False, True])
+    def test_lenient_evaluate_skips_records_without_a_string_source(
+        self, tmp_path, capsys, copy_input
+    ):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            '{"source": "a b c", "references": ["a c"]}\n'
+            '["not", "an", "object"]\n'
+            '{"source": ["a", "b"], "references": ["d"]}\n'
+        )
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"source": "a b c", "candidates": ["a c b"], "best": 0}\n')
+        source = ["--copy-input"] if copy_input else ["--candidates", str(cands)]
+        summary = run_json(
+            capsys,
+            "evaluate",
+            "--records", str(records),
+            *source,
+            "--encoder", "hashed-bag",
+            "--no-strict",
+        )
+        assert summary["counts"]["evaluated"] == 1
+        assert summary["counts"]["skipped"] == 2
 
     def test_generate_vocab_size_mismatch(self, tmp_path, capsys):
         from smclm.encoders import HashedBagEncoder

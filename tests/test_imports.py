@@ -1,4 +1,6 @@
-"""Every top-level import in the library modules is used somewhere in its module."""
+"""Every top-level import in the library modules is used somewhere in its
+module, and every private top-level function or class is referenced in the
+package."""
 
 import ast
 from pathlib import Path
@@ -22,10 +24,49 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name of each top-level _private function or class that no
+    module in sources names, by a plain name, an attribute or an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                referenced.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                referenced.add(n.attr)
+            elif isinstance(n, ast.alias):
+                referenced.add(n.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
+
+
+def test_detects_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _called(): pass\ndef _orphan(): pass\nclass _Gone: pass\n"
+             "def _imported(): pass\ndef _attr(): pass\ndef public(): pass\n_called()\n",
+        "b": "import a\nfrom a import _imported\na._attr()\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a._orphan", "a._Gone"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

@@ -8,6 +8,7 @@ from oracles import oracle_bleu, oracle_rouge_l
 from smclm.encoders import FileBackedEncoder, HashedBagEncoder
 from smclm.metrics import (
     EvalConfig,
+    MetricReport,
     bert_ibleu,
     bleu,
     calibrate_beta,
@@ -360,6 +361,37 @@ class TestEvaluateCorpus:
     def test_no_records_raises(self):
         with pytest.raises(ValueError):
             evaluate_corpus([], self.cfg)
+
+
+class TestFormatTable:
+    MEANS = {
+        "oriBLEU": 12.5, "selfBLEU": None, "BLEU": 3.25, "ROUGE-L": 41.0, "fluency": None,
+        "oriBERT": 99.5, "oriSBERT": 100.0, "BERT": 7.0, "SBERT": 55.75,
+        "BERT-iBLEU": 0.0, "SBERT-iBLEU": 66.25,
+    }
+
+    @staticmethod
+    def table(means, skipped):
+        report = MetricReport(rows=[], means=means, counts={"evaluated": 7, "skipped": skipped},
+                              beta=2.0, ref_reduce="mean")
+        return report.format_table()
+
+    def test_without_fluency_or_skipped(self):
+        assert self.table(self.MEANS, 0) == "\n".join([
+            "lexical diversity | lexical similarity |      semantic similarity       |         combined       ",
+            "oriBLEU  selfBLEU | BLEU  ROUGE-L | oriBERT  oriSBERT  BERT  SBERT | BERT-iBLEU  SBERT-iBLEU",
+            "  12.50         - | 3.25    41.00 |   99.50    100.00  7.00  55.75 |       0.00        66.25",
+            "records: 7",
+        ])
+
+    def test_with_fluency_and_skipped(self):
+        means = {**self.MEANS, "BLEU": 100.0, "fluency": 1234.5}
+        assert self.table(means, 3) == "\n".join([
+            "lexical diversity | lexical similarity | fluency |      semantic similarity       |         combined       ",
+            "oriBLEU  selfBLEU |   BLEU  ROUGE-L | fluency | oriBERT  oriSBERT  BERT  SBERT | BERT-iBLEU  SBERT-iBLEU",
+            "  12.50         - | 100.00    41.00 | 1234.50 |   99.50    100.00  7.00  55.75 |       0.00        66.25",
+            "records: 7, skipped: 3",
+        ])
 
 
 class TestBetaSweepRegimes:

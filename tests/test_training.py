@@ -218,6 +218,17 @@ class TestTrain:
         assert len(report.valid_losses) == 3
         assert all(math.isfinite(v) for v in report.valid_losses)
 
+    def test_unusable_validation_corpus_fails_before_the_first_step(self, monkeypatch):
+        model, vocab, encoder = small_setup()
+        steps = []
+        monkeypatch.setattr(AdamW, "step", lambda self, params, grads, lr: steps.append(lr))
+        too_long = " ".join(["the"] * model.config.max_positions)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=2, epochs=1, warmup_steps=0)
+        with pytest.warns(UserWarning, match="skipped 1 sequences"):
+            with pytest.raises(ValueError, match="validation corpus has no sentences"):
+                train(model, vocab, SENTENCES, cfg, encoder=encoder, valid_corpus=[too_long])
+        assert steps == []
+
     def test_non_finite_loss_aborts(self, monkeypatch):
         model, vocab, encoder = small_setup()
 
@@ -240,13 +251,14 @@ class TestEvaluateNll:
     def test_does_not_mutate_params(self):
         model, vocab, encoder = small_setup()
         before = {k: v.copy() for k, v in model.params.items()}
-        evaluate_nll(model, vocab, SENTENCES, "smclm", encoder)
+        examples, _ = build_examples(SENTENCES, vocab, "smclm", encoder)
+        evaluate_nll(model, examples)
         for name in before:
             assert model.params[name].tobytes() == before[name].tobytes()
 
     def test_is_mean_of_sentence_means(self):
         model, vocab, encoder = small_setup()
-        got = evaluate_nll(model, vocab, SENTENCES, "smclm", encoder)
+        got = evaluate_nll(model, build_examples(SENTENCES, vocab, "smclm", encoder)[0])
         singles = []
         for s in SENTENCES:
             tokens = vocab.tokenize(s) + [1]
@@ -255,6 +267,6 @@ class TestEvaluateNll:
         assert got == pytest.approx(np.mean(singles))
 
     def test_empty_raises(self):
-        model, vocab, encoder = small_setup()
+        model, _, _ = small_setup()
         with pytest.raises(ValueError, match="no evaluable"):
-            evaluate_nll(model, vocab, [], "smclm", encoder)
+            evaluate_nll(model, [])
