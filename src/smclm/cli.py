@@ -17,7 +17,7 @@ from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .decoding import BeamSearchConfig
-from .encoders import HashedTokenEmbedder, encoder_from_spec
+from .encoders import DEFAULT_DIM, HashedTokenEmbedder, encoder_from_spec
 from .jsonl import read_jsonl, string_list, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
@@ -259,7 +259,7 @@ def cmd_evaluate(args) -> dict:
         else:
             cand = by_source.get(_source(r), {})
             joined.append({**r, "candidates": cand.get("candidates"), "best": cand.get("best")})
-    encoder = _resolve_encoder(args, args.encoder_dim or 64)
+    encoder = _resolve_encoder(args, DEFAULT_DIM)
     cfg = metrics_mod.EvalConfig(
         encoder=encoder,
         token_embedder=HashedTokenEmbedder(args.token_dim),
@@ -294,7 +294,7 @@ def _calibration_pairs(rec: dict) -> list[tuple[str, str]]:
 
 def cmd_calibrate_beta(args) -> dict:
     pairs = [p for rec_pairs in read_jsonl(args.pairs, _calibration_pairs) for p in rec_pairs]
-    encoder = _resolve_encoder(args, args.encoder_dim or 64)
+    encoder = _resolve_encoder(args, DEFAULT_DIM)
     result = metrics_mod.calibrate_beta(pairs, encoder, HashedTokenEmbedder(args.token_dim))
     return {**result.to_dict(), "pairs": len(pairs)}
 
@@ -305,7 +305,7 @@ def _add_encoder_flags(p: argparse.ArgumentParser, with_token_dim: bool = False)
     p.add_argument("--encoder-dim", type=int, dest="encoder_dim", help="encoder output dim")
     p.add_argument("--encoder-seed", type=int, dest="encoder_seed", default=0)
     if with_token_dim:
-        p.add_argument("--token-dim", type=int, dest="token_dim", default=64,
+        p.add_argument("--token-dim", type=int, dest="token_dim", default=DEFAULT_DIM,
                        help="dim of the hashed per-token embedder")
 
 

@@ -17,6 +17,9 @@ from .tokenization import normalize
 
 EMBED_MAGIC = b"SMEM"
 EMBED_VERSION = 1
+# the dimension of the hashed token embedder, and of the CLI's evaluate and
+# calibrate-beta encoders, when none is given
+DEFAULT_DIM = 64
 
 
 def sentence_key(sentence: str) -> bytes:
@@ -73,7 +76,7 @@ def hashed_token_vector(token: str, dim: int, seed: int = 0) -> np.ndarray:
 class HashedTokenEmbedder:
     """Per-token embedder used by the token-matching metric; callable."""
 
-    def __init__(self, dim: int = 64, seed: int = 0):
+    def __init__(self, dim: int = DEFAULT_DIM, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim

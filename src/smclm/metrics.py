@@ -291,9 +291,11 @@ class MetricReport:
             values = ["-" if self.means.get(n) is None else f"{self.means[n]:.2f}" for n in names]
             widths = [max(len(n), len(v)) for n, v in zip(names, values)]
             headers = "  ".join(n.rjust(w) for n, w in zip(names, widths))
-            group_parts.append(group.center(len(headers)))
-            header_parts.append(headers)
-            value_parts.append("  ".join(v.rjust(w) for v, w in zip(values, widths)))
+            # a label wider than its columns widens the whole group
+            width = max(len(group), len(headers))
+            group_parts.append(group.center(width))
+            header_parts.append(headers.rjust(width))
+            value_parts.append("  ".join(v.rjust(w) for v, w in zip(values, widths)).rjust(width))
         skipped = self.counts["skipped"]
         return "\n".join([
             " | ".join(group_parts),

@@ -22,6 +22,10 @@ from .tokenization import BOS_ID
 LN_EPS = 1e-5
 SQRT_2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# padded rows per loss micro-batch. Larger budgets ran the train benchmark a
+# little faster but grew its peak memory: 96 rows reached the per-example
+# loop's peak, a whole B=32 batch went 30% past it (sweep in CHANGES.md)
+ROW_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -102,12 +106,19 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def gelu(u: np.ndarray) -> np.ndarray:
-    return 0.5 * u * (1.0 + erf(u / SQRT_2))
+def erf_term(u: np.ndarray) -> np.ndarray:
+    """1 + erf(u / sqrt 2): the term gelu and gelu_prime share, computed once per layer."""
+    return 1.0 + erf(u / SQRT_2)
 
 
-def gelu_prime(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(u / SQRT_2)) + u * INV_SQRT_2PI * np.exp(-0.5 * u * u)
+def gelu(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """GELU of ``u`` given ``s = erf_term(u)``."""
+    return 0.5 * u * s
+
+
+def gelu_prime(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d gelu / du given ``s = erf_term(u)``."""
+    return 0.5 * s + u * INV_SQRT_2PI * np.exp(-0.5 * u * u)
 
 
 def _layer_norm(x, g, b):
@@ -128,6 +139,39 @@ def _layer_norm_backward(dy, xhat, inv_std, g):
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     ) * inv_std
     return dx, dg, db
+
+
+def _split_heads(a: np.ndarray, n: int, t: int, H: int) -> np.ndarray:
+    """(n * t, H * dh) rows to (n * H, t, dh) per-head stacks."""
+    return a.reshape(n, t, H, -1).transpose(0, 2, 1, 3).reshape(n * H, t, -1)
+
+
+def _merge_heads(a: np.ndarray, n: int, t: int) -> np.ndarray:
+    """(n * H, t, dh) per-head stacks back to (n * t, H * dh) rows."""
+    H = len(a) // n
+    return a.reshape(n, H, t, -1).transpose(0, 2, 1, 3).reshape(n * t, -1)
+
+
+def _micro_batches(lengths: list[int]) -> list[range]:
+    """Cut example indices, in order, into runs whose padded rows, count
+    times the longest length, fit ROW_BUDGET; an example longer than the
+    budget runs alone."""
+    runs, start, longest = [], 0, 0
+    for i, T in enumerate(lengths):
+        longest = max(longest, T)
+        if i > start and (i + 1 - start) * longest > ROW_BUDGET:
+            runs.append(range(start, i))
+            start, longest = i, T
+    runs.append(range(start, len(lengths)))
+    return runs
+
+
+def _pad(rows: list[np.ndarray], t: int) -> np.ndarray:
+    """Stack each example's input rows, right-padded with zeros to t positions: (n * t, d)."""
+    x = np.zeros((len(rows), t, rows[0].shape[1]), dtype=rows[0].dtype)
+    for i, r in enumerate(rows):
+        x[i, : len(r)] = r
+    return x.reshape(len(rows) * t, -1)
 
 
 class TransformerLM:
@@ -184,21 +228,23 @@ class TransformerLM:
                 f"sequence of {T} positions exceeds max_positions={self.config.max_positions}"
             )
 
-    def _blocks(self, x: np.ndarray, t: int, past=None, parents=None):
+    def _blocks(self, x: np.ndarray, t: int, past=None, parents=None, head_rows=None):
         """The one transformer block loop: t new positions for each of n rows.
 
         ``x`` holds the input rows, row-major, shape (n * t, embed_dim).
-        Without ``past`` they are a whole sequence (n = 1, t = T). With
-        ``past``, a per-layer (K, V) cache of shape (rows, head_count, s,
-        head_dim), row i continues cache row ``parents[i]``. Each new position
-        attends to the cached ones and causally to the new ones.
+        Without ``past`` they are n whole sequences, right-padded to t
+        positions; the causal mask already hides a row's padded positions
+        from its real ones. With ``past``, a per-layer (K, V) cache of shape
+        (rows, head_count, s, head_dim), row i continues cache row
+        ``parents[i]``. Each new position attends to the cached ones and
+        causally to the new ones.
 
         While decoding (``past`` given), a single row or query runs twice and
         the copy is dropped: numpy sends a one-row matmul to gemv, which
         rounds differently from the gemm rows of a full forward.
 
-        Returns the logits (n * t, vocab_size), the activations ``_backward``
-        reads, and the cache grown by t positions.
+        Returns the logits of the ``head_rows`` (all rows by default), the
+        activations ``_backward`` reads, and the cache grown by t positions.
         """
         p = self.params
         cfg = self.config
@@ -226,8 +272,7 @@ class TransformerLM:
                 k4 = np.concatenate([keys[parents], k4], axis=2)
                 v4 = np.concatenate([values[parents], v4], axis=2)
             grown.append((k4, v4))
-            # attention runs on (rows * heads, positions, head_dim) stacks
-            qh = q.reshape(n, t, H, dh).transpose(0, 2, 1, 3).reshape(n * H, t, dh)
+            qh = _split_heads(q, n, t, H)
             kh = k4.reshape(n * H, s + t, dh)
             vh = v4.reshape(n * H, s + t, dh)
             if past is not None and t == 1:
@@ -238,21 +283,20 @@ class TransformerLM:
             m = scores.max(axis=-1, keepdims=True)
             e = np.exp(scores - m)
             att = e / e.sum(axis=-1, keepdims=True)
-            oh = (att @ vh)[:, :t]
-            o = oh.reshape(n, H, t, dh).transpose(0, 2, 1, 3).reshape(n * t, cfg.embed_dim)
-            attn_out = o @ p[pre + "wo"] + p[pre + "bo"]
-            x_mid = x + attn_out
+            o = _merge_heads((att @ vh)[:, :t], n, t)
+            x_mid = x + (o @ p[pre + "wo"] + p[pre + "bo"])
             fpost, xhat2, inv2 = _layer_norm(x_mid, p[pre + "ln2_g"], p[pre + "ln2_b"])
             u = fpost @ p[pre + "w1"] + p[pre + "b1"]
-            g_act = gelu(u).astype(self.dtype)
-            m_out = g_act @ p[pre + "w2"] + p[pre + "b2"]
-            x_out = x_mid + m_out
+            erf_u = erf_term(u)
+            g_act = gelu(u, erf_u).astype(self.dtype)
+            x = x_mid + (g_act @ p[pre + "w2"] + p[pre + "b2"])
             layers.append(
-                dict(x=x, xhat1=xhat1, inv1=inv1, a=a, att=att, vh=vh, qh=qh, kh=kh, o=o,
-                     x_mid=x_mid, xhat2=xhat2, inv2=inv2, fpost=fpost, u=u, g_act=g_act)
+                dict(xhat1=xhat1, inv1=inv1, a=a, att=att, vh=vh, qh=qh, kh=kh, o=o,
+                     xhat2=xhat2, inv2=inv2, fpost=fpost, u=u, erf_u=erf_u, g_act=g_act)
             )
-            x = x_out
         y, xhatf, invf = _layer_norm(x, p["lnf_g"], p["lnf_b"])
+        if head_rows is not None:
+            y = y[head_rows]
         logits = y @ p["tok_emb"].T
         acts = dict(layers=layers, y=y, xhatf=xhatf, invf=invf)
         if keep < n:
@@ -305,25 +349,70 @@ class TransformerLM:
         logits, _, cache = self._blocks(x, 1, cache, parents)
         return log_softmax(logits), cache
 
-    def _loss(self, tokens, injection: np.ndarray | None, with_grads: bool):
-        """The one next-token loss body behind nll and nll_and_grads."""
-        tokens = self._ids(tokens)
-        targets = tokens if injection is not None else tokens[1:]
-        if not targets:
-            raise ValueError("need at least 1 target token (2 tokens without an injection)")
-        x = self._inputs(tokens[:-1], injection)
-        logits, acts, _ = self._blocks(x, len(x))
-        ls = log_softmax(logits)
-        rows = np.arange(len(targets))
-        lp = ls[rows, targets]
-        loss = float(-lp.mean())
-        if not with_grads:
-            return loss, lp
-        # d(mean nll)/dlogits = (softmax - onehot) / T
-        dlogits = np.exp(ls)
-        dlogits[rows, targets] -= 1.0
-        grads = self._backward((dlogits / len(targets)).astype(self.dtype), acts, tokens[:-1])
-        return loss, lp, grads
+    def _loss(self, examples, with_grads: bool):
+        """The one next-token loss body behind nll, nll_and_grads,
+        batch_nll_and_grads and training.evaluate_nll.
+
+        ``examples`` are (tokens, injection) pairs, all checked before any
+        pass runs. They are cut, in order, into micro-batches of at most
+        ROW_BUDGET padded rows, each one ``_micro_batch`` pass. Returns each
+        example's per-token mean NLL, its float64 per-token log-probs and,
+        with grads, the gradients of the mean over examples of those losses
+        (None without), so examples weigh equally regardless of length.
+        """
+        if not examples:
+            raise ValueError("empty batch")
+        prepared = []
+        for tokens, injection in examples:
+            tokens = self._ids(tokens)
+            targets = tokens if injection is not None else tokens[1:]
+            if not targets:
+                raise ValueError("need at least 1 target token (2 tokens without an injection)")
+            prepared.append((self._inputs(tokens[:-1], injection), tokens[:-1], targets))
+        grads = {name: np.zeros_like(arr) for name, arr in self.params.items()} if with_grads else None
+        lps = []
+        for chunk in _micro_batches([len(x) for x, _, _ in prepared]):
+            lps += self._micro_batch([prepared[i] for i in chunk], 1.0 / len(examples), grads)
+        return [float(-lp.mean()) for lp in lps], lps, grads
+
+    def _micro_batch(self, examples, weight: float, grads) -> list[np.ndarray]:
+        """One right-padded forward over (input rows, input ids, targets)
+        examples; returns each one's float64 per-token log-probs. With
+        ``grads``, one backward adds each example's mean-NLL gradient, scaled
+        by ``weight``, into them.
+        """
+        inputs, ids, targets = zip(*examples)
+        lengths = [len(x) for x in inputs]
+        t = max(lengths)
+        # flat (row * t + position) index of every real input row, and of the
+        # rows that came from token embeddings rather than an injection
+        real = np.concatenate([j * t + np.arange(T) for j, T in enumerate(lengths)])
+        embedded = np.concatenate(
+            [j * t + np.arange(T - len(w), T) for j, (T, w) in enumerate(zip(lengths, ids))]
+        )
+        logits, acts, _ = self._blocks(_pad(inputs, t), t, head_rows=real)
+        # one float64 buffer takes the shifted logits, then their exp, which
+        # serves both the log-probs and the softmax; each head buffer is
+        # dropped once used, which keeps peak memory flat
+        e = logits.astype(np.float64)
+        del logits
+        e -= e.max(axis=-1, keepdims=True)
+        rows = np.arange(len(real))
+        target_ids = np.concatenate(targets)
+        target_z = e[rows, target_ids]
+        np.exp(e, out=e)
+        total = e.sum(axis=-1, keepdims=True)
+        lps = np.split(target_z - np.log(total[:, 0]), np.cumsum(lengths)[:-1])
+        if grads is not None:
+            # d(weight * mean nll)/dlogits = weight * (softmax - onehot) / T_i
+            e /= total
+            e[rows, target_ids] -= 1.0
+            e *= np.repeat([weight / T for T in lengths], lengths)[:, None]
+            dlogits = e.astype(self.dtype)
+            del e
+            token_ids = np.asarray([w for seq in ids for w in seq], dtype=np.intp)
+            self._backward(dlogits, acts, t, real, embedded, token_ids, grads)
+        return lps
 
     def nll(self, tokens, injection: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """Mean per-token NLL in nats and the float64 per-token log-probs.
@@ -333,24 +422,31 @@ class TransformerLM:
         every element (including the trailing <eos>) is predicted, the first
         from the injected vector itself.
         """
-        return self._loss(tokens, injection, with_grads=False)
+        losses, lps, _ = self._loss([(tokens, injection)], with_grads=False)
+        return losses[0], lps[0]
 
     def nll_and_grads(self, tokens, injection: np.ndarray | None = None):
         """Loss, per-token log-probs, and exact gradients of the mean NLL."""
-        return self._loss(tokens, injection, with_grads=True)
+        losses, lps, grads = self._loss([(tokens, injection)], with_grads=True)
+        return losses[0], lps[0], grads
 
-    def _backward(self, dlogits: np.ndarray, acts: dict, tokens: list[int]) -> dict[str, np.ndarray]:
-        """Gradients from the activations of a whole-sequence ``_blocks`` pass."""
+    def _backward(self, dlogits, acts, t, head_rows, embedded, ids, grads) -> None:
+        """Add the gradients of one padded ``_blocks`` pass into ``grads``.
+
+        ``dlogits`` holds the ``head_rows`` rows only; padded rows get none,
+        so they add exactly zero. ``embedded`` indexes the input rows taken
+        from ``tok_emb``, whose token ids are ``ids``.
+        """
         p = self.params
         cfg = self.config
-        T = len(dlogits)
+        d = cfg.embed_dim
         H = cfg.head_count
-        dh = cfg.embed_dim // H
-        scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+        scale = np.asarray(1.0 / math.sqrt(d // H), dtype=self.dtype)
+        n = len(acts["xhatf"]) // t
 
         grads["tok_emb"] += dlogits.T @ acts["y"]
-        dy = dlogits @ p["tok_emb"]
+        dy = np.zeros((n * t, d), dtype=self.dtype)
+        dy[head_rows] = dlogits @ p["tok_emb"]
         dx, dgf, dbf = _layer_norm_backward(dy, acts["xhatf"], acts["invf"], p["lnf_g"])
         grads["lnf_g"] += dgf
         grads["lnf_b"] += dbf
@@ -363,7 +459,7 @@ class TransformerLM:
             grads[pre + "w2"] += c["g_act"].T @ dm
             grads[pre + "b2"] += dm.sum(axis=0)
             dg_act = dm @ p[pre + "w2"].T
-            du = dg_act * gelu_prime(c["u"]).astype(self.dtype)
+            du = dg_act * gelu_prime(c["u"], c["erf_u"]).astype(self.dtype)
             grads[pre + "w1"] += c["fpost"].T @ du
             grads[pre + "b1"] += du.sum(axis=0)
             dfpost = du @ p[pre + "w1"].T
@@ -375,15 +471,13 @@ class TransformerLM:
             dattn = dx_mid
             grads[pre + "wo"] += c["o"].T @ dattn
             grads[pre + "bo"] += dattn.sum(axis=0)
-            do = (dattn @ p[pre + "wo"].T).reshape(T, H, dh).transpose(1, 0, 2)
+            do = _split_heads(dattn @ p[pre + "wo"].T, n, t, H)
             datt = do @ c["vh"].transpose(0, 2, 1)
             dvh = c["att"].transpose(0, 2, 1) @ do
             dscores = c["att"] * (datt - (datt * c["att"]).sum(axis=-1, keepdims=True))
-            dqh = (dscores @ c["kh"]) * scale
-            dkh = (dscores.transpose(0, 2, 1) @ c["qh"]) * scale
-            dq = dqh.transpose(1, 0, 2).reshape(T, cfg.embed_dim)
-            dk = dkh.transpose(1, 0, 2).reshape(T, cfg.embed_dim)
-            dv = dvh.transpose(1, 0, 2).reshape(T, cfg.embed_dim)
+            dq = _merge_heads((dscores @ c["kh"]) * scale, n, t)
+            dk = _merge_heads((dscores.transpose(0, 2, 1) @ c["qh"]) * scale, n, t)
+            dv = _merge_heads(dvh, n, t)
             a = c["a"]
             grads[pre + "wq"] += a.T @ dq
             grads[pre + "bq"] += dq.sum(axis=0)
@@ -397,10 +491,8 @@ class TransformerLM:
             grads[pre + "ln1_b"] += db1
             dx = dx_ln + dx_mid
 
-        grads["pos_emb"][:T] += dx
-        # the token rows follow the injected slot, if any
-        np.add.at(grads["tok_emb"], np.asarray(tokens, dtype=np.intp), dx[T - len(tokens):])
-        return grads
+        grads["pos_emb"][:t] += dx.reshape(n, t, d).sum(axis=0)
+        np.add.at(grads["tok_emb"], ids, dx[embedded])
 
     def batch_nll_and_grads(self, batch: list[tuple[list[int], np.ndarray | None]]):
         """Mean loss over examples and equally weighted mean gradients.
@@ -408,17 +500,8 @@ class TransformerLM:
         Each example's loss is its per-token mean; examples then weigh
         equally regardless of length.
         """
-        if not batch:
-            raise ValueError("empty batch")
-        total = 0.0
-        grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
-        inv = 1.0 / len(batch)
-        for tokens, injection in batch:
-            loss, _, g = self.nll_and_grads(tokens, injection)
-            total += loss
-            for name in grads:
-                grads[name] += g[name] * np.asarray(inv, dtype=self.dtype)
-        return total * inv, grads
+        losses, _, grads = self._loss(batch, with_grads=True)
+        return sum(losses) / len(batch), grads
 
     def bos_embedding(self) -> np.ndarray:
         """The <bos> input row; injecting it must reproduce the plain forward."""

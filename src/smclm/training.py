@@ -222,5 +222,4 @@ def evaluate_nll(
     """Mean over build_examples examples of per-token mean NLL; no parameter updates."""
     if not examples:
         raise ValueError("no evaluable sentences")
-    losses = [model.nll(tokens, injection)[0] for tokens, injection in examples]
-    return float(np.mean(losses))
+    return float(np.mean(model._loss(examples, with_grads=False)[0]))

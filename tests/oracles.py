@@ -3,7 +3,10 @@ and the test doubles that stand in for library parts.
 
 The metric oracles are written deliberately plainly (position scans, full DP
 tables, explicit bookkeeping) so they share no code or structure with the
-package. ``Recompute`` is the reference decoder state: it gives any model
+package. ``batch_nll_and_grads_loop`` is the per-example training loss
+the batched loss body replaced. ``gelu_unshared`` and ``gelu_prime_unshared``
+are GELU and its derivative as written before they shared the erf term.
+``Recompute`` is the reference decoder state: it gives any model
 with a ``forward`` the ``start``/``step`` calls the decoder takes, by
 re-running the forward over every prefix. ``ClusterOracleEncoder`` is a
 synthetic one-hot sentence encoder for clustered test corpora.
@@ -15,7 +18,9 @@ import math
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy.special import erf
 
+from smclm.model import INV_SQRT_2PI, SQRT_2
 from smclm.tokenization import BOS_ID, normalize
 
 
@@ -76,6 +81,31 @@ def oracle_rouge_l(hyp: list[str], refs: list[list[str]]) -> float:
         recall = lcs / len(ref)
         best = max(best, 2 * precision * recall / (precision + recall))
     return best
+
+
+def batch_nll_and_grads_loop(model, batch):
+    """Mean loss and equally weighted mean gradients, one example at a time.
+
+    Each example runs alone through ``nll_and_grads`` (no padding, one
+    micro-batch); its gradients are scaled by 1/B and summed.
+    """
+    total = 0.0
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    inv = 1.0 / len(batch)
+    for tokens, injection in batch:
+        loss, _, g = model.nll_and_grads(tokens, injection)
+        total += loss
+        for name in grads:
+            grads[name] += g[name] * np.asarray(inv, dtype=model.dtype)
+    return total * inv, grads
+
+
+def gelu_unshared(u):
+    return 0.5 * u * (1.0 + erf(u / SQRT_2))
+
+
+def gelu_prime_unshared(u):
+    return 0.5 * (1.0 + erf(u / SQRT_2)) + u * INV_SQRT_2PI * np.exp(-0.5 * u * u)
 
 
 class Recompute:

@@ -247,6 +247,32 @@ class TestTrainShowDefaults:
         assert summary["model"]["embed_dim"] == 64
 
 
+class TestEncoderDefaults:
+    def test_calibrate_beta_uses_the_library_default_dim(self, tmp_path, capsys, monkeypatch):
+        import smclm.cli as cli
+        from smclm.encoders import DEFAULT_DIM, HashedTokenEmbedder
+
+        dims = []
+        build = cli.encoder_from_spec
+
+        def recording(spec):
+            dims.append(("encoder", spec["dim"]))
+            return build(spec)
+
+        class RecordingEmbedder(HashedTokenEmbedder):
+            def __init__(self, dim=DEFAULT_DIM, seed=0):
+                dims.append(("token", dim))
+                super().__init__(dim, seed)
+
+        monkeypatch.setattr(cli, "encoder_from_spec", recording)
+        monkeypatch.setattr(cli, "HashedTokenEmbedder", RecordingEmbedder)
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"input": "the cat sat on the mat", "reference": "the cat sat on a mat"}\n')
+        run_json(capsys, "calibrate-beta", "--pairs", str(pairs), "--encoder", "hashed-bag")
+        assert dims == [("encoder", DEFAULT_DIM), ("token", DEFAULT_DIM)]
+        assert HashedTokenEmbedder().dim == DEFAULT_DIM == 64
+
+
 class TestErrorPaths:
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):

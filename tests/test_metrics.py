@@ -379,8 +379,8 @@ class TestFormatTable:
     def test_without_fluency_or_skipped(self):
         assert self.table(self.MEANS, 0) == "\n".join([
             "lexical diversity | lexical similarity |      semantic similarity       |         combined       ",
-            "oriBLEU  selfBLEU | BLEU  ROUGE-L | oriBERT  oriSBERT  BERT  SBERT | BERT-iBLEU  SBERT-iBLEU",
-            "  12.50         - | 3.25    41.00 |   99.50    100.00  7.00  55.75 |       0.00        66.25",
+            "oriBLEU  selfBLEU |      BLEU  ROUGE-L | oriBERT  oriSBERT  BERT  SBERT | BERT-iBLEU  SBERT-iBLEU",
+            "  12.50         - |      3.25    41.00 |   99.50    100.00  7.00  55.75 |       0.00        66.25",
             "records: 7",
         ])
 
@@ -388,10 +388,18 @@ class TestFormatTable:
         means = {**self.MEANS, "BLEU": 100.0, "fluency": 1234.5}
         assert self.table(means, 3) == "\n".join([
             "lexical diversity | lexical similarity | fluency |      semantic similarity       |         combined       ",
-            "oriBLEU  selfBLEU |   BLEU  ROUGE-L | fluency | oriBERT  oriSBERT  BERT  SBERT | BERT-iBLEU  SBERT-iBLEU",
-            "  12.50         - | 100.00    41.00 | 1234.50 |   99.50    100.00  7.00  55.75 |       0.00        66.25",
+            "oriBLEU  selfBLEU |      BLEU  ROUGE-L | fluency | oriBERT  oriSBERT  BERT  SBERT | BERT-iBLEU  SBERT-iBLEU",
+            "  12.50         - |    100.00    41.00 | 1234.50 |   99.50    100.00  7.00  55.75 |       0.00        66.25",
             "records: 7, skipped: 3",
         ])
+
+    @pytest.mark.parametrize("fluency", [None, 1234.5])
+    @pytest.mark.parametrize("bleu", [3.25, 100.0, 12345.0])
+    def test_group_separators_line_up(self, fluency, bleu):
+        lines = self.table({**self.MEANS, "BLEU": bleu, "fluency": fluency}, 0).split("\n")[:3]
+        bars = [[i for i, ch in enumerate(line) if ch == "|"] for line in lines]
+        assert bars[0] == bars[1] == bars[2]
+        assert len({len(line) for line in lines}) == 1
 
 
 class TestBetaSweepRegimes:

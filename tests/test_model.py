@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from oracles import batch_nll_and_grads_loop, gelu_prime_unshared, gelu_unshared
 
+import smclm.model as model_module
 from smclm.model import (
+    ROW_BUDGET,
     ModelConfig,
     TransformerLM,
+    _micro_batches,
+    erf_term,
     gelu,
     gelu_prime,
     init_params,
@@ -11,6 +16,11 @@ from smclm.model import (
     param_entries,
 )
 from smclm.tokenization import BOS_ID, EOS_ID
+
+# float32 gradient tolerance of the batched loss against the per-example
+# loop, relative to each tensor's max |grad|; batched rows and sums round
+# differently, by at most about 1.1e-6 over 20 random B=32 batches
+GRAD_RTOL = 1e-5
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -286,9 +296,88 @@ class TestLoss:
         m = TransformerLM(tiny_config())
         inj = np.random.default_rng(5).normal(size=16).astype(np.float32)
         batch = [([5, 6, EOS_ID], inj), ([7, EOS_ID], inj), ([BOS_ID, 4, EOS_ID], None)]
-        total, _ = m.batch_nll_and_grads(batch)
+        total, grads = m.batch_nll_and_grads(batch)
         singles = [m.nll(t, i)[0] for t, i in batch]
         assert total == pytest.approx(np.mean(singles), rel=1e-6)
+        assert_matches_loop(m, batch, (total, grads))
+
+
+def mixed_batch(rng, lengths):
+    """Examples with the given input lengths, alternating injected bodies and
+    <bos>-wrapped sequences."""
+    batch = []
+    for i, T in enumerate(lengths):
+        body = [int(w) for w in rng.integers(4, 13, size=T - 1)] + [EOS_ID]
+        if i % 2 == 0:
+            batch.append((body, rng.normal(size=16).astype(np.float32)))
+        else:
+            batch.append(([BOS_ID] + body, None))
+    return batch
+
+
+def assert_matches_loop(m, batch, got):
+    """Loss and every gradient tensor of ``got`` against the per-example loop."""
+    loss, grads = got
+    want_loss, want = batch_nll_and_grads_loop(m, batch)
+    assert loss == pytest.approx(want_loss, rel=1e-6)
+    overall = max(np.abs(g).max() for g in want.values())
+    for name in want:
+        # the key-bias gradient is zero analytically (softmax shift
+        # invariance), so only its rounding noise is left to compare
+        scale = overall if name.endswith(".bk") else np.abs(want[name]).max()
+        assert np.abs(grads[name] - want[name]).max() <= GRAD_RTOL * scale, name
+
+
+class TestBatchedLoss:
+    LENGTHS = [11, 1, 5, 9, 2, 11, 7, 3, 10, 4, 6, 8, 1, 11]
+
+    def test_matches_the_per_example_loop(self):
+        m = TransformerLM(tiny_config())
+        batch = mixed_batch(np.random.default_rng(23), self.LENGTHS)
+        assert len(_micro_batches(self.LENGTHS)) > 1
+        assert_matches_loop(m, batch, m.batch_nll_and_grads(batch))
+
+    def test_padding_values_do_not_matter(self, monkeypatch):
+        m = TransformerLM(tiny_config())
+        batch = mixed_batch(np.random.default_rng(29), self.LENGTHS)
+        loss, grads = m.batch_nll_and_grads(batch)
+        rng = np.random.default_rng(31)
+        zero_padded = model_module._pad
+
+        def garbage_padded(rows, t):
+            x = zero_padded(rows, t).reshape(len(rows), t, -1)
+            for i, r in enumerate(rows):
+                x[i, len(r):] = rng.normal(0.0, 3.0, size=x[i, len(r):].shape)
+            return x.reshape(len(rows) * t, -1)
+
+        monkeypatch.setattr(model_module, "_pad", garbage_padded)
+        loss_g, grads_g = m.batch_nll_and_grads(batch)
+        assert loss_g == loss
+        for name in grads:
+            assert grads_g[name].tobytes() == grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("count", [ROW_BUDGET // 8, ROW_BUDGET // 8 + 1])
+    def test_rows_at_the_budget(self, count):
+        # count examples of 8 input rows fill the budget exactly, or spill
+        # one example into a second micro-batch
+        lengths = [8] * count
+        assert len(_micro_batches(lengths)) == 1 + (count * 8 > ROW_BUDGET)
+        m = TransformerLM(tiny_config())
+        batch = mixed_batch(np.random.default_rng(37), lengths)
+        assert_matches_loop(m, batch, m.batch_nll_and_grads(batch))
+
+    def test_micro_batch_cuts(self):
+        per = ROW_BUDGET // 8
+        assert _micro_batches([8] * per) == [range(0, per)]
+        assert _micro_batches([8] * (per + 1)) == [range(0, per), range(per, per + 1)]
+        # a longer example raises the padded length of the whole run
+        assert _micro_batches([2] * (per - 1) + [9]) == [range(0, per - 1), range(per - 1, per)]
+        # an example over the budget runs alone
+        assert _micro_batches([2, ROW_BUDGET + 1, 2]) == [range(0, 1), range(1, 2), range(2, 3)]
+
+    def test_empty_batch_raises(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            TransformerLM(tiny_config()).batch_nll_and_grads([])
 
 
 class TestGradients:
@@ -363,5 +452,19 @@ class TestGelu:
     def test_gelu_prime_matches_fd(self):
         u = np.linspace(-4, 4, 41)
         eps = 1e-6
-        fd = (gelu(u + eps) - gelu(u - eps)) / (2 * eps)
-        np.testing.assert_allclose(gelu_prime(u), fd, atol=1e-8)
+        fd = (gelu(u + eps, erf_term(u + eps)) - gelu(u - eps, erf_term(u - eps))) / (2 * eps)
+        np.testing.assert_allclose(gelu_prime(u, erf_term(u)), fd, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_erf_term_keeps_the_bytes(self, dtype):
+        u = np.random.default_rng(41).normal(0.0, 3.0, size=4096).astype(dtype)
+        s = erf_term(u)
+        assert gelu(u, s).tobytes() == gelu_unshared(u).tobytes()
+        assert gelu_prime(u, s).tobytes() == gelu_prime_unshared(u).tobytes()
+
+    def test_forward_logits_keep_the_bytes(self, monkeypatch):
+        m = TransformerLM(tiny_config())
+        inj = np.random.default_rng(43).normal(size=16).astype(np.float32)
+        shared = m.forward([5, 6, 7, 8], inj)
+        monkeypatch.setattr(model_module, "gelu", lambda u, s: gelu_unshared(u))
+        assert shared.tobytes() == m.forward([5, 6, 7, 8], inj).tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smclm.encoders import HashedBagEncoder
-from smclm.model import ModelConfig, TransformerLM
+from smclm.model import ROW_BUDGET, ModelConfig, TransformerLM
 from smclm.tokenization import build_vocabulary
 from smclm.training import AdamW, TrainConfig, build_examples, evaluate_nll, lr_at_step, train
 
@@ -265,6 +265,14 @@ class TestEvaluateNll:
             inj = np.asarray(encoder.encode(s), dtype=np.float32)
             singles.append(model.nll(tokens, inj)[0])
         assert got == pytest.approx(np.mean(singles))
+
+    @pytest.mark.parametrize("mode", ["smclm", "clm"])
+    def test_equals_mean_of_example_nll_over_micro_batches(self, mode):
+        model, vocab, encoder = small_setup(mode)
+        examples, _ = build_examples(SENTENCES * 4, vocab, mode, encoder)
+        assert sum(len(tokens) for tokens, _ in examples) > 2 * ROW_BUDGET
+        singles = [model.nll(tokens, injection)[0] for tokens, injection in examples]
+        assert evaluate_nll(model, examples) == pytest.approx(np.mean(singles), rel=1e-6)
 
     def test_empty_raises(self):
         model, _, _ = small_setup()
