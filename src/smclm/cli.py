@@ -59,7 +59,8 @@ def _resolve_encoder(args, dim: int, meta_spec: dict | None = None):
     if args.embeddings:
         spec = {"kind": "file-backed", "path": args.embeddings}
     elif args.encoder:
-        spec = {"kind": args.encoder, "dim": args.encoder_dim or dim, "seed": args.encoder_seed}
+        encoder_dim = dim if args.encoder_dim is None else args.encoder_dim
+        spec = {"kind": args.encoder, "dim": encoder_dim, "seed": args.encoder_seed}
     elif meta_spec:
         spec = meta_spec
     else:
@@ -299,13 +300,25 @@ def cmd_calibrate_beta(args) -> dict:
     return {**result.to_dict(), "pairs": len(pairs)}
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the size flags: a bad value exits 2 naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_encoder_flags(p: argparse.ArgumentParser, with_token_dim: bool = False):
     p.add_argument("--embeddings", help="binary embedding table for the file-backed encoder")
     p.add_argument("--encoder", choices=["hashed-bag"], help="built-in encoder kind")
-    p.add_argument("--encoder-dim", type=int, dest="encoder_dim", help="encoder output dim")
+    p.add_argument("--encoder-dim", type=_positive_int, dest="encoder_dim",
+                   help="encoder output dim")
     p.add_argument("--encoder-seed", type=int, dest="encoder_seed", default=0)
     if with_token_dim:
-        p.add_argument("--token-dim", type=int, dest="token_dim", default=DEFAULT_DIM,
+        p.add_argument("--token-dim", type=_positive_int, dest="token_dim", default=DEFAULT_DIM,
                        help="dim of the hashed per-token embedder")
 
 
@@ -391,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="JSONL of {source, candidates, best}")
     p.add_argument("--copy-input", action="store_true", dest="copy_input",
                    help="score the source copied as every candidate")
-    p.add_argument("--copies", type=int, default=5, help="candidate count in copy-input mode")
+    p.add_argument("--copies", type=_positive_int, default=5,
+                   help="candidate count in copy-input mode")
     p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
     p.add_argument("--ref-reduce", choices=["mean", "max"], dest="ref_reduce",
                    default=metrics_mod.EvalConfig.ref_reduce)

@@ -12,20 +12,109 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .encoders import HashedTokenEmbedder, cosine, sentence_key
 from .jsonl import read_jsonl, string_list
-from .tokenization import normalize, words
+from .tokenization import normalize
 
 DEFAULT_BETA = 2.0
 DEFAULT_MAX_N = 3
 
+TokenEmbedder = Callable[[str], np.ndarray]
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+class _Sentence:
+    """One sentence as the metrics read it.
+
+    Its words, its 1..n-gram counts, its encoder vector and its unit-row
+    token-embedding matrix are each computed on first use and kept, so a
+    sentence scored against many others is tokenized and counted once.
+    """
+
+    def __init__(self, text: str, encoder=None, token_embedder: TokenEmbedder | None = None):
+        self.text = text
+        self.encoder = encoder
+        self.token_embedder = token_embedder
+        self._ngrams: dict[int, Counter] = {}
+
+    @cached_property
+    def words(self) -> list[str]:
+        return normalize(self.text).split()
+
+    def ngrams(self, n: int) -> Counter:
+        counts = self._ngrams.get(n)
+        if counts is None:
+            w = self.words
+            counts = self._ngrams[n] = Counter(zip(*(w[i:] for i in range(n))))
+        return counts
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        return self.encoder.encode(self.text)
+
+    @cached_property
+    def unit_tokens(self) -> np.ndarray:
+        embed = self.token_embedder or HashedTokenEmbedder()
+        e = np.stack([np.asarray(embed(t), dtype=np.float64) for t in self.words])
+        norms = np.linalg.norm(e, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise ValueError("token embedder produced a zero vector")
+        return e / norms
+
+
+def _top_two(counts: Sequence[Counter]) -> tuple[dict, dict]:
+    """Per gram, the largest and the second-largest count over ``counts``
+    (a gram found in one Counter only has no second entry)."""
+    top1: dict = {}
+    top2: dict = {}
+    for c in counts:
+        for gram, cnt in c.items():
+            t = top1.get(gram, 0)
+            if cnt > t:
+                top1[gram] = cnt
+                if t:
+                    top2[gram] = t
+            elif cnt > top2.get(gram, 0):
+                top2[gram] = cnt
+    return top1, top2
+
+
+def _bleu(
+    hyp: _Sentence, max_n: int, ref_lengths: Sequence[int], clipped: Callable[[int, Counter], int]
+) -> float:
+    """The one BLEU body: ``clipped(n, counts)`` is the clip-limited match
+    count of hyp's order-n ``counts`` against its references."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    c = len(hyp.words)
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    orders = range(1, min(max_n, c) + 1)
+    for n in orders:
+        matched = clipped(n, hyp.ngrams(n))
+        if matched == 0:
+            return 0.0
+        log_sum += math.log(matched / (c - n + 1))
+    geo = math.exp(log_sum / len(orders))
+    r = min(ref_lengths, key=lambda L: (abs(L - c), L))
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return 100.0 * bp * geo
+
+
+def _sentence_bleu(hyp: _Sentence, refs: Sequence[_Sentence], max_n: int = DEFAULT_MAX_N) -> float:
+    if not refs:
+        raise ValueError("empty reference list")
+
+    def clipped(n: int, counts: Counter) -> int:
+        ref_max = _top_two([r.ngrams(n) for r in refs])[0]
+        return sum(min(cnt, ref_max.get(gram, 0)) for gram, cnt in counts.items())
+
+    return _bleu(hyp, max_n, [len(r.words) for r in refs], clipped)
 
 
 def bleu(hypothesis: str, references: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
@@ -36,49 +125,44 @@ def bleu(hypothesis: str, references: Sequence[str], max_n: int = DEFAULT_MAX_N)
     those orders gives 0. Brevity penalty uses the closest reference length
     (ties broken toward the shorter reference). Returns 0..100.
     """
-    if not references:
-        raise ValueError("empty reference list")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    hyp = words(hypothesis)
-    refs = [words(r) for r in references]
-    c = len(hyp)
-    if c == 0:
-        return 0.0
-    log_sum = 0.0
-    orders = range(1, min(max_n, c) + 1)
-    for n in orders:
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = [_ngram_counts(r, n) for r in refs]
-        clipped = sum(
-            min(cnt, max(rc[gram] for rc in ref_counts)) for gram, cnt in hyp_counts.items()
-        )
-        total = c - n + 1
-        if clipped == 0:
-            return 0.0
-        log_sum += math.log(clipped / total)
-    geo = math.exp(log_sum / len(orders))
-    r = min((len(r) for r in refs), key=lambda L: (abs(L - c), L))
-    bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    return 100.0 * bp * geo
+    return _sentence_bleu(_Sentence(hypothesis), [_Sentence(r) for r in references], max_n)
+
+
+def _ori_bleu(source: _Sentence, candidates: Sequence[_Sentence], max_n: int) -> float:
+    if not candidates:
+        raise ValueError("no candidates")
+    return float(np.mean([_sentence_bleu(c, [source], max_n) for c in candidates]))
 
 
 def ori_bleu(source: str, candidates: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
     """Mean BLEU of each candidate against the source; high means copying."""
-    if not candidates:
-        raise ValueError("no candidates")
-    return float(np.mean([bleu(c, [source], max_n) for c in candidates]))
+    return _ori_bleu(_Sentence(source), [_Sentence(c) for c in candidates], max_n)
+
+
+def _self_bleu(candidates: Sequence[_Sentence], max_n: int) -> float:
+    # A candidate's references are all the others, so its clip count for a
+    # gram is the set's top count, or the second one where it holds the top
+    # itself; both come from one pass over the set per order.
+    if len(candidates) < 2:
+        raise ValueError("self_bleu needs at least 2 candidates")
+    tops: dict[int, tuple[dict, dict]] = {}
+
+    def clipped(n: int, counts: Counter) -> int:
+        if n not in tops:
+            tops[n] = _top_two([c.ngrams(n) for c in candidates])
+        top1, top2 = tops[n]
+        return sum(cnt if cnt < top1[gram] else top2.get(gram, 0) for gram, cnt in counts.items())
+
+    lengths = [len(c.words) for c in candidates]
+    return float(np.mean([
+        _bleu(cand, max_n, lengths[:i] + lengths[i + 1 :], clipped)
+        for i, cand in enumerate(candidates)
+    ]))
 
 
 def self_bleu(candidates: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
     """Leave-one-out BLEU among candidates; high means low diversity."""
-    if len(candidates) < 2:
-        raise ValueError("self_bleu needs at least 2 candidates")
-    scores = []
-    for i, cand in enumerate(candidates):
-        others = [c for j, c in enumerate(candidates) if j != i]
-        scores.append(bleu(cand, others, max_n))
-    return float(np.mean(scores))
+    return _self_bleu([_Sentence(c) for c in candidates], max_n)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -92,17 +176,16 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(hypothesis: str, references: Sequence[str]) -> float:
-    """LCS-based F1, maximized over references. Returns 0..100."""
+def _rouge_l(hypothesis: _Sentence, references: Sequence[_Sentence]) -> float:
     if not references:
         raise ValueError("empty reference list")
-    hyp = words(hypothesis)
+    hyp = hypothesis.words
     if not hyp:
         warnings.warn("rouge_l: hypothesis is empty after normalization")
         return 0.0
     best = 0.0
     for ref in references:
-        r = words(ref)
+        r = ref.words
         if not r:
             continue
         lcs = _lcs_length(hyp, r)
@@ -114,27 +197,16 @@ def rouge_l(hypothesis: str, references: Sequence[str]) -> float:
     return 100.0 * best
 
 
-def token_match_similarity(
-    a: str, b: str, token_embedder: Callable[[str], np.ndarray] | None = None
-) -> float:
-    """Greedy token-matching F1 under a per-token embedder. Returns 0..100.
+def rouge_l(hypothesis: str, references: Sequence[str]) -> float:
+    """LCS-based F1, maximized over references. Returns 0..100."""
+    return _rouge_l(_Sentence(hypothesis), [_Sentence(r) for r in references])
 
-    Precision is the mean over a's tokens of the max cosine against b's
-    tokens; recall is symmetric. Negative precision/recall is clamped to 0
-    before the harmonic mean so the result stays in [0, 100].
-    """
-    embed = token_embedder or HashedTokenEmbedder()
-    ta, tb = words(a), words(b)
-    if not ta or not tb:
+
+def _token_match(a: _Sentence, b: _Sentence) -> float:
+    if not a.words or not b.words:
         return 0.0
-    ea = np.stack([np.asarray(embed(t), dtype=np.float64) for t in ta])
-    eb = np.stack([np.asarray(embed(t), dtype=np.float64) for t in tb])
-    na = np.linalg.norm(ea, axis=1, keepdims=True)
-    nb = np.linalg.norm(eb, axis=1, keepdims=True)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ValueError("token embedder produced a zero vector")
-    # normalized rows can still dot to 1 + a few ulp; keep scores in range
-    sims = np.clip((ea / na) @ (eb / nb).T, -1.0, 1.0)
+    # unit rows can still dot to 1 + a few ulp; keep scores in range
+    sims = np.clip(a.unit_tokens @ b.unit_tokens.T, -1.0, 1.0)
     p = max(0.0, float(np.mean(np.max(sims, axis=1))))
     r = max(0.0, float(np.mean(np.max(sims, axis=0))))
     if p + r == 0.0:
@@ -142,9 +214,26 @@ def token_match_similarity(
     return 100.0 * 2.0 * p * r / (p + r)
 
 
+def token_match_similarity(
+    a: str, b: str, token_embedder: TokenEmbedder | None = None
+) -> float:
+    """Greedy token-matching F1 under a per-token embedder. Returns 0..100.
+
+    Precision is the mean over a's tokens of the max cosine against b's
+    tokens; recall is symmetric. Negative precision/recall is clamped to 0
+    before the harmonic mean so the result stays in [0, 100].
+    """
+    return _token_match(_Sentence(a, token_embedder=token_embedder),
+                        _Sentence(b, token_embedder=token_embedder))
+
+
+def _sentence_cosine(a: _Sentence, b: _Sentence) -> float:
+    return 100.0 * max(0.0, cosine(a.vector, b.vector))
+
+
 def sentence_cosine_similarity(a: str, b: str, encoder) -> float:
     """Encoder cosine clamped at 0, scaled to 0..100."""
-    return 100.0 * max(0.0, cosine(encoder.encode(a), encoder.encode(b)))
+    return _sentence_cosine(_Sentence(a, encoder), _Sentence(b, encoder))
 
 
 def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
@@ -166,23 +255,32 @@ def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
     return (beta + 1.0) / (beta / semantic + 1.0 / (1.0 - b_bleu))
 
 
+def _bert_ibleu(source: _Sentence, best: _Sentence, beta: float) -> float:
+    semantic = _token_match(source, best) / 100.0
+    b = _sentence_bleu(best, [source]) / 100.0
+    return 100.0 * ibleu_combine(semantic, b, beta)
+
+
 def bert_ibleu(
     source: str,
     best: str,
     beta: float = DEFAULT_BETA,
-    token_embedder: Callable[[str], np.ndarray] | None = None,
+    token_embedder: TokenEmbedder | None = None,
 ) -> float:
     """Token-matching similarity combined with (1 - BLEU(best, source)). 0..100."""
-    semantic = token_match_similarity(source, best, token_embedder) / 100.0
-    b = bleu(best, [source]) / 100.0
+    return _bert_ibleu(_Sentence(source, token_embedder=token_embedder),
+                       _Sentence(best, token_embedder=token_embedder), beta)
+
+
+def _sbert_ibleu(source: _Sentence, best: _Sentence, beta: float) -> float:
+    semantic = _sentence_cosine(source, best) / 100.0
+    b = _sentence_bleu(best, [source]) / 100.0
     return 100.0 * ibleu_combine(semantic, b, beta)
 
 
 def sbert_ibleu(source: str, best: str, encoder, beta: float = DEFAULT_BETA) -> float:
     """Sentence-cosine similarity combined with (1 - BLEU(best, source)). 0..100."""
-    semantic = sentence_cosine_similarity(source, best, encoder) / 100.0
-    b = bleu(best, [source]) / 100.0
-    return 100.0 * ibleu_combine(semantic, b, beta)
+    return _sbert_ibleu(_Sentence(source, encoder), _Sentence(best, encoder), beta)
 
 
 @dataclass(frozen=True)
@@ -224,14 +322,19 @@ def calibrate_beta_from_scores(
 def calibrate_beta(
     pairs: Sequence[tuple[str, str]],
     encoder,
-    token_embedder: Callable[[str], np.ndarray] | None = None,
+    token_embedder: TokenEmbedder | None = None,
 ) -> CalibrationResult:
     """Measure (input, reference) pairs and choose beta from the score ratios."""
     if not pairs:
         raise ValueError("no calibration pairs")
-    token_scores = [token_match_similarity(inp, ref, token_embedder) for inp, ref in pairs]
-    sentence_scores = [sentence_cosine_similarity(inp, ref, encoder) for inp, ref in pairs]
-    bleu_scores = [bleu(inp, [ref]) for inp, ref in pairs]
+    token_scores, sentence_scores, bleu_scores = [], [], []
+    for inp, ref in pairs:
+        # one record per distinct text of the pair, for all three scores
+        sentence = {t: _Sentence(t, encoder, token_embedder) for t in {inp, ref}}
+        a, b = sentence[inp], sentence[ref]
+        token_scores.append(_token_match(a, b))
+        sentence_scores.append(_sentence_cosine(a, b))
+        bleu_scores.append(_sentence_bleu(a, [b]))
     return calibrate_beta_from_scores(token_scores, sentence_scores, bleu_scores)
 
 
@@ -252,7 +355,7 @@ class EvalConfig:
     """Knobs for evaluate_corpus; encoder supplies the sentence-cosine side."""
 
     encoder: object = None
-    token_embedder: Callable[[str], np.ndarray] | None = None
+    token_embedder: TokenEmbedder | None = None
     beta: float = DEFAULT_BETA
     ref_reduce: str = "mean"  # or "max": how BERT/SBERT aggregate references
     strict: bool = True
@@ -311,7 +414,14 @@ def fluency_key(sentence: str) -> str:
 
 def load_fluency_file(path: str) -> dict[str, float]:
     """Read external per-sentence fluency scores from JSONL."""
-    return dict(read_jsonl(path, lambda rec: (rec["sentence_sha256"], float(rec["fluency"]))))
+    return dict(read_jsonl(path, _fluency_entry))
+
+
+def _fluency_entry(rec: dict) -> tuple[str, float]:
+    score = float(rec["fluency"])
+    if not math.isfinite(score):
+        raise ValueError(f"fluency must be a finite number, got {rec['fluency']!r}")
+    return rec["sentence_sha256"], score
 
 
 def _check_record(rec: dict) -> tuple[str, list[str], list[str], int | None]:
@@ -325,7 +435,10 @@ def _check_record(rec: dict) -> tuple[str, list[str], list[str], int | None]:
         raise ValueError(f"no candidates for source: {source!r}")
     candidates = string_list(rec["candidates"], "candidates")
     best = rec.get("best")
-    if best is not None and not (isinstance(best, int) and 0 <= best < len(candidates)):
+    # bool is an int subclass; a JSON true is no index
+    if best is not None and (
+        isinstance(best, bool) or not (isinstance(best, int) and 0 <= best < len(candidates))
+    ):
         raise ValueError(f"'best' index {best!r} out of range")
     return source, references, candidates, best
 
@@ -355,31 +468,32 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
                 raise ValueError(f"record {idx}: {e}") from None
             skipped += 1
             continue
+        # one record per distinct text, shared by every score of this record
+        sentence = {
+            t: _Sentence(t, cfg.encoder, cfg.token_embedder)
+            for t in {source, *references, *candidates}
+        }
+        src = sentence[source]
+        refs = [sentence[r] for r in references]
+        cands = [sentence[c] for c in candidates]
         if best_idx is None:
-            scores = [
-                0.0 if not normalize(c) else sbert_ibleu(source, c, cfg.encoder, cfg.beta)
-                for c in candidates
-            ]
+            scores = [0.0 if not c.words else _sbert_ibleu(src, c, cfg.beta) for c in cands]
             best_idx = int(np.argmax(scores))
-        best = candidates[best_idx]
+        best = cands[best_idx]
         row = {
             "source": source,
             "best": best_idx,
-            "oriBLEU": ori_bleu(source, candidates),
-            "selfBLEU": self_bleu(candidates) if len(candidates) >= 2 else None,
-            "BLEU": bleu(best, references),
-            "ROUGE-L": rouge_l(best, references),
-            "oriBERT": token_match_similarity(source, best, cfg.token_embedder),
-            "oriSBERT": sentence_cosine_similarity(source, best, cfg.encoder),
-            "BERT": float(
-                reduce_fn([token_match_similarity(best, r, cfg.token_embedder) for r in references])
-            ),
-            "SBERT": float(
-                reduce_fn([sentence_cosine_similarity(best, r, cfg.encoder) for r in references])
-            ),
-            "BERT-iBLEU": bert_ibleu(source, best, cfg.beta, cfg.token_embedder),
-            "SBERT-iBLEU": sbert_ibleu(source, best, cfg.encoder, cfg.beta),
-            "fluency": cfg.fluency.get(fluency_key(best)) if cfg.fluency else None,
+            "oriBLEU": _ori_bleu(src, cands, DEFAULT_MAX_N),
+            "selfBLEU": _self_bleu(cands, DEFAULT_MAX_N) if len(cands) >= 2 else None,
+            "BLEU": _sentence_bleu(best, refs),
+            "ROUGE-L": _rouge_l(best, refs),
+            "oriBERT": _token_match(src, best),
+            "oriSBERT": _sentence_cosine(src, best),
+            "BERT": float(reduce_fn([_token_match(best, r) for r in refs])),
+            "SBERT": float(reduce_fn([_sentence_cosine(best, r) for r in refs])),
+            "BERT-iBLEU": _bert_ibleu(src, best, cfg.beta),
+            "SBERT-iBLEU": _sbert_ibleu(src, best, cfg.beta),
+            "fluency": cfg.fluency.get(fluency_key(best.text)) if cfg.fluency else None,
         }
         rows.append(row)
     if not rows:

@@ -20,6 +20,24 @@ UNK_ID = 2
 PAD_ID = 3
 
 
+class _PunctuationTable(dict):
+    """``str.translate`` table that deletes every code point whose Unicode
+    category starts with "P" and keeps every other one.
+
+    Filled lazily: a code point is looked up in ``unicodedata`` the first time
+    it is translated, and its entry (``None`` or the code point itself) is
+    stored, so no scan of all code points runs at import.
+    """
+
+    def __missing__(self, code_point: int) -> int | None:
+        kept = None if unicodedata.category(chr(code_point)).startswith("P") else code_point
+        self[code_point] = kept
+        return kept
+
+
+_PUNCTUATION = _PunctuationTable()
+
+
 def normalize(text: str) -> str:
     """Lowercase, strip punctuation, and collapse whitespace.
 
@@ -27,9 +45,7 @@ def normalize(text: str) -> str:
     (so "What's" becomes "whats", not "what s"). Runs of whitespace collapse
     to single spaces and the result is stripped.
     """
-    lowered = text.lower()
-    kept = [ch for ch in lowered if not unicodedata.category(ch).startswith("P")]
-    return " ".join("".join(kept).split())
+    return " ".join(text.lower().translate(_PUNCTUATION).split())
 
 
 def words(text: str) -> list[str]:

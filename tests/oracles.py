@@ -3,8 +3,11 @@ and the test doubles that stand in for library parts.
 
 The metric oracles are written deliberately plainly (position scans, full DP
 tables, explicit bookkeeping) so they share no code or structure with the
-package. ``batch_nll_and_grads_loop`` is the per-example training loss
-the batched loss body replaced. ``gelu_unshared`` and ``gelu_prime_unshared``
+package. ``normalize_per_char`` is normalize as a per-character category
+scan, and ``self_bleu_loop`` is self-BLEU as a leave-one-out loop of string
+``bleu`` calls; both are the bodies their table-driven and top-two-count
+replacements must equal. ``batch_nll_and_grads_loop`` is the per-example
+training loss the batched loss body replaced. ``gelu_unshared`` and ``gelu_prime_unshared``
 are GELU and its derivative as written before they shared the erf term.
 ``Recompute`` is the reference decoder state: it gives any model
 with a ``forward`` the ``start``/``step`` calls the decoder takes, by
@@ -15,11 +18,13 @@ synthetic one-hot sentence encoder for clustered test corpora.
 from __future__ import annotations
 
 import math
+import unicodedata
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import erf
 
+from smclm.metrics import bleu
 from smclm.model import INV_SQRT_2PI, SQRT_2
 from smclm.tokenization import BOS_ID, normalize
 
@@ -81,6 +86,23 @@ def oracle_rouge_l(hyp: list[str], refs: list[list[str]]) -> float:
         recall = lcs / len(ref)
         best = max(best, 2 * precision * recall / (precision + recall))
     return best
+
+
+def normalize_per_char(text: str) -> str:
+    """Lowercase, delete each character whose category starts with "P", and
+    collapse whitespace, one unicodedata lookup per character."""
+    lowered = text.lower()
+    kept = [ch for ch in lowered if not unicodedata.category(ch).startswith("P")]
+    return " ".join("".join(kept).split())
+
+
+def self_bleu_loop(candidates: list[str], max_n: int = 3) -> float:
+    """Mean over candidates of string BLEU against all the other candidates."""
+    scores = []
+    for i, cand in enumerate(candidates):
+        others = [c for j, c in enumerate(candidates) if j != i]
+        scores.append(bleu(cand, others, max_n))
+    return float(np.mean(scores))
 
 
 def batch_nll_and_grads_loop(model, batch):

@@ -273,6 +273,58 @@ class TestEncoderDefaults:
         assert HashedTokenEmbedder().dim == DEFAULT_DIM == 64
 
 
+class TestSizeFlags:
+    """--copies, --encoder-dim and --token-dim take positive integers; any
+    other value exits 2 naming the flag, before a file is read."""
+
+    @staticmethod
+    def inputs(command, path):
+        if command == "evaluate":
+            return ["--records", str(path), "--copy-input"]
+        return ["--pairs", str(path)]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    @pytest.mark.parametrize("command,flag", [
+        ("evaluate", "--copies"), ("evaluate", "--encoder-dim"), ("evaluate", "--token-dim"),
+        ("calibrate-beta", "--encoder-dim"), ("calibrate-beta", "--token-dim"),
+    ])
+    def test_a_bad_size_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, value):
+        missing = tmp_path / "missing.jsonl"  # never opened: argparse exits first
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.inputs(command, missing), "--encoder", "hashed-bag", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "calibrate-beta"])
+    def test_given_sizes_reach_the_library(self, tmp_path, capsys, monkeypatch, command):
+        import smclm.cli as cli
+        from smclm.encoders import HashedTokenEmbedder
+
+        dims = []
+        build = cli.encoder_from_spec
+
+        def recording(spec):
+            dims.append(("encoder", spec["dim"]))
+            return build(spec)
+
+        class RecordingEmbedder(HashedTokenEmbedder):
+            def __init__(self, dim, seed=0):
+                dims.append(("token", dim))
+                super().__init__(dim, seed)
+
+        monkeypatch.setattr(cli, "encoder_from_spec", recording)
+        monkeypatch.setattr(cli, "HashedTokenEmbedder", RecordingEmbedder)
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"source": "the cat sat on the mat", "references": ["the cat sat"]}\n')
+        copies = ["--copies", "1"] if command == "evaluate" else []
+        summary = run_json(capsys, command, *self.inputs(command, path), *copies,
+                           "--encoder", "hashed-bag", "--encoder-dim", "1", "--token-dim", "3")
+        assert dims == [("encoder", 1), ("token", 3)]
+        if command == "evaluate":
+            assert summary["counts"]["selfBLEU_missing"] == 1
+
+
 class TestErrorPaths:
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):

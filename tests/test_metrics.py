@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import oracle_bleu, oracle_rouge_l
-from smclm.encoders import FileBackedEncoder, HashedBagEncoder
+from oracles import oracle_bleu, oracle_rouge_l, self_bleu_loop
+from smclm.encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
 from smclm.metrics import (
     EvalConfig,
     MetricReport,
@@ -24,6 +25,7 @@ from smclm.metrics import (
     sentence_cosine_similarity,
     token_match_similarity,
 )
+from smclm.tokenization import normalize
 
 WORDS = ["the", "cat", "sat", "on", "mat", "dog", "ran", "big", "red", "sun"]
 
@@ -91,6 +93,26 @@ class TestOriSelfBleu:
             bleu("dog ran", ["the cat", "the cat"]),
         ]
         assert self_bleu(cands) == pytest.approx(sum(per) / 3)
+
+
+    def test_top_two_counts_equal_the_leave_one_out_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            # a pool smaller than the set repeats candidates; "..." and "?!"
+            # normalize to nothing; one-word candidates have one order only
+            pool = [random_sentence(rng, 1, 8) for _ in range(int(rng.integers(1, k + 1)))]
+            pool += ["...", "?!", str(rng.choice(WORDS))]
+            cands = [pool[int(i)] for i in rng.integers(len(pool), size=k)]
+            for max_n in (1, 2, 3, 4):
+                assert self_bleu(cands, max_n) == self_bleu_loop(cands, max_n), (cands, max_n)
+
+    @pytest.mark.parametrize("cands", [
+        ["...", "!!"], ["the", "the"], ["the", "cat"], ["the the the", "the", "the the"],
+        ["the cat", "the cat", "the cat"], ["the cat sat", "...", "the cat sat"],
+    ])
+    def test_top_two_counts_on_edge_sets(self, cands):
+        assert self_bleu(cands) == self_bleu_loop(cands)
 
 
 class TestRougeL:
@@ -235,6 +257,20 @@ class TestCalibrateBeta:
         assert res.ratio_sentence == pytest.approx(1.0)
         assert res.beta == 1
 
+    @pytest.mark.parametrize("token_dim", [None, 8])
+    def test_equals_the_per_pair_string_functions(self, token_dim):
+        rng = np.random.default_rng(23)
+        pairs = [(random_sentence(rng), random_sentence(rng)) for _ in range(40)]
+        pairs += [("the cat sat", "the cat sat"), ("...", "the cat"), ("the cat", "!?")]
+        enc = HashedBagEncoder(dim=16)
+        embed = None if token_dim is None else HashedTokenEmbedder(token_dim)
+        want = calibrate_beta_from_scores(
+            [token_match_similarity(a, b, embed) for a, b in pairs],
+            [sentence_cosine_similarity(a, b, enc) for a, b in pairs],
+            [bleu(a, [b]) for a, b in pairs],
+        )
+        assert calibrate_beta(pairs, enc, embed) == want
+
     def test_zero_bleu_mean_raises(self):
         with pytest.raises(ValueError):
             calibrate_beta_from_scores([50.0], [50.0], [0.0])
@@ -249,6 +285,71 @@ def _records(sources_cands):
         {"source": s, "references": refs, "candidates": cands}
         for s, refs, cands in sources_cands
     ]
+
+
+def string_row(rec: dict, cfg: EvalConfig) -> dict:
+    """One evaluate_corpus row built from the public string functions."""
+    source, references, candidates = rec["source"], rec["references"], rec["candidates"]
+    enc, embed, beta = cfg.encoder, cfg.token_embedder, cfg.beta
+    best_idx = rec.get("best")
+    if best_idx is None:
+        scores = [0.0 if not normalize(c) else sbert_ibleu(source, c, enc, beta) for c in candidates]
+        best_idx = int(np.argmax(scores))
+    best = candidates[best_idx]
+    reduce_fn = np.mean if cfg.ref_reduce == "mean" else np.max
+    return {
+        "source": source,
+        "best": best_idx,
+        "oriBLEU": ori_bleu(source, candidates),
+        "selfBLEU": self_bleu(candidates) if len(candidates) >= 2 else None,
+        "BLEU": bleu(best, references),
+        "ROUGE-L": rouge_l(best, references),
+        "oriBERT": token_match_similarity(source, best, embed),
+        "oriSBERT": sentence_cosine_similarity(source, best, enc),
+        "BERT": float(reduce_fn([token_match_similarity(best, r, embed) for r in references])),
+        "SBERT": float(reduce_fn([sentence_cosine_similarity(best, r, enc) for r in references])),
+        "BERT-iBLEU": bert_ibleu(source, best, beta, embed),
+        "SBERT-iBLEU": sbert_ibleu(source, best, enc, beta),
+        "fluency": cfg.fluency.get(fluency_key(best)) if cfg.fluency else None,
+    }
+
+
+class TestRecordsAgainstStrings:
+    """evaluate_corpus scores each sentence once per record; its rows must
+    equal, float for float, the rows the string functions give."""
+
+    @staticmethod
+    def records(rng, count=40):
+        recs = []
+        for _ in range(count):
+            source = random_sentence(rng) if rng.uniform() > 0.05 else "..."
+            pool = [random_sentence(rng, 1, 9) for _ in range(4)] + [source, "!?"]
+            cands = [pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(1, 7)))]
+            refs = [pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(1, 4)))]
+            rec = {"source": source, "references": refs, "candidates": cands}
+            if rng.uniform() < 0.5:
+                rec["best"] = int(rng.integers(len(cands)))
+            recs.append(rec)
+        return recs
+
+    @pytest.mark.parametrize("ref_reduce", ["mean", "max"])
+    @pytest.mark.parametrize("token_dim", [None, 8])
+    def test_rows_equal_string_rows(self, ref_reduce, token_dim):
+        rng = np.random.default_rng(29)
+        recs = self.records(rng)
+        fluency = {fluency_key(c): float(i) for i, c in enumerate(WORDS)}
+        cfg = EvalConfig(
+            encoder=HashedBagEncoder(dim=16),
+            token_embedder=None if token_dim is None else HashedTokenEmbedder(token_dim),
+            ref_reduce=ref_reduce,
+            fluency=fluency,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rouge_l on a best that normalizes to nothing
+            report = evaluate_corpus(recs, cfg)
+            want = [string_row(rec, cfg) for rec in recs]
+        assert any("best" in rec for rec in recs) and any("best" not in rec for rec in recs)
+        assert report.rows == want
 
 
 class TestEvaluateCorpus:
@@ -289,6 +390,18 @@ class TestEvaluateCorpus:
         recs[0]["best"] = 0
         report = evaluate_corpus(recs, self.cfg)
         assert report.rows[0]["best"] == 0
+
+    @pytest.mark.parametrize("best", [True, False])
+    def test_boolean_best_is_not_an_index(self, best):
+        src = "the cat sat on the mat"
+        recs = _records([(src, [src], [src, "the cat sat on mat red"])])
+        recs[0]["best"] = best
+        with pytest.raises(ValueError, match=f"record 0: 'best' index {best!r} out of range"):
+            evaluate_corpus(recs, self.cfg)
+        good = _records([(src, [src], [src])])
+        report = evaluate_corpus(recs + good, EvalConfig(encoder=self.enc, strict=False))
+        assert report.counts == {"evaluated": 1, "skipped": 1, "selfBLEU_missing": 1,
+                                 "fluency_missing": 1}
 
     def test_single_candidate_self_bleu_missing(self):
         report = evaluate_corpus(
@@ -347,6 +460,17 @@ class TestEvaluateCorpus:
         report = evaluate_corpus(recs, cfg)
         assert report.rows[0]["fluency"] == 42.5
         assert report.means["fluency"] == 42.5
+
+    @pytest.mark.parametrize("value", ['"nan"', "NaN", "Infinity", "-Infinity", '"-inf"'])
+    def test_non_finite_fluency_is_a_bad_record(self, tmp_path, value):
+        path = tmp_path / "flu.jsonl"
+        path.write_text(
+            '{"sentence_sha256": "aa", "fluency": 1.5}\n'
+            f'{{"sentence_sha256": "bb", "fluency": {value}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"flu\.jsonl:2: bad record: fluency must be a finite number"):
+            load_fluency_file(str(path))
 
     def test_report_json_and_table(self):
         recs = _records([("the cat", ["a cat"], ["the cat ran", "a cat sat"])])

@@ -3,6 +3,8 @@ import unicodedata
 import numpy as np
 import pytest
 
+from oracles import normalize_per_char
+from smclm import tokenization
 from smclm.tokenization import (
     BOS_ID,
     EOS_ID,
@@ -44,6 +46,25 @@ class TestNormalize:
             assert "  " not in out
             assert out == out.lower()
             assert not any(unicodedata.category(ch).startswith("P") for ch in out)
+
+    def test_equals_the_per_character_scan_on_every_code_point(self, monkeypatch):
+        # a fresh table, so the module's own is not filled with 1.1M entries
+        table = tokenization._PunctuationTable()
+        monkeypatch.setattr(tokenization, "_PUNCTUATION", table)
+        every = "".join(map(chr, range(0x110000)))
+        assert normalize(every) == normalize_per_char(every)
+        assert set(table) == set(map(ord, every.lower()))
+
+    @pytest.mark.parametrize("text", [
+        "İstanbul'da", "ΌΣΟΣ. ΣΑΣ!", "Straẞe, «ﬁne»", "ǅ-Ǆ ǈ", "A\u2028B\u3000C\x85D", "",
+    ])
+    def test_equals_the_per_character_scan_on_multi_character_lowercasings(self, text):
+        assert normalize(text) == normalize_per_char(text)
+
+    def test_table_fills_lazily(self):
+        table = tokenization._PunctuationTable()
+        assert "Hi, you!".lower().translate(table) == "hi you"
+        assert table == {ord(ch): (None if ch in ",!" else ord(ch)) for ch in "hi, you!"}
 
     def test_words_splits_normalized(self):
         assert words("The cat, the hat.") == ["the", "cat", "the", "hat"]
