@@ -53,21 +53,19 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb))))
 
 
-def _token_hash(token: str, seed: int) -> int:
+def _signed_slot(token: str, dim: int, seed: int) -> tuple[int, float]:
+    """The slot in [0, dim) and the sign (+1 or -1) a token hashes to."""
     # blake2b keyed by the seed gives a stable 64-bit hash across runs/platforms
-    h = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=str(seed).encode("ascii")
-    ).digest()
-    return int.from_bytes(h, "little")
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=str(seed).encode("ascii"))
+    h = int.from_bytes(digest.digest(), "little")
+    return (h >> 1) % dim, 1.0 if h & 1 else -1.0
 
 
 def hashed_token_vector(token: str, dim: int, seed: int = 0) -> np.ndarray:
     """Deterministic signed one-hot unit vector for a single token."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    h = _token_hash(token, seed)
-    sign = 1.0 if h & 1 else -1.0
-    idx = (h >> 1) % dim
+    idx, sign = _signed_slot(token, dim, seed)
     v = np.zeros(dim, dtype=np.float32)
     v[idx] = sign
     return v
@@ -105,8 +103,8 @@ class HashedBagEncoder:
         toks = normalize(sentence).split() or [""]
         acc = np.zeros(self.dim, dtype=np.float64)
         for t in toks:
-            h = _token_hash(t, self.seed)
-            acc[(h >> 1) % self.dim] += 1.0 if h & 1 else -1.0
+            idx, sign = _signed_slot(t, self.dim, self.seed)
+            acc[idx] += sign
         if not acc.any():
             # signs cancelled exactly; fall back to the bag size position
             acc[len(toks) % self.dim] = 1.0

@@ -1,8 +1,9 @@
 """Paraphrase evaluation metrics: lexical, semantic, and the combined iBLEU family.
 
-Everything is computed internally on [0, 1] and reported scaled by 100.
-Lexical metrics share the normalize()/whitespace word unit from tokenization
-and never touch a model vocabulary.
+Every score is returned on 0..100; only ibleu_combine works on [0, 1], and
+the combined scores rescale into and out of it. Lexical metrics share the
+normalize()/whitespace word unit from tokenization and never touch a model
+vocabulary.
 """
 
 from __future__ import annotations
@@ -128,15 +129,17 @@ def bleu(hypothesis: str, references: Sequence[str], max_n: int = DEFAULT_MAX_N)
     return _sentence_bleu(_Sentence(hypothesis), [_Sentence(r) for r in references], max_n)
 
 
-def _ori_bleu(source: _Sentence, candidates: Sequence[_Sentence], max_n: int) -> float:
-    if not candidates:
-        raise ValueError("no candidates")
-    return float(np.mean([_sentence_bleu(c, [source], max_n) for c in candidates]))
+def _source_bleus(source: _Sentence, candidates: Sequence[_Sentence], max_n: int) -> list[float]:
+    """BLEU of each candidate against the source alone."""
+    return [_sentence_bleu(c, [source], max_n) for c in candidates]
 
 
 def ori_bleu(source: str, candidates: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
     """Mean BLEU of each candidate against the source; high means copying."""
-    return _ori_bleu(_Sentence(source), [_Sentence(c) for c in candidates], max_n)
+    if not candidates:
+        raise ValueError("no candidates")
+    cands = [_Sentence(c) for c in candidates]
+    return float(np.mean(_source_bleus(_Sentence(source), cands, max_n)))
 
 
 def _self_bleu(candidates: Sequence[_Sentence], max_n: int) -> float:
@@ -255,10 +258,9 @@ def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
     return (beta + 1.0) / (beta / semantic + 1.0 / (1.0 - b_bleu))
 
 
-def _bert_ibleu(source: _Sentence, best: _Sentence, beta: float) -> float:
-    semantic = _token_match(source, best) / 100.0
-    b = _sentence_bleu(best, [source]) / 100.0
-    return 100.0 * ibleu_combine(semantic, b, beta)
+def _ibleu(semantic: float, source_bleu: float, beta: float) -> float:
+    """ibleu_combine on the 0..100 scale of the semantic score and BLEU(best, source)."""
+    return 100.0 * ibleu_combine(semantic / 100.0, source_bleu / 100.0, beta)
 
 
 def bert_ibleu(
@@ -268,19 +270,15 @@ def bert_ibleu(
     token_embedder: TokenEmbedder | None = None,
 ) -> float:
     """Token-matching similarity combined with (1 - BLEU(best, source)). 0..100."""
-    return _bert_ibleu(_Sentence(source, token_embedder=token_embedder),
-                       _Sentence(best, token_embedder=token_embedder), beta)
-
-
-def _sbert_ibleu(source: _Sentence, best: _Sentence, beta: float) -> float:
-    semantic = _sentence_cosine(source, best) / 100.0
-    b = _sentence_bleu(best, [source]) / 100.0
-    return 100.0 * ibleu_combine(semantic, b, beta)
+    src = _Sentence(source, token_embedder=token_embedder)
+    hyp = _Sentence(best, token_embedder=token_embedder)
+    return _ibleu(_token_match(src, hyp), _sentence_bleu(hyp, [src]), beta)
 
 
 def sbert_ibleu(source: str, best: str, encoder, beta: float = DEFAULT_BETA) -> float:
     """Sentence-cosine similarity combined with (1 - BLEU(best, source)). 0..100."""
-    return _sbert_ibleu(_Sentence(source, encoder), _Sentence(best, encoder), beta)
+    src, hyp = _Sentence(source, encoder), _Sentence(best, encoder)
+    return _ibleu(_sentence_cosine(src, hyp), _sentence_bleu(hyp, [src]), beta)
 
 
 @dataclass(frozen=True)
@@ -476,23 +474,29 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
         src = sentence[source]
         refs = [sentence[r] for r in references]
         cands = [sentence[c] for c in candidates]
+        # BLEU(candidate, source) once per candidate: oriBLEU, selection, combined
+        src_bleu = _source_bleus(src, cands, DEFAULT_MAX_N)
         if best_idx is None:
-            scores = [0.0 if not c.words else _sbert_ibleu(src, c, cfg.beta) for c in cands]
+            scores = [
+                0.0 if not c.words else _ibleu(_sentence_cosine(src, c), b, cfg.beta)
+                for c, b in zip(cands, src_bleu)
+            ]
             best_idx = int(np.argmax(scores))
         best = cands[best_idx]
+        ori_bert, ori_sbert = _token_match(src, best), _sentence_cosine(src, best)
         row = {
             "source": source,
             "best": best_idx,
-            "oriBLEU": _ori_bleu(src, cands, DEFAULT_MAX_N),
+            "oriBLEU": float(np.mean(src_bleu)),
             "selfBLEU": _self_bleu(cands, DEFAULT_MAX_N) if len(cands) >= 2 else None,
             "BLEU": _sentence_bleu(best, refs),
             "ROUGE-L": _rouge_l(best, refs),
-            "oriBERT": _token_match(src, best),
-            "oriSBERT": _sentence_cosine(src, best),
+            "oriBERT": ori_bert,
+            "oriSBERT": ori_sbert,
             "BERT": float(reduce_fn([_token_match(best, r) for r in refs])),
             "SBERT": float(reduce_fn([_sentence_cosine(best, r) for r in refs])),
-            "BERT-iBLEU": _bert_ibleu(src, best, cfg.beta),
-            "SBERT-iBLEU": _sbert_ibleu(src, best, cfg.beta),
+            "BERT-iBLEU": _ibleu(ori_bert, src_bleu[best_idx], cfg.beta),
+            "SBERT-iBLEU": _ibleu(ori_sbert, src_bleu[best_idx], cfg.beta),
             "fluency": cfg.fluency.get(fluency_key(best.text)) if cfg.fluency else None,
         }
         rows.append(row)

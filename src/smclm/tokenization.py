@@ -74,15 +74,9 @@ class Vocabulary:
     def token_id(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
-    def tokenize(self, text: str, add_markers: bool = False) -> list[int]:
-        """Map text to token ids; unknown words map to the <unk> id.
-
-        With ``add_markers`` the sequence is wrapped as <bos> ... <eos>.
-        """
-        ids = [self.token_id(w) for w in words(text)]
-        if add_markers:
-            return [BOS_ID] + ids + [EOS_ID]
-        return ids
+    def tokenize(self, text: str) -> list[int]:
+        """Map text to token ids; unknown words map to the <unk> id."""
+        return [self.token_id(w) for w in words(text)]
 
     def detokenize(self, ids: Iterable[int]) -> str:
         """Inverse of tokenize up to normalization; marker tokens are dropped."""
@@ -100,7 +94,8 @@ def build_vocabulary(corpus: Iterable[str], min_freq: int = 1) -> Vocabulary:
     """Count normalized words over ``corpus`` and keep those with freq >= min_freq.
 
     Ids are assigned by descending frequency, ties broken lexicographically,
-    starting after the four special tokens.
+    starting after the four special tokens. A corpus word spelled like a
+    special token (normalize keeps "<" and ">") is that token, not a new word.
     """
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
@@ -112,7 +107,7 @@ def build_vocabulary(corpus: Iterable[str], min_freq: int = 1) -> Vocabulary:
     if not seen_any:
         raise ValueError("empty corpus")
     kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
+        (t for t, c in counts.items() if c >= min_freq and t not in SPECIAL_TOKENS),
         key=lambda t: (-counts[t], t),
     )
     if not kept:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_bleu, oracle_rouge_l, self_bleu_loop
+from smclm import metrics
 from smclm.encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
 from smclm.metrics import (
     EvalConfig,
@@ -383,6 +384,21 @@ class TestEvaluateCorpus:
         row = evaluate_corpus(recs, self.cfg).rows[0]
         assert row["best"] == 0
         assert row["SBERT-iBLEU"] == pytest.approx(sbert_ibleu("he cat", "the cat", self.enc))
+
+    def test_each_candidate_bleu_against_source_computed_once(self, monkeypatch):
+        calls = []
+        real = metrics._sentence_bleu
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_sentence_bleu", counted)
+        src = "the cat sat on the mat"
+        cands = [src, "the cat sat on mat red", "a cat is on a mat", "..."]
+        evaluate_corpus(_records([(src, ["a cat sat on the mat"], cands)]), self.cfg)
+        # once per candidate against the source, once for the best against the references
+        assert len(calls) == len(cands) + 1
 
     def test_explicit_best_respected(self):
         src = "the cat sat on the mat"

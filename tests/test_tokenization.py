@@ -100,16 +100,22 @@ class TestVocabulary:
 
     def test_markers_wrap_sequence(self):
         v = build_vocabulary(["a b"])
-        ids = v.tokenize("a b", add_markers=True)
-        assert ids[0] == BOS_ID and ids[-1] == EOS_ID
+        ids = [BOS_ID] + v.tokenize("a b") + [EOS_ID]
+        assert v.detokenize(ids) == "a b"
         assert len(ids) == 4
 
     def test_round_trip_equals_normalized_form(self):
         corpus = ["The cat sat on the mat!", "What's your New Year 2017 resolution?"]
         v = build_vocabulary(corpus)
         for s in corpus:
-            assert v.detokenize(v.tokenize(s, add_markers=True)) == normalize(s)
+            assert v.detokenize([BOS_ID] + v.tokenize(s) + [EOS_ID]) == normalize(s)
             assert v.detokenize(v.tokenize(s)) == normalize(s)
+
+    def test_special_token_words_in_corpus_are_not_counted(self):
+        v = build_vocabulary(["the <unk> token is here", "a b <bos> <eos> <pad>"])
+        assert v.tokens[:4] == SPECIAL_TOKENS
+        assert not set(v.tokens[4:]) & set(SPECIAL_TOKENS)
+        assert v.tokenize("<unk> token") == [UNK_ID, v.token_id("token")]
 
     def test_detokenize_out_of_range_raises(self):
         v = build_vocabulary(["a"])
