@@ -53,19 +53,27 @@ def _write_lines(lines: list[str], path: str) -> None:
                 f.write(line + "\n")
 
 
-def _resolve_encoder(args, dim: int, meta_spec: dict | None = None):
+def _resolve_encoder(args, embed_dim: int | None = None, meta_spec: dict | None = None):
     """Encoder precedence: --embeddings file, then --encoder kind, then the
-    spec stored in a checkpoint."""
+    spec stored in a checkpoint.
+
+    Given a model's embed_dim (train, generate), --encoder defaults to it and
+    the encoder, however chosen, must produce it; otherwise --encoder
+    defaults to DEFAULT_DIM.
+    """
     if args.embeddings:
         spec = {"kind": "file-backed", "path": args.embeddings}
     elif args.encoder:
-        encoder_dim = dim if args.encoder_dim is None else args.encoder_dim
+        encoder_dim = args.encoder_dim or embed_dim or DEFAULT_DIM
         spec = {"kind": args.encoder, "dim": encoder_dim, "seed": args.encoder_seed}
     elif meta_spec:
         spec = meta_spec
     else:
         raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")
-    return encoder_from_spec(spec)
+    encoder = encoder_from_spec(spec)
+    if embed_dim is not None and encoder.dim != embed_dim:
+        raise ValueError(f"encoder dim {encoder.dim} must match embed_dim {embed_dim}")
+    return encoder
 
 
 def cmd_build_corpus(args) -> dict:
@@ -137,7 +145,7 @@ def cmd_build_vocab(args) -> dict:
 
 MODEL_FLAGS = ("embed_dim", "layer_count", "head_count", "ff_dim", "max_positions", "init_std")
 TRAIN_FLAGS = (
-    "learning_rate", "batch_size", "weight_decay", "epochs", "warmup_steps", "seed",
+    "mode", "learning_rate", "batch_size", "weight_decay", "epochs", "warmup_steps", "seed",
 )
 
 
@@ -165,7 +173,6 @@ def cmd_train(args) -> dict:
         value = getattr(args, flag)
         if value is not None:
             train_kw[flag] = value
-    train_kw["mode"] = args.mode
     if args.model_seed is not None:
         model_kw["seed"] = args.model_seed
     train_cfg = TrainConfig(**train_kw)
@@ -173,13 +180,7 @@ def cmd_train(args) -> dict:
     corpus = _read_lines(args.corpus)
     valid = _read_lines(args.valid) if args.valid else None
     model_cfg = ModelConfig(vocab_size=len(vocab), **model_kw)
-    encoder = None
-    if args.mode == "smclm":
-        encoder = _resolve_encoder(args, model_cfg.embed_dim)
-        if encoder.dim != model_cfg.embed_dim:
-            raise ValueError(
-                f"encoder dim {encoder.dim} must match embed_dim {model_cfg.embed_dim}"
-            )
+    encoder = _resolve_encoder(args, model_cfg.embed_dim) if train_cfg.mode == "smclm" else None
     model = TransformerLM(model_cfg)
     report = train(model, vocab, corpus, train_cfg, encoder=encoder,
                    valid_corpus=valid, log_path=args.log)
@@ -191,7 +192,7 @@ def cmd_train(args) -> dict:
             vocab_path=args.vocab,
             extra={"train": train_cfg.to_dict()},
         )
-    return {"checkpoint": args.out, "mode": args.mode, **report.to_dict()}
+    return {"checkpoint": args.out, "mode": train_cfg.mode, **report.to_dict()}
 
 
 def cmd_generate(args) -> dict:
@@ -215,7 +216,7 @@ def cmd_generate(args) -> dict:
         max_length=min(args.max_length, model.config.max_positions),
         length_alpha=args.alpha,
     )
-    cfg = PipelineConfig(beam=beam, beta=args.beta, skip_errors=args.skip_errors)
+    cfg = PipelineConfig(beam=beam, beta=args.beta)
     results = paraphrase_batch(model, vocab, encoder, sources, cfg)
     with atomic_path(args.out) as tmp:
         write_candidates_jsonl(results, tmp)
@@ -260,7 +261,7 @@ def cmd_evaluate(args) -> dict:
         else:
             cand = by_source.get(_source(r), {})
             joined.append({**r, "candidates": cand.get("candidates"), "best": cand.get("best")})
-    encoder = _resolve_encoder(args, DEFAULT_DIM)
+    encoder = _resolve_encoder(args)
     cfg = metrics_mod.EvalConfig(
         encoder=encoder,
         token_embedder=HashedTokenEmbedder(args.token_dim),
@@ -295,7 +296,7 @@ def _calibration_pairs(rec: dict) -> list[tuple[str, str]]:
 
 def cmd_calibrate_beta(args) -> dict:
     pairs = [p for rec_pairs in read_jsonl(args.pairs, _calibration_pairs) for p in rec_pairs]
-    encoder = _resolve_encoder(args, DEFAULT_DIM)
+    encoder = _resolve_encoder(args)
     result = metrics_mod.calibrate_beta(pairs, encoder, HashedTokenEmbedder(args.token_dim))
     return {**result.to_dict(), "pairs": len(pairs)}
 
@@ -354,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a conditioned or plain causal LM")
-    p.add_argument("--mode", choices=["smclm", "clm"], default="smclm")
+    p.add_argument("--mode", choices=["smclm", "clm"],
+                   help="default: the config file's train.mode, else smclm")
     p.add_argument("--corpus", help="training sentences, one per line")
     p.add_argument("--valid", help="validation sentences, one per line")
     p.add_argument("--vocab", help="vocabulary file")
@@ -395,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "model's max_positions")
     p.add_argument("--alpha", type=float, default=BeamSearchConfig.length_alpha)
     p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
-    p.add_argument("--skip-errors", action="store_true", dest="skip_errors")
     _add_encoder_flags(p)
     p.set_defaults(fn=cmd_generate)
 

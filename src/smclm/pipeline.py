@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, field
 
 from .decoding import BeamSearchConfig, diverse_beam_search
 from .jsonl import write_jsonl
 from .metrics import DEFAULT_BETA, sbert_ibleu
 from .tokenization import Vocabulary, normalize
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -31,9 +28,10 @@ class CandidateSet:
 
 @dataclass
 class PipelineConfig:
+    """Decoding settings and the SBERT-iBLEU beta that selects the best candidate."""
+
     beam: BeamSearchConfig = field(default_factory=BeamSearchConfig)
     beta: float = DEFAULT_BETA
-    skip_errors: bool = False  # batch mode: skip-and-log instead of fail-fast
 
 
 def paraphrase(model, vocab: Vocabulary, encoder, source: str, cfg: PipelineConfig) -> CandidateSet:
@@ -59,20 +57,8 @@ def paraphrase(model, vocab: Vocabulary, encoder, source: str, cfg: PipelineConf
 def paraphrase_batch(
     model, vocab: Vocabulary, encoder, sources: list[str], cfg: PipelineConfig
 ) -> list[CandidateSet]:
-    """paraphrase() over many sources, order-preserving.
-
-    Failures raise unless cfg.skip_errors, in which case the failing source is
-    logged and dropped.
-    """
-    results = []
-    for idx, source in enumerate(sources):
-        try:
-            results.append(paraphrase(model, vocab, encoder, source, cfg))
-        except Exception as e:  # noqa: BLE001 - per-source isolation in batch mode
-            if not cfg.skip_errors:
-                raise
-            logger.warning("skipping source %d (%r): %s", idx, source, e)
-    return results
+    """paraphrase() over many sources, in order; the first failure raises."""
+    return [paraphrase(model, vocab, encoder, source, cfg) for source in sources]
 
 
 def write_candidates_jsonl(sets: list[CandidateSet], path: str) -> None:

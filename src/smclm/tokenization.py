@@ -67,6 +67,8 @@ class Vocabulary:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate token in vocabulary")
         object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.tokens)})
+        # what tokenize maps: words only, so a text word spelled like a marker is <unk>
+        object.__setattr__(self, "_word_ids", dict(zip(self.tokens[4:], range(4, len(self)))))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -75,8 +77,10 @@ class Vocabulary:
         return self._ids.get(token, UNK_ID)
 
     def tokenize(self, text: str) -> list[int]:
-        """Map text to token ids; unknown words map to the <unk> id."""
-        return [self.token_id(w) for w in words(text)]
+        """Map text to token ids; unknown words, and words spelled like a
+        marker token ("<eos>"), map to the <unk> id."""
+        word_id = self._word_ids.get
+        return [word_id(w, UNK_ID) for w in words(text)]
 
     def detokenize(self, ids: Iterable[int]) -> str:
         """Inverse of tokenize up to normalization; marker tokens are dropped."""
@@ -95,7 +99,8 @@ def build_vocabulary(corpus: Iterable[str], min_freq: int = 1) -> Vocabulary:
 
     Ids are assigned by descending frequency, ties broken lexicographically,
     starting after the four special tokens. A corpus word spelled like a
-    special token (normalize keeps "<" and ">") is that token, not a new word.
+    special token (normalize keeps "<" and ">") is not counted, and tokenize
+    maps it to <unk>.
     """
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")

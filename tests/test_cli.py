@@ -237,6 +237,32 @@ class TestWalkthrough:
         assert leftovers == []
 
 
+class TestTrainConfigFile:
+    def test_config_mode_applies_without_the_flag(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(["<bos>", "<eos>", "<unk>", "<pad>", "word"]) + "\n")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("word word word\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "model": {"embed_dim": 8, "layer_count": 1, "head_count": 2, "ff_dim": 12,
+                      "max_positions": 8},
+            "train": {"mode": "clm", "epochs": 1, "warmup_steps": 1},
+        }))
+        out = tmp_path / "m.smck"
+        base = ["train", "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(out),
+                "--config", str(config)]
+        summary = run_json(capsys, *base)
+        assert summary["mode"] == "clm"
+        _, meta = load_checkpoint(str(out))
+        assert meta["encoder"] is None
+        assert meta["extra"]["train"]["mode"] == "clm"
+        # the flag still wins over the file
+        rc, _, err = run(capsys, *base, "--mode", "smclm")
+        assert rc == 1
+        assert "no embedding source" in json.loads(err)["error"]
+
+
 class TestTrainShowDefaults:
     def test_prints_hyperparameters(self, capsys):
         summary = run_json(capsys, "train", "--show-defaults")
@@ -625,6 +651,23 @@ class TestErrorPaths:
         )
         assert rc == 1
         assert "must match embed_dim" in json.loads(err)["error"]
+
+    def test_encoder_dim_mismatch_at_generate_fails_before_decoding(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import smclm.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "paraphrase_batch", lambda *a: calls.append(a) or [])
+        ckpt, src = write_tiny_checkpoint(tmp_path)  # an 8-dim model
+        rc, _, err = run(
+            capsys, "generate", "--checkpoint", ckpt, "--input", src,
+            "--out", f"{tmp_path}/out.jsonl", "--encoder", "hashed-bag", "--encoder-dim", "16",
+        )
+        assert rc == 1
+        assert "encoder dim 16 must match embed_dim 8" in json.loads(err)["error"]
+        assert calls == []
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_empty_validation_file_fails_before_training(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"

@@ -1,6 +1,6 @@
 """Every top-level import in the library modules is used somewhere in its
-module, and every private top-level function or class is referenced in the
-package."""
+module, every private top-level function or class is referenced in the
+package, and only the CLI's error funnel catches every exception."""
 
 import ast
 from pathlib import Path
@@ -49,6 +49,25 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def broad_handlers(source: str) -> list[str]:
+    """The enclosing function (or <module>) of each except clause that
+    catches Exception, BaseException or, bare, everything."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(c is None or getattr(c, "id", None) in ("Exception", "BaseException")
+                       for c in caught):
+                    found.append(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
 
@@ -62,6 +81,16 @@ def test_detects_an_unreferenced_private_definition():
     assert unreferenced_private_definitions(sources) == ["a._orphan", "a._Gone"]
 
 
+def test_detects_a_broad_handler():
+    source = (
+        "try: pass\nexcept: pass\n"
+        "def f():\n    try: pass\n    except (KeyError, Exception): pass\n"
+        "    def g():\n        try: pass\n        except BaseException: pass\n"
+        "def h():\n    try: pass\n    except ValueError: pass\n"
+    )
+    assert broad_handlers(source) == ["<module>", "f", "g"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -70,3 +99,13 @@ def test_no_unused_top_level_import(path):
 def test_every_private_definition_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def test_only_the_cli_error_funnel_catches_everything():
+    # a catch-all elsewhere turns a failed run into a partial one
+    found = [
+        f"{p.stem}.{where}"
+        for p in sorted(SRC.glob("*.py"))
+        for where in broad_handlers(p.read_text(encoding="utf-8"))
+    ]
+    assert found == ["cli.main"]

@@ -5,7 +5,8 @@ from oracles import Recompute
 from smclm.decoding import BeamSearchConfig
 from smclm.encoders import HashedBagEncoder
 from smclm.jsonl import read_jsonl
-from smclm.metrics import sbert_ibleu
+from smclm.metrics import EvalConfig, evaluate_corpus, sbert_ibleu
+from smclm.model import ModelConfig, TransformerLM
 from smclm.pipeline import (
     CandidateSet,
     PipelineConfig,
@@ -96,6 +97,33 @@ class TestParaphrase:
         assert out.best == 0
 
 
+class TestSelectionMatchesEvaluate:
+    def test_same_best_and_score_as_evaluate_corpus(self):
+        # the pipeline and evaluate_corpus each hold a copy of the selection
+        # rule; evaluating a record without "best" must pick what paraphrase did
+        words = "the a cat dog sat ran on under mat rug big small red old".split()
+        vocab = Vocabulary(["<bos>", "<eos>", "<unk>", "<pad>", *words])
+        model = TransformerLM(
+            ModelConfig(vocab_size=len(vocab), embed_dim=16, layer_count=1, head_count=2,
+                        ff_dim=24, max_positions=10, seed=5)
+        )
+        encoder = HashedBagEncoder(dim=16)
+        beam = BeamSearchConfig(beam_count=6, group_count=3, no_repeat_ngram=2, max_length=8)
+        cfg = PipelineConfig(beam=beam, beta=3.0)
+        sources = ["the cat sat on the mat", "a dog ran under the rug", "the big red cat",
+                   "a small old dog sat", "the mat"]
+        sets = paraphrase_batch(model, vocab, encoder, sources, cfg)
+        records = [
+            {"source": cs.source, "references": [cs.source], "candidates": cs.candidates}
+            for cs in sets
+        ]
+        report = evaluate_corpus(records, EvalConfig(encoder=encoder, beta=cfg.beta))
+        assert [row["best"] for row in report.rows] == [cs.best for cs in sets]
+        assert [row["SBERT-iBLEU"] for row in report.rows] == [cs.scores[cs.best] for cs in sets]
+        # the rule is exercised: the candidates of a source do not all tie
+        assert all(len(set(cs.scores)) > 1 for cs in sets)
+
+
 class TestParaphraseBatch:
     def test_order_preserved(self):
         model, vocab, encoder, cfg = scripted_setup()
@@ -114,23 +142,6 @@ class TestParaphraseBatch:
 
         with pytest.raises(RuntimeError, match="boom"):
             paraphrase_batch(model, vocab, Boom(dim=16), ["the cat sat", "the dog"], cfg)
-
-    def test_skip_errors_drops_and_logs(self, caplog):
-        model, vocab, encoder, cfg = scripted_setup()
-        cfg.skip_errors = True
-
-        class Boom(HashedBagEncoder):
-            def encode(self, sentence):
-                if "dog" in sentence:
-                    raise RuntimeError("boom")
-                return super().encode(sentence)
-
-        with caplog.at_level("WARNING", logger="smclm.pipeline"):
-            outs = paraphrase_batch(
-                model, vocab, Boom(dim=16), ["the cat sat", "the dog", "the cat sat"], cfg
-            )
-        assert [o.source for o in outs] == ["the cat sat", "the cat sat"]
-        assert any("skipping source 1" in r.getMessage() for r in caplog.records)
 
 
 class TestCandidateFiles:

@@ -116,6 +116,11 @@ class TestVocabulary:
         assert v.tokens[:4] == SPECIAL_TOKENS
         assert not set(v.tokens[4:]) & set(SPECIAL_TOKENS)
         assert v.tokenize("<unk> token") == [UNK_ID, v.token_id("token")]
+        # nor are they markers: training and decoding never see one mid-sentence
+        assert v.tokenize("a <eos> b <pad> <bos>") == [
+            v.token_id("a"), UNK_ID, v.token_id("b"), UNK_ID, UNK_ID
+        ]
+        assert v.detokenize(v.tokenize("a <eos> b")) == "a <unk> b"
 
     def test_detokenize_out_of_range_raises(self):
         v = build_vocabulary(["a"])
