@@ -2,7 +2,7 @@
 
 build_corpus draws one sentence per admitted document from nested
 domain/source pools, rejecting short or non-English-looking documents and
-64-bit-hash duplicates. Groups of mutual paraphrases are split whole, so no
+repeated sentences. Groups of mutual paraphrases are split whole, so no
 sentence can straddle train/valid/test.
 """
 
@@ -87,9 +87,10 @@ def build_corpus(
 
     Each loop picks a domain, a source within it, and an unconsumed document
     within that, all uniformly from the seeded generator; any rejection
-    (short document, language filter, sentence-less document, duplicate
-    sentence) consumes the document and re-enters the domain choice. The
-    manifest carries per-domain admit/reject counts and a shortfall flag.
+    (short document, language filter, sentence-less document, an exact
+    repeat of an admitted sentence) consumes the document and re-enters the
+    domain choice. The manifest carries per-domain admit/reject counts and a
+    shortfall flag.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
@@ -104,7 +105,7 @@ def build_corpus(
         for d in domains
     }
     rng = np.random.default_rng(seed)
-    seen: set[int] = set()
+    seen: set[str] = set()
     admitted: list[str] = []
     names = [d for d in domains if domains[d]]
     while len(admitted) < target_count and names:
@@ -128,11 +129,10 @@ def build_corpus(
             rejected["empty"] += 1
             continue
         sentence = sentences[int(rng.integers(len(sentences)))].strip()
-        h = fnv1a64(sentence.encode("utf-8"))
-        if h in seen:
+        if sentence in seen:
             rejected["duplicate"] += 1
             continue
-        seen.add(h)
+        seen.add(sentence)
         admitted.append(sentence)
         stats[domain]["admitted"] += 1
     manifest = {
@@ -158,7 +158,7 @@ class ParaphraseGroup:
             raise ValueError(f"group {self.id!r} has no sentences")
 
 
-DEFAULT_SPLIT_NAMES = ("train", "valid", "test")
+SPLIT_NAMES = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.05, 0.15)
 
 
@@ -166,17 +166,16 @@ def split_groups(
     groups: Sequence[ParaphraseGroup],
     ratios: Sequence[float] = DEFAULT_RATIOS,
     seed: int = 0,
-    names: Sequence[str] = DEFAULT_SPLIT_NAMES,
 ) -> dict[str, list[ParaphraseGroup]]:
-    """Partition whole groups by largest-remainder apportionment of ratios.
+    """Partition whole groups into train/valid/test by largest-remainder apportionment.
 
     Group order is shuffled from the seed, then contiguous slices of the
     shuffled order fill each split, so splits are disjoint and their union is
     the input. Sizes are exact when n * ratio is integral. A sentence (exact
     string) in two groups raises ValueError, since it could land in two splits.
     """
-    if len(ratios) != len(names) or len(ratios) < 2:
-        raise ValueError("need matching names for >= 2 ratios")
+    if len(ratios) != len(SPLIT_NAMES):
+        raise ValueError(f"need 3 ratios ({','.join(SPLIT_NAMES)}), got {len(ratios)}")
     if any(r <= 0 for r in ratios):
         raise ValueError("ratios must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -198,7 +197,7 @@ def split_groups(
     order = rng.permutation(n)
     out: dict[str, list[ParaphraseGroup]] = {}
     at = 0
-    for name, size in zip(names, sizes):
+    for name, size in zip(SPLIT_NAMES, sizes):
         out[name] = [groups[i] for i in order[at : at + size]]
         at += size
     return out

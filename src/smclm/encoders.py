@@ -119,31 +119,18 @@ class FileBackedEncoder:
 
     kind = "file-backed"
 
-    def __init__(self, table: Mapping[bytes, np.ndarray], dim: int, path: str | None = None):
-        self.dim = dim
-        self.path = path
+    def __init__(self, table: Mapping[bytes, np.ndarray], path: str | None = None):
         self._table = {k: unit(v) for k, v in table.items()}
+        self.dim = _dim(self._table.values())
+        self.path = path
 
     @classmethod
     def from_sentences(cls, pairs: Mapping[str, np.ndarray] | list[tuple[str, np.ndarray]]):
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        table = {}
-        dim = None
-        for sentence, vec in items:
-            v = np.asarray(vec, dtype=np.float32)
-            if dim is None:
-                dim = v.shape[0]
-            elif v.shape[0] != dim:
-                raise ValueError("inconsistent embedding dimensions")
-            table[sentence_key(sentence)] = v
-        if dim is None:
-            raise ValueError("empty embedding table")
-        return cls(table, dim)
+        return cls(_sentence_table(pairs))
 
     @classmethod
     def load(cls, path: str) -> "FileBackedEncoder":
-        table, dim = read_embedding_file(path)
-        return cls(table, dim, path=path)
+        return cls(read_embedding_file(path)[0], path=path)
 
     def encode(self, sentence: str) -> np.ndarray:
         key = sentence_key(sentence)
@@ -156,32 +143,49 @@ class FileBackedEncoder:
         return {"kind": self.kind, "dim": self.dim, "path": self.path}
 
 
+def _dim(vectors) -> int:
+    """The one length of ``vectors``; none, or mixed lengths, are rejected."""
+    dims = {len(v) for v in vectors}
+    if len(dims) != 1:
+        raise ValueError("inconsistent embedding dimensions" if dims else "empty embedding table")
+    return dims.pop()
+
+
+def _sentence_table(entries) -> dict[bytes, np.ndarray]:
+    """The unit vector of each sentence, keyed by ``sentence_key``.
+
+    Two sentences with one normalized form would share a key, and the later
+    vector would silently replace the earlier, so they are rejected.
+    """
+    items = entries.items() if isinstance(entries, Mapping) else entries
+    table, sentences = {}, {}
+    for sentence, vec in items:
+        key = sentence_key(sentence)
+        if key in sentences:
+            raise ValueError(f"sentences {sentences[key]!r} and {sentence!r} share one normalized form")
+        sentences[key] = sentence
+        table[key] = unit(vec)
+    return table
+
+
 def write_embedding_file(path: str, entries: Mapping[str, np.ndarray] | list[tuple[str, np.ndarray]]) -> int:
     """Write sentence embeddings in the binary table format; returns entry count.
 
     Layout, all little-endian: magic "SMEM", u32 version, u32 count, u32 dim,
     then per entry a 32-byte sha256 of the normalized sentence followed by
-    dim float32 values. Vectors are unit-normalized before writing.
+    dim float32 values. Vectors are unit-normalized before writing. No
+    entries, mixed dimensions, or two sentences sharing a normalized form
+    (and so a key) raise before the file is opened.
     """
-    items = entries.items() if isinstance(entries, Mapping) else entries
-    rows = []
-    dim = None
-    for sentence, vec in items:
-        v = unit(vec)
-        if dim is None:
-            dim = v.shape[0]
-        elif v.shape[0] != dim:
-            raise ValueError("inconsistent embedding dimensions")
-        rows.append((sentence_key(sentence), v))
-    if dim is None:
-        raise ValueError("no entries to write")
+    table = _sentence_table(entries)
+    dim = _dim(table.values())
     with open(path, "wb") as f:
         f.write(EMBED_MAGIC)
-        f.write(struct.pack("<III", EMBED_VERSION, len(rows), dim))
-        for key, v in rows:
+        f.write(struct.pack("<III", EMBED_VERSION, len(table), dim))
+        for key, v in table.items():
             f.write(key)
             f.write(v.astype("<f4").tobytes())
-    return len(rows)
+    return len(table)
 
 
 def read_embedding_file(path: str) -> tuple[dict[bytes, np.ndarray], int]:

@@ -239,9 +239,10 @@ class TransformerLM:
         ``parents[i]``. Each new position attends to the cached ones and
         causally to the new ones.
 
-        While decoding (``past`` given), a single row or query runs twice and
-        the copy is dropped: numpy sends a one-row matmul to gemv, which
-        rounds differently from the gemm rows of a full forward.
+        A lone row (n * t == 1) runs twice and the copy is dropped: numpy
+        sends a one-row matmul to gemv, which rounds differently from the
+        gemm rows of a longer pass. While decoding, a single query runs twice
+        for the same reason.
 
         Returns the logits of the ``head_rows`` (all rows by default), the
         activations ``_backward`` reads, and the cache grown by t positions.
@@ -253,8 +254,10 @@ class TransformerLM:
         scale = np.asarray(1.0 / math.sqrt(dh), dtype=self.dtype)
         n = keep = len(x) // t
         s = 0 if past is None else past[0][0].shape[2]
-        if past is not None and n == 1:
-            x, parents, n = np.concatenate([x, x]), [parents[0]] * 2, 2
+        if n * t == 1:
+            x, n = np.concatenate([x, x]), 2
+            if parents is not None:
+                parents = [parents[0]] * 2
         if t > 1:
             causal = np.tri(t, s + t, s, dtype=bool)
 
@@ -317,15 +320,12 @@ class TransformerLM:
 
         Returns the float64 next-token log-probs, shape (1, vocab_size), and
         the per-layer (K, V) cache that ``step`` extends, each of shape
-        (1, head_count, 1, head_dim). The log-probs are the one-row
-        forward's; K and V come from the decoding pass, which runs the row
-        twice, so they match position 0 of every longer forward.
+        (1, head_count, 1, head_dim). One pass makes both, so the log-probs
+        are bit for bit a one-position ``forward``'s.
         """
-        cfg = self.config
         x = self._inputs([] if injection is not None else [BOS_ID], injection)
-        empty = np.zeros((1, cfg.head_count, 0, cfg.embed_dim // cfg.head_count), dtype=self.dtype)
-        cache = self._blocks(x, 1, [(empty, empty)] * cfg.layer_count, [0])[2]
-        return log_softmax(self._blocks(x, 1)[0]), cache
+        logits, _, cache = self._blocks(x, 1)
+        return log_softmax(logits), cache
 
     def step(self, cache, parents, tokens):
         """Append one position to each live row of a decoding cache.

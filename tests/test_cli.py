@@ -22,8 +22,10 @@ def run(capsys, *argv):
 
 
 def run_json(capsys, *argv):
+    """Run a subcommand that must succeed; its stdout is one JSON line."""
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
+    assert out.count("\n") == 1 and out.endswith("\n"), out
     return json.loads(out)
 
 
@@ -465,6 +467,15 @@ class TestErrorPaths:
         assert "sentence" in json.loads(err)["error"]
         assert not out_dir.exists()
 
+    def test_stdout_is_one_json_line(self, tmp_path, capsys):
+        # a nested summary, which an indented dump spreads over many lines
+        groups = tmp_path / "groups.jsonl"
+        write_groups(groups, count=10)
+        summary = run_json(
+            capsys, "split-dataset", "--groups", str(groups), "--out-dir", str(tmp_path / "s"),
+        )
+        assert summary["splits"]["train"]["groups"] == 8
+
     @pytest.mark.parametrize("ratios", ["0.5,0.5", "0.4,0.3,0.2,0.1"])
     def test_split_dataset_ratio_count_is_three(self, tmp_path, capsys, ratios):
         groups = tmp_path / "groups.jsonl"
@@ -475,7 +486,7 @@ class TestErrorPaths:
             "--ratios", ratios,
         )
         assert rc == 1
-        want = f"--ratios needs 3 values (train,valid,test), got {len(ratios.split(','))}"
+        want = f"need 3 ratios (train,valid,test), got {len(ratios.split(','))}"
         assert json.loads(err)["error"] == want
         assert not out_dir.exists()
 

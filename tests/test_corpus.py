@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import smclm.corpus as corpus_module
 from smclm.corpus import (
     ParaphraseGroup,
     build_corpus,
@@ -146,6 +147,14 @@ class TestBuildCorpus:
         assert admitted == [same]
         assert manifest["domains"]["d"]["rejected"]["duplicate"] == 2
 
+    def test_distinct_sentences_never_collide(self, monkeypatch):
+        # a colliding 64-bit hash once rejected a distinct sentence as a duplicate
+        monkeypatch.setattr(corpus_module, "fnv1a64", lambda data: 0)
+        sources = [("d", ["The cat sat on the mat.", "A dog ran in the park."])]
+        admitted, manifest = build_corpus(sources, 2, seed=0)
+        assert sorted(admitted) == ["A dog ran in the park.", "The cat sat on the mat."]
+        assert manifest["domains"]["d"]["rejected"]["duplicate"] == 0
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             build_corpus(demo_sources(), 0)
@@ -198,17 +207,15 @@ class TestSplitGroups:
         splits = split_groups(make_groups(7))
         assert [len(splits[k]) for k in ("train", "valid", "test")] == [6, 0, 1]
 
-    def test_custom_ratios_and_names(self):
-        splits = split_groups(make_groups(10), ratios=(0.5, 0.5), names=("a", "b"))
-        assert len(splits["a"]) == 5 and len(splits["b"]) == 5
-
     def test_validation(self):
         with pytest.raises(ValueError, match="sum"):
-            split_groups(make_groups(10), ratios=(0.5, 0.4), names=("a", "b"))
+            split_groups(make_groups(10), ratios=(0.5, 0.4, 0.05))
         with pytest.raises(ValueError, match="positive"):
-            split_groups(make_groups(10), ratios=(1.1, -0.1), names=("a", "b"))
-        with pytest.raises(ValueError, match="matching"):
-            split_groups(make_groups(10), ratios=(0.5, 0.3, 0.2), names=("a", "b"))
+            split_groups(make_groups(10), ratios=(1.1, -0.2, 0.1))
+        with pytest.raises(ValueError, match=r"need 3 ratios \(train,valid,test\), got 2"):
+            split_groups(make_groups(10), ratios=(0.5, 0.5))
+        with pytest.raises(ValueError, match="got 4"):
+            split_groups(make_groups(10), ratios=(0.4, 0.3, 0.2, 0.1))
         with pytest.raises(ValueError, match="cannot fill"):
             split_groups(make_groups(2))
 
@@ -216,11 +223,11 @@ class TestSplitGroups:
         # it could land in train and test at once
         groups = make_groups(4) + [ParaphraseGroup("dup", ("sentence 1 b", "another one"))]
         with pytest.raises(ValueError, match=r"'sentence 1 b' is in groups 'g1' and 'dup'"):
-            split_groups(groups, ratios=(0.4, 0.6), names=("a", "b"))
+            split_groups(groups, ratios=(0.4, 0.2, 0.4))
 
     def test_repeat_within_one_group_allowed(self):
         groups = make_groups(4) + [ParaphraseGroup("rep", ("same", "same"))]
-        splits = split_groups(groups, ratios=(0.4, 0.6), names=("a", "b"))
+        splits = split_groups(groups, ratios=(0.4, 0.2, 0.4))
         assert sum(len(part) for part in splits.values()) == 5
 
 

@@ -169,6 +169,35 @@ class TestFileBackedEncoder:
         enc = FileBackedEncoder.from_sentences({"a": np.array([0.0, 2.0])})
         np.testing.assert_allclose(enc.encode("a"), [0.0, 1.0])
 
+    def test_from_sentences_matches_the_written_file(self, tmp_path):
+        path = str(tmp_path / "emb.bin")
+        rng = np.random.default_rng(1)
+        entries = {f"sentence {i}": rng.normal(size=8) for i in range(5)}
+        write_embedding_file(path, entries)
+        built, loaded = FileBackedEncoder.from_sentences(entries), FileBackedEncoder.load(path)
+        assert built.dim == loaded.dim == 8
+        for s in entries:
+            assert built.encode(s).tobytes() == loaded.encode(s).tobytes()
+
+    def test_one_normalized_form_twice_raises(self, tmp_path):
+        entries = {"The cat.": [1.0, 0.0], "the cat": [0.0, 1.0]}
+        path = tmp_path / "emb.bin"
+        with pytest.raises(ValueError, match=r"'The cat\.' and 'the cat' share"):
+            write_embedding_file(str(path), entries)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=r"'The cat\.' and 'the cat' share"):
+            FileBackedEncoder.from_sentences(list(entries.items()))
+
+    def test_table_dimensions(self):
+        enc = FileBackedEncoder({sentence_key("a"): [3.0, 4.0, 0.0]})
+        assert enc.dim == 3 and enc.spec()["dim"] == 3
+        with pytest.raises(ValueError, match="empty embedding table"):
+            FileBackedEncoder({})
+        with pytest.raises(ValueError, match="inconsistent embedding dimensions"):
+            FileBackedEncoder({sentence_key("a"): [1.0, 0.0], sentence_key("b"): [1.0, 0.0, 0.0]})
+        with pytest.raises(ValueError, match="inconsistent embedding dimensions"):
+            FileBackedEncoder.from_sentences({"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]})
+
 
 class TestClusterOracle:
     def test_one_hot_reference(self):

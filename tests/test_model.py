@@ -188,6 +188,23 @@ class TestStartStep:
             want = np.concatenate([full_forward_lp(m, inj, p[:t]) for p in prefixes])
             np.testing.assert_allclose(lp, want, rtol=0, atol=self.TWO_LAYER_ATOL)
 
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_start_is_one_pass(self, injected, monkeypatch):
+        m = TransformerLM(tiny_config())
+        inj = np.random.default_rng(5).normal(size=16).astype(np.float32) if injected else None
+        calls = []
+        blocks = TransformerLM._blocks
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1])
+            return blocks(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransformerLM, "_blocks", counted)
+        lp, cache = m.start(inj)
+        assert calls == [1]
+        assert lp.tobytes() == full_forward_lp(m, inj, []).tobytes()
+        assert [k.shape for k, _ in cache] == [(1, 4, 1, 4)] * 2
+
     def test_cache_rows_follow_parents(self):
         m = TransformerLM(tiny_config())
         inj = np.random.default_rng(4).normal(size=16).astype(np.float32)
