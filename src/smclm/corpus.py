@@ -30,7 +30,7 @@ ABBREVIATIONS = {
 }
 
 _BOUNDARY = re.compile(r"([.?!]+)(\s+)(?=[A-Z\"'“‘])")
-_ACCEPTABLE = set(string.ascii_letters + string.digits + string.punctuation + string.whitespace)
+_ACCEPTABLE_BYTES = (string.ascii_letters + string.digits + string.punctuation + string.whitespace).encode()
 
 
 def fnv1a64(data: bytes) -> int:
@@ -71,7 +71,9 @@ def default_lang_filter(text: str, threshold: float = 0.9) -> bool:
     letters/digits/punctuation/whitespace."""
     if not text:
         return True
-    ok = sum(1 for ch in text if ch in _ACCEPTABLE)
+    # the encode drops non-ASCII characters; translate deletes the acceptable ones
+    ascii_part = text.encode("ascii", "ignore")
+    ok = len(ascii_part) - len(ascii_part.translate(None, _ACCEPTABLE_BYTES))
     return ok / len(text) >= threshold
 
 

@@ -8,10 +8,21 @@ injected vector (or <bos> when decoding an unconditioned model), and each
 timestep runs one ``step(cache, parents, tokens)`` for every group's live
 beams over a per-layer K/V cache whose rows follow the selected parents.
 Diversity penalties only change selection, so the groups share the step.
+
+Selection never scores the full vocabulary. Penalties and n-gram bans only
+lower the scores of known tokens, so up to rounding a group of width w picks
+from a row's best w + (distinct earlier picks) + (the row's bans) cells. Each
+timestep one argpartition keeps every row's best beam_count + (most bans of
+any beam) + 1, and a group walks its beams' lists until sel_score + log-prob
+falls strictly below its width-th best. A walk that passes the end of a list
+goes on over the rest of the row (the rounding guard): a cell tied at the
+cut, or one whose sel_score + log-prob rounds to a kept cell's, can still
+win on its lower id.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,43 +115,63 @@ class _Beam:
     row: int
 
 
-def _step(lp: np.ndarray, live: list[_Beam], chosen: list[int], cfg: BeamSearchConfig,
-          width: int, group: int):
+def _shortlists(lp: np.ndarray, k: int) -> list[list[tuple[float, int]]]:
+    """Each row's k best cells (all of them when V <= k) as sorted
+    (-log-prob, token) pairs, from one argpartition over every row."""
+    v = lp.shape[1]
+    k = min(k, v)
+    idx = np.argpartition(lp, v - k, axis=1)[:, v - k :]
+    vals = np.take_along_axis(lp, idx, axis=1)
+    return [sorted(zip((-row).tolist(), ids.tolist())) for row, ids in zip(vals, idx)]
+
+
+def _walk(lp: np.ndarray, lists, row: int):
+    """A row's shortlist, then, only if a walk gets past it, the row's other
+    cells in the same order. Every other cell's log-prob is at most the
+    list's last, and those tied at the cut come here too."""
+    cells = lists[row]
+    yield from cells
+    if len(cells) < lp.shape[1]:
+        listed = {w for _, w in cells}
+        full = _shortlists(lp[row : row + 1], lp.shape[1])[0]
+        yield from (c for c in full if c[1] not in listed)
+
+
+def _select(lp: np.ndarray, lists, live: list[_Beam], bans: list[set[int]],
+            picked: dict[int, int], cfg: BeamSearchConfig, width: int, group: int):
     """Extend one group's live beams by one token and keep the best width.
 
-    ``lp`` holds the timestep's next-token log-probs for every live beam.
-    Each (beam, token) cell scores sel_score + log-prob minus
-    diversity_strength per pick of that token earlier in this timestep
-    (``chosen``); tokens banned by the n-gram rule are skipped. Higher score
-    wins, then the lower token id, then the earlier beam; only cells that
-    tie or beat the width-th best score are sorted. Live beams of one group
-    always share a length, so length never breaks a tie. Returns the
-    continuing beams, the hypotheses finished by eos and the picked tokens.
+    A (beam, token) cell scores sel_score + log-prob minus diversity_strength
+    per earlier pick of the token this timestep (``picked``, which gains this
+    group's picks); banned and -inf cells never win. Higher score wins, then
+    the lower token id, then the earlier beam (live beams of one group share
+    a length, so length never breaks a tie). Each beam walks its row (see
+    ``_walk``) and stops at the first cell whose sel_score + log-prob is
+    strictly below the width-th best score: nothing later in the row can win.
+    Returns the continuing beams and the hypotheses finished by eos.
     """
-    lp = lp[[h.row for h in live]]
-    sel = np.array([h.sel_score for h in live])
-    score = sel[:, None] + lp - cfg.diversity_strength * np.bincount(chosen, minlength=lp.shape[1])
-    for bi, h in enumerate(live):
-        score[bi, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram))] = -np.inf
-    flat = score.ravel()
-    k = min(width, np.count_nonzero(flat > -np.inf))
-    if k == 0:
-        return [], [], []
-    cut = np.partition(flat, flat.size - k)[flat.size - k]
-    cells = np.flatnonzero(flat >= cut)
-    beam, token = np.divmod(cells, lp.shape[1])
-    order = np.lexsort((beam, token, -flat[cells]))[:width]
-    new_live, finished, picks = [], [], []
-    for bi, w in zip(beam[order].tolist(), token[order].tolist()):
+    best: list[tuple[float, int, int]] = []  # (-score, token, beam), best first
+    for bi, (h, banned) in enumerate(zip(live, bans)):
+        for neg_lp, w in _walk(lp, lists, h.row):
+            base = h.sel_score - neg_lp  # = sel_score + log-prob, bit for bit
+            if base == -np.inf or (len(best) == width and base < -best[-1][0]):
+                break
+            if w not in banned:
+                key = (-(base - cfg.diversity_strength * picked.get(w, 0)), w, bi)
+                if len(best) < width or key < best[-1]:
+                    insort(best, key)
+                    del best[width:]
+    new_live, finished = [], []
+    for neg_score, w, bi in best:
         parent = live[bi]
         tokens = parent.tokens + (w,)
-        log_prob = parent.log_prob + lp[bi, w]
-        picks.append(w)
+        log_prob = parent.log_prob + lp[parent.row, w]
+        picked[w] = picked.get(w, 0) + 1
         if w == cfg.eos_id:
             finished.append(Hypothesis(tokens, log_prob, group=group))
         else:
-            new_live.append(_Beam(tokens, log_prob, score[bi, w], parent.row))
-    return new_live, finished, picks
+            new_live.append(_Beam(tokens, log_prob, -neg_score, parent.row))
+    return new_live, finished
 
 
 def _rank(pool: list[Hypothesis], alpha: float, width: int) -> list[Hypothesis]:
@@ -193,12 +224,14 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     pools: list[list[Hypothesis]] = [[] for _ in range(cfg.group_count)]
     lp, cache = model.start(injection)  # one row, shared by every group's first beam
     for t in range(cfg.max_length):
-        chosen: list[int] = []  # this timestep's picks, earlier groups first
+        bans = [[banned_next_tokens(h.tokens, cfg.no_repeat_ngram) for h in beams] for beams in live]
+        most_bans = max(len(b) for group_bans in bans for b in group_bans)
+        lists = _shortlists(lp, cfg.beam_count + most_bans + 1)
+        picked: dict[int, int] = {}  # picks per token by the groups done this timestep
         for g in range(cfg.group_count):
             if live[g]:
-                live[g], done, picks = _step(lp, live[g], chosen, cfg, per_group, g)
+                live[g], done = _select(lp, lists, live[g], bans[g], picked, cfg, per_group, g)
                 pools[g].extend(done)
-                chosen.extend(picks)
         beams = [h for group in live for h in group]
         if not beams or t == cfg.max_length - 1:
             break

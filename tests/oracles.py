@@ -7,7 +7,10 @@ package. ``normalize_per_char`` is normalize as a per-character category
 scan, and ``self_bleu_loop`` is self-BLEU as a leave-one-out loop of string
 ``bleu`` calls; both are the bodies their table-driven and top-two-count
 replacements must equal. ``batch_nll_and_grads_loop`` is the per-example
-training loss the batched loss body replaced. ``gelu_unshared`` and ``gelu_prime_unshared``
+training loss the batched loss body replaced. ``select_full_vocabulary`` is
+one group's beam selection over a full ``(b, V)`` score array, the body the
+decoder's shortlist walks must equal, and ``acceptable_count_per_char`` is
+the language filter's per-character count. ``gelu_unshared`` and ``gelu_prime_unshared``
 are GELU and its derivative as written before they shared the erf term.
 ``Recompute`` is the reference decoder state: it gives any model
 with a ``forward`` the ``start``/``step`` calls the decoder takes, by
@@ -18,12 +21,14 @@ synthetic one-hot sentence encoder for clustered test corpora.
 from __future__ import annotations
 
 import math
+import string
 import unicodedata
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import erf
 
+from smclm.decoding import BeamSearchConfig, Hypothesis, _Beam, banned_next_tokens
 from smclm.metrics import bleu
 from smclm.model import INV_SQRT_2PI, SQRT_2
 from smclm.tokenization import BOS_ID, normalize
@@ -96,6 +101,13 @@ def normalize_per_char(text: str) -> str:
     return " ".join("".join(kept).split())
 
 
+def acceptable_count_per_char(text: str) -> int:
+    """How many characters of text are ASCII letters, digits, punctuation or
+    whitespace, one set lookup per character."""
+    acceptable = set(string.ascii_letters + string.digits + string.punctuation + string.whitespace)
+    return sum(1 for ch in text if ch in acceptable)
+
+
 def self_bleu_loop(candidates: list[str], max_n: int = 3) -> float:
     """Mean over candidates of string BLEU against all the other candidates."""
     scores = []
@@ -128,6 +140,45 @@ def gelu_unshared(u):
 
 def gelu_prime_unshared(u):
     return 0.5 * (1.0 + erf(u / SQRT_2)) + u * INV_SQRT_2PI * np.exp(-0.5 * u * u)
+
+
+def select_full_vocabulary(lp: np.ndarray, live: list[_Beam], chosen: list[int],
+                           cfg: BeamSearchConfig, width: int, group: int):
+    """Extend one group's live beams by one token and keep the best width.
+
+    ``lp`` holds the timestep's next-token log-probs for every live beam.
+    Each (beam, token) cell scores sel_score + log-prob minus
+    diversity_strength per pick of that token earlier in this timestep
+    (``chosen``); tokens banned by the n-gram rule are skipped. Higher score
+    wins, then the lower token id, then the earlier beam; only cells that
+    tie or beat the width-th best score are sorted. Live beams of one group
+    always share a length, so length never breaks a tie. Returns the
+    continuing beams, the hypotheses finished by eos and the picked tokens.
+    """
+    lp = lp[[h.row for h in live]]
+    sel = np.array([h.sel_score for h in live])
+    score = sel[:, None] + lp - cfg.diversity_strength * np.bincount(chosen, minlength=lp.shape[1])
+    for bi, h in enumerate(live):
+        score[bi, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram))] = -np.inf
+    flat = score.ravel()
+    k = min(width, np.count_nonzero(flat > -np.inf))
+    if k == 0:
+        return [], [], []
+    cut = np.partition(flat, flat.size - k)[flat.size - k]
+    cells = np.flatnonzero(flat >= cut)
+    beam, token = np.divmod(cells, lp.shape[1])
+    order = np.lexsort((beam, token, -flat[cells]))[:width]
+    new_live, finished, picks = [], [], []
+    for bi, w in zip(beam[order].tolist(), token[order].tolist()):
+        parent = live[bi]
+        tokens = parent.tokens + (w,)
+        log_prob = parent.log_prob + lp[bi, w]
+        picks.append(w)
+        if w == cfg.eos_id:
+            finished.append(Hypothesis(tokens, log_prob, group=group))
+        else:
+            new_live.append(_Beam(tokens, log_prob, score[bi, w], parent.row))
+    return new_live, finished, picks
 
 
 class Recompute:

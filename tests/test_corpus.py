@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 import smclm.corpus as corpus_module
+from oracles import acceptable_count_per_char
 from smclm.corpus import (
     ParaphraseGroup,
     build_corpus,
@@ -86,6 +88,22 @@ class TestLangFilter:
         text = "abcdefghi" + "é"  # 9 of 10 acceptable
         assert default_lang_filter(text, threshold=0.9)
         assert not default_lang_filter(text, threshold=0.95)
+
+    def test_count_matches_the_per_character_oracle(self):
+        # the filter passes at exactly the oracle's ratio and fails one
+        # character above it, which pins its count to the oracle's
+        rng = random.Random(5)
+        pools = [
+            [chr(c) for c in range(32, 127)],
+            [chr(c) for c in range(0, 32)] + ["\x7f"],
+            list("éüßøñ漢字ЖЯ€—“”…\u00a0\u2028") + ["\U0001f600"],
+            [chr(c) for c in (0xD800, 0xDBFF, 0xDC00, 0xDFFF)],  # lone surrogates
+        ]
+        for _ in range(3000):
+            text = "".join(rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 40)))
+            count, n = acceptable_count_per_char(text), len(text)
+            assert default_lang_filter(text, threshold=count / n), repr(text)
+            assert count == n or not default_lang_filter(text, threshold=(count + 1) / n), repr(text)
 
 
 def doc(i, domain):

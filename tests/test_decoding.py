@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from oracles import Recompute
+from oracles import Recompute, select_full_vocabulary
+from smclm import decoding
 from smclm.decoding import (
     BeamSearchConfig,
     Hypothesis,
@@ -27,9 +28,9 @@ class RowModel:
         return np.tile(self.row, (max(rows, 1), 1))
 
 
-def random_model(seed):
+def random_model(seed, vocab_size=13):
     cfg = ModelConfig(
-        vocab_size=13,
+        vocab_size=vocab_size,
         embed_dim=16,
         layer_count=1,
         head_count=2,
@@ -403,3 +404,164 @@ class TestPositionWindow:
             beam_count=2, group_count=2, no_repeat_ngram=0, max_length=12, eos_id=99
         )
         assert [len(h.tokens) for h in diverse_beam_search(model, None, cfg)] == [12, 12]
+
+
+def bits(x):
+    return float(x).hex()
+
+
+def assert_same_selection(got, want):
+    """_select's (live, finished) against the oracle's (live, finished, picks),
+    bit for bit."""
+    (got_live, got_done), (want_live, want_done, _) = got, want
+    assert [(h.tokens, bits(h.log_prob), bits(h.sel_score), h.row) for h in got_live] == [
+        (h.tokens, bits(h.log_prob), bits(h.sel_score), h.row) for h in want_live
+    ]
+    assert [(h.tokens, bits(h.log_prob), h.group) for h in got_done] == [
+        (h.tokens, bits(h.log_prob), h.group) for h in want_done
+    ]
+
+
+class TestShortlistAgainstFullVocabulary:
+    """The shortlist walk against ``oracles.select_full_vocabulary``, the
+    full-vocabulary selection it replaced, one group step at a time."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Run the oracle beside every group step of the decoder; returns, per
+        checked step, how many of the timestep's shortlists were cut."""
+        steps = []
+        real = decoding._select
+
+        def both(lp, lists, live, bans, picked, cfg, width, group):
+            chosen = [w for w, c in picked.items() for _ in range(c)]
+            want = select_full_vocabulary(lp, live, chosen, cfg, width, group)
+            before = dict(picked)
+            got = real(lp, lists, live, bans, picked, cfg, width, group)
+            assert_same_selection(got, want)
+            for w in want[2]:
+                before[w] = before.get(w, 0) + 1
+            assert picked == before
+            steps.append(sum(len(cells) < lp.shape[1] for cells in lists))
+            return got
+
+        monkeypatch.setattr(decoding, "_select", both)
+        return steps
+
+    @staticmethod
+    def direct(lp, live, cfg, width, k, picked=None):
+        lists = decoding._shortlists(lp, k)
+        bans = [banned_next_tokens(h.tokens, cfg.no_repeat_ngram) for h in live]
+        picked = dict(picked or {})
+        chosen = [w for w, c in picked.items() for _ in range(c)]
+        want = select_full_vocabulary(lp, live, chosen, cfg, width, 0)
+        got = decoding._select(lp, lists, live, bans, picked, cfg, width, 0)
+        assert_same_selection(got, want)
+        return lists, got
+
+    @pytest.mark.parametrize("vocab_size", [13, 64])
+    def test_random_models_step_by_step(self, checked, vocab_size):
+        rng = np.random.default_rng(29)
+        for seed in range(6):
+            model = random_model(800 + seed, vocab_size)
+            inj = None
+            if seed % 2:
+                v = rng.normal(size=16)
+                inj = (v / np.linalg.norm(v)).astype(np.float32)
+            for kw in TestAgainstReference.CONFIGS:
+                diverse_beam_search(model, inj, BeamSearchConfig(max_length=6, **kw))
+        assert checked and sum(checked) > 0  # some shortlists were cut
+
+    def test_hand_computed_cases_step_by_step(self, checked):
+        m = Recompute(RowModel([1.0, 0.5]))
+        assert beam_search(m, None, beam_count=2, max_length=4, no_repeat_ngram=1, eos_id=5) == []
+        m = Recompute(RowModel([0.0] * 6))
+        beam_search(m, None, beam_count=2, max_length=3, eos_id=5)
+        assert checked
+
+    def test_more_than_k_ties_at_the_cut(self):
+        lp = np.full((1, 40), -1.0)
+        lp[0, 5:35] = 0.0  # 28 zeros tie at the cut of a three-cell shortlist
+        lp[0, 7], lp[0, 20] = 2.0, 1.0
+        cfg = BeamSearchConfig(beam_count=2, group_count=1, diversity_strength=5.0, no_repeat_ngram=0)
+        live = [decoding._Beam((3,), -1.0, -1.5, 0)]
+        lists, (new_live, _) = self.direct(lp, live, cfg, width=2, k=3, picked={7: 1, 20: 1})
+        assert [w for _, w in lists[0]][:2] == [7, 20] and len(lists[0]) == 3
+        # both penalized leaders lose to the lowest ids among the tied zeros,
+        # whichever zero the argpartition kept
+        assert [h.tokens[-1] for h in new_live] == [5, 6]
+        # a walk past the list visits every other cell once, in log-prob order
+        walked = list(decoding._walk(lp, lists, 0))
+        assert sorted(w for _, w in walked) == list(range(40))
+        assert [neg for neg, _ in walked] == sorted(neg for neg, _ in walked)
+
+    def test_rounding_tie_outside_the_shortlist_wins_on_its_lower_id(self):
+        # at sel_score 2**53 every sel_score + log-prob below rounds to 2**53,
+        # so token 0, outside the three-cell shortlist, ties the kept cells
+        # and wins on its id
+        lp = np.full((1, 30), -0.3)
+        lp[0, 10:13] = (-0.01, -0.02, -0.03)
+        cfg = BeamSearchConfig(beam_count=1, group_count=1, no_repeat_ngram=0)
+        live = [decoding._Beam((4,), -1.0, 2.0**53, 0)]
+        lists, (new_live, _) = self.direct(lp, live, cfg, width=1, k=3)
+        assert [w for _, w in lists[0]] == [10, 11, 12]
+        assert new_live[0].tokens == (4, 0)
+
+    def test_readme_shape_walks_stay_in_their_shortlists(self, monkeypatch):
+        # at the README settings every walk stops inside its shortlist, so no
+        # group step sorts a whole vocabulary row
+        past, walk = [], decoding._walk
+
+        def recorded(lp, lists, row):
+            for i, cell in enumerate(walk(lp, lists, row)):
+                if i >= len(lists[row]):
+                    past.append(row)
+                yield cell
+
+        monkeypatch.setattr(decoding, "_walk", recorded)
+        model = TransformerLM(ModelConfig(vocab_size=2000, max_positions=16, seed=3))
+        cfg = BeamSearchConfig(
+            beam_count=20, group_count=20, diversity_strength=0.6, no_repeat_ngram=2, max_length=16
+        )
+        assert diverse_beam_search(model, None, cfg)
+        assert past == []
+
+    def test_vocabulary_no_bigger_than_k(self):
+        lp = np.log(np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]]))
+        cfg = BeamSearchConfig(beam_count=3, group_count=1, diversity_strength=0.6, no_repeat_ngram=2)
+        live = [decoding._Beam((1, 2, 1), -2.0, -2.0, 0), decoding._Beam((1, 2, 0), -2.5, -2.5, 1)]
+        lists, _ = self.direct(lp, live, cfg, width=3, k=5, picked={0: 1})
+        assert [len(cells) for cells in lists] == [3, 3]
+
+    def test_every_extension_banned(self):
+        lp = np.log(np.array([[0.75, 0.25]]))
+        cfg = BeamSearchConfig(beam_count=2, group_count=1, no_repeat_ngram=1)
+        live = [decoding._Beam((0, 1), -1.0, -1.0, 0)]
+        _, got = self.direct(lp, live, cfg, width=2, k=1)
+        assert got == ([], [])
+
+    def test_minus_inf_cells_are_never_selected(self):
+        lp = np.full((2, 8), -np.inf)
+        lp[0, 3], lp[1, 6] = 0.0, -0.5
+        cfg = BeamSearchConfig(beam_count=4, group_count=1, no_repeat_ngram=0)
+        live = [decoding._Beam((1,), -1.0, -1.0, 0), decoding._Beam((2,), -1.0, -1.0, 1)]
+        _, (new_live, _) = self.direct(lp, live, cfg, width=4, k=2)
+        assert [h.tokens for h in new_live] == [(1, 3), (2, 6)]
+
+
+class TestTracedCallSite:
+    def test_decoder_looks_up_banned_next_tokens_as_a_module_global(self, monkeypatch):
+        # the benchmark's tracer wraps decoding.banned_next_tokens; a decoder
+        # holding its own reference would bypass the wrapper
+        calls = []
+
+        def ban_zero(tokens, n):
+            calls.append(tokens)
+            return {0}
+
+        monkeypatch.setattr(decoding, "banned_next_tokens", ban_zero)
+        m = Recompute(RowModel([3.0, 1.0, 0.5, 0.0]))  # token 0 is the argmax
+        cfg = BeamSearchConfig(beam_count=2, group_count=2, no_repeat_ngram=0, max_length=4, eos_id=3)
+        hyps = diverse_beam_search(m, None, cfg)
+        assert hyps and calls
+        assert all(0 not in h.tokens for h in hyps)
