@@ -88,12 +88,17 @@ def banned_next_tokens(tokens: tuple[int, ...], n: int) -> set[int]:
     """Tokens whose selection would repeat an n-gram already in ``tokens``."""
     if n <= 0 or len(tokens) < n - 1:
         return set()
-    prefix = tokens[len(tokens) - (n - 1) :] if n > 1 else ()
-    banned = set()
-    for i in range(len(tokens) - n + 1):
-        if tokens[i : i + n - 1] == prefix:
-            banned.add(tokens[i + n - 1])
-    return banned
+    if n == 1:
+        return set(tokens)
+    # i ends each earlier (n - 1)-gram; only one ending in the last token
+    # can equal the prefix, so the slice is built only for those
+    prefix = tokens[len(tokens) - n + 1 :]
+    last = tokens[-1]
+    return {
+        tokens[i + 1]
+        for i in range(n - 2, len(tokens) - 1)
+        if tokens[i] == last and tokens[i - n + 2 : i + 1] == prefix
+    }
 
 
 def greedy_decode(model, injection, max_length: int, eos_id: int = EOS_ID) -> list[int]:
@@ -121,8 +126,11 @@ def _shortlists(lp: np.ndarray, k: int) -> list[list[tuple[float, int]]]:
     v = lp.shape[1]
     k = min(k, v)
     idx = np.argpartition(lp, v - k, axis=1)[:, v - k :]
-    vals = np.take_along_axis(lp, idx, axis=1)
-    return [sorted(zip((-row).tolist(), ids.tolist())) for row, ids in zip(vals, idx)]
+    neg = -np.take_along_axis(lp, idx, axis=1)
+    order = np.lexsort((idx, neg), axis=1)
+    neg = np.take_along_axis(neg, order, axis=1).tolist()
+    ids = np.take_along_axis(idx, order, axis=1).tolist()
+    return [list(zip(row, w)) for row, w in zip(neg, ids)]
 
 
 def _walk(lp: np.ndarray, lists, row: int):

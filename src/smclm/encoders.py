@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -20,6 +21,10 @@ EMBED_VERSION = 1
 # the dimension of the hashed token embedder, and of the CLI's evaluate and
 # calibrate-beta encoders, when none is given
 DEFAULT_DIM = 64
+# (token, dim, seed) entries kept by the slot memo: the metrics and the hashed
+# encoders hash the same few words again and again (80 evaluate records make
+# 21,111 calls on 541 distinct keys), and the bound keeps the memo small
+SLOT_MEMO_SIZE = 1 << 14
 
 
 def sentence_key(sentence: str) -> bytes:
@@ -53,6 +58,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb))))
 
 
+@lru_cache(maxsize=SLOT_MEMO_SIZE)
 def _signed_slot(token: str, dim: int, seed: int) -> tuple[int, float]:
     """The slot in [0, dim) and the sign (+1 or -1) a token hashes to."""
     # blake2b keyed by the seed gives a stable 64-bit hash across runs/platforms

@@ -7,6 +7,10 @@ injecting the model's own <bos> row reproduces the plain forward bit for bit.
 Parameters are float32; loss and per-token log-probs accumulate in float64.
 For gradient checking, ``astype(np.float64)`` casts the whole model so the
 analytic and finite-difference sides share one precision.
+
+The GELU's ``erf`` is a NumPy port of the cephes routine that
+``scipy.special.erf`` runs, equal to it bit for bit in both precisions, so
+the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .tokenization import BOS_ID
 
@@ -26,6 +29,19 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # little faster but grew its peak memory: 96 rows reached the per-example
 # loop's peak, a whole B=32 batch went 30% past it (sweep in CHANGES.md)
 ROW_BUDGET = 64
+
+# cephes ndtr.c, the erf that scipy.special.erf runs: x T(x²) / U(x²) for
+# |x| <= 1, else 1 - exp(-x²) P(|x|) / Q(|x|); U and Q lead with an implied 1
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,55 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     return params
 
 
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """coef[0] x^N + ... + coef[N] by Horner's rule, step for step as cephes."""
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1], the same way."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_exp(t: np.ndarray) -> np.ndarray:
+    """exp of a 1-d float64 array through the C library, as cephes calls it;
+    numpy's vectorized exp differs from it by an ulp on some arguments."""
+    return np.fromiter(map(math.exp, t.tolist()), np.float64, t.size)
+
+
+def erf(x) -> np.ndarray:
+    """The error function, equal to ``scipy.special.erf`` bit for bit.
+
+    A port of cephes' erf. float32 input is computed in float64 and rounded
+    once, like scipy's float32 loop; other real input gives float64. |x| > 1
+    takes 1 - erfc(|x|) with its sign; from |x| = 8 on that is exactly 1,
+    so those arguments, infinities included, are evaluated at 8.
+    """
+    x = np.asarray(x)
+    a = np.asarray(x, dtype=np.float64).ravel()
+    mag = np.abs(a)
+    tail = mag > 1.0  # NaN stays with the rational, which returns it
+    has_tail = tail.any()
+    small = np.where(tail, 0.0, a) if has_tail else a
+    z = small * small
+    y = small * _polevl(z, _T) / _p1evl(z, _U)
+    if has_tail:
+        w = np.minimum(mag[tail], 8.0)
+        e = np.exp(-w * w) if x.dtype == np.float32 else _libm_exp(-w * w)
+        y[tail] = np.copysign(1.0 - e * _polevl(w, _P) / _p1evl(w, _Q), a[tail])
+    y = y.reshape(x.shape)
+    return y.astype(np.float32) if x.dtype == np.float32 else y
+
+
 def erf_term(u: np.ndarray) -> np.ndarray:
     """1 + erf(u / sqrt 2): the term gelu and gelu_prime share, computed once per layer."""
     return 1.0 + erf(u / SQRT_2)
@@ -122,11 +187,14 @@ def gelu_prime(u: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
-    xhat = (x - mu) * inv_std
-    return g * xhat + b, xhat, inv_std
+    # the operations of x.mean and ((x - mu) ** 2).mean, without their
+    # Python-level wrappers; one centred copy serves the variance and xhat
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(LN_EPS))
+    xc *= inv_std
+    return g * xc + b, xc, inv_std
 
 
 def _layer_norm_backward(dy, xhat, inv_std, g):
@@ -511,5 +579,6 @@ class TransformerLM:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """float64 log-softmax over the last axis."""
     z = logits.astype(np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    return z

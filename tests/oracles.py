@@ -9,7 +9,8 @@ scan, and ``self_bleu_loop`` is self-BLEU as a leave-one-out loop of string
 replacements must equal. ``batch_nll_and_grads_loop`` is the per-example
 training loss the batched loss body replaced. ``select_full_vocabulary`` is
 one group's beam selection over a full ``(b, V)`` score array, the body the
-decoder's shortlist walks must equal, and ``acceptable_count_per_char`` is
+decoder's shortlist walks must equal, ``banned_next_tokens_scan`` is the
+n-gram ban as a slice per prefix position, and ``acceptable_count_per_char`` is
 the language filter's per-character count. ``gelu_unshared`` and ``gelu_prime_unshared``
 are GELU and its derivative as written before they shared the erf term.
 ``Recompute`` is the reference decoder state: it gives any model
@@ -140,6 +141,19 @@ def gelu_unshared(u):
 
 def gelu_prime_unshared(u):
     return 0.5 * (1.0 + erf(u / SQRT_2)) + u * INV_SQRT_2PI * np.exp(-0.5 * u * u)
+
+
+def banned_next_tokens_scan(tokens: tuple[int, ...], n: int) -> set[int]:
+    """The token after every earlier copy of the last n - 1 tokens, found by
+    comparing one slice per prefix position."""
+    if n <= 0 or len(tokens) < n - 1:
+        return set()
+    prefix = tokens[len(tokens) - (n - 1) :] if n > 1 else ()
+    banned = set()
+    for i in range(len(tokens) - n + 1):
+        if tokens[i : i + n - 1] == prefix:
+            banned.add(tokens[i + n - 1])
+    return banned
 
 
 def select_full_vocabulary(lp: np.ndarray, live: list[_Beam], chosen: list[int],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from oracles import Recompute, select_full_vocabulary
+from oracles import Recompute, banned_next_tokens_scan, select_full_vocabulary
 from smclm import decoding
 from smclm.decoding import (
     BeamSearchConfig,
@@ -144,6 +144,13 @@ class TestBannedNextTokens:
 
     def test_disabled(self):
         assert banned_next_tokens((1, 1, 1), 0) == set()
+
+    def test_matches_the_slice_scan(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            tokens = tuple(rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(0, 14))).tolist())
+            n = int(rng.integers(0, 6))
+            assert banned_next_tokens(tokens, n) == banned_next_tokens_scan(tokens, n), (tokens, n)
 
 
 class TestGreedy:
@@ -548,6 +555,18 @@ class TestShortlistAgainstFullVocabulary:
         _, (new_live, _) = self.direct(lp, live, cfg, width=4, k=2)
         assert [h.tokens for h in new_live] == [(1, 3), (2, 6)]
 
+    def test_shortlists_are_each_rows_sorted_best_cells(self):
+        # rounded log-probs tie often; tied cells order by the lower token id
+        rng = np.random.default_rng(19)
+        lp = np.round(rng.normal(-3.0, 1.0, size=(6, 40)), 1)
+        lp[0, :5] = -np.inf
+        want = [sorted(zip((-row).tolist(), range(40))) for row in lp]
+        assert decoding._shortlists(lp, 50) == want
+        for k in (1, 7):
+            got = decoding._shortlists(lp, k)
+            # which cells tied at the cut are kept is argpartition's choice
+            assert all(cells == sorted(cells) for cells in got)
+            assert [[c[0] for c in cells] for cells in got] == [[c[0] for c in cells[:k]] for cells in want]
 
 class TestTracedCallSite:
     def test_decoder_looks_up_banned_next_tokens_as_a_module_global(self, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import ClusterOracleEncoder
+from smclm import encoders
 from smclm.encoders import (
     EMBED_MAGIC,
     FileBackedEncoder,
@@ -94,6 +95,13 @@ class TestHashedTokenEmbedder:
     def test_single_nonzero_component(self):
         v = HashedTokenEmbedder(dim=32)("dog")
         assert np.count_nonzero(v) == 1
+
+    def test_slot_memo_is_bounded_and_keeps_every_slot(self):
+        memo = encoders._signed_slot
+        assert memo.cache_info().maxsize == encoders.SLOT_MEMO_SIZE
+        for i in range(300):
+            key = (f"w{i % 40}", 16 + i % 3, i % 2)
+            assert memo(*key) == memo.__wrapped__(*key)
 
 
 class TestEmbeddingFile:

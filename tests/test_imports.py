@@ -1,8 +1,12 @@
 """Every top-level import in the library modules is used somewhere in its
 module, every private top-level function or class is referenced in the
-package, and only the CLI's error funnel catches every exception."""
+package, only the CLI's error funnel catches every exception, and importing
+the package loads numpy but no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +113,16 @@ def test_only_the_cli_error_funnel_catches_everything():
         for where in broad_handlers(p.read_text(encoding="utf-8"))
     ]
     assert found == ["cli.main"]
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = (
+        "import sys, smclm, smclm.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

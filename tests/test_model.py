@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import batch_nll_and_grads_loop, gelu_prime_unshared, gelu_unshared
@@ -8,6 +10,7 @@ from smclm.model import (
     ModelConfig,
     TransformerLM,
     _micro_batches,
+    erf,
     erf_term,
     gelu,
     gelu_prime,
@@ -15,6 +18,8 @@ from smclm.model import (
     log_softmax,
     param_entries,
 )
+from scipy.special import erf as scipy_erf
+
 from smclm.tokenization import BOS_ID, EOS_ID
 
 # float32 gradient tolerance of the batched loss against the per-example
@@ -485,3 +490,48 @@ class TestGelu:
         shared = m.forward([5, 6, 7, 8], inj)
         monkeypatch.setattr(model_module, "gelu", lambda u, s: gelu_unshared(u))
         assert shared.tobytes() == m.forward([5, 6, 7, 8], inj).tobytes()
+
+
+class TestErf:
+    """``model.erf`` against ``scipy.special.erf``, bit for bit; any NaN
+    equals any NaN. ``tests/erf_exhaustive.py`` runs every float32."""
+
+    # the cephes ranges meet at |x| = 1 and 8; exp(-x^2) underflows past
+    # sqrt(MAXLOG), about 26.64
+    EDGES = [0.0, 1.0, 8.0, 26.6, math.sqrt(7.09782712893383996843e2), 0.5, 2.0, 1e30,
+             np.inf, np.nan]
+
+    @staticmethod
+    def mismatches(x: np.ndarray) -> list:
+        with np.errstate(invalid="ignore"):  # signalling NaN patterns warn on the cast
+            ours, ref = erf(x), scipy_erf(x)
+        assert ours.dtype == ref.dtype == x.dtype and ours.shape == x.shape
+        bits = np.uint32 if x.dtype == np.float32 else np.uint64
+        same = (ours.view(bits) == ref.view(bits)) | (np.isnan(ours) & np.isnan(ref))
+        return x[~same].tolist()
+
+    @staticmethod
+    def edges(dtype) -> np.ndarray:
+        tiny = np.finfo(dtype).smallest_subnormal
+        e = np.array(TestErf.EDGES + [tiny, 3 * tiny, np.finfo(dtype).tiny], dtype=dtype)
+        e = np.concatenate([e, np.nextafter(e, dtype(np.inf)), np.nextafter(e, dtype(-np.inf))])
+        return np.concatenate([e, -e])
+
+    def test_float32_bit_pattern_sweep(self):
+        # every 1021st pattern: a prime stride, so the low mantissa bits vary
+        x = np.arange(0, 1 << 32, 1021, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        assert self.mismatches(x) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges(self, dtype):
+        assert self.mismatches(self.edges(dtype)) == []
+
+    def test_float64_sample(self):
+        x = np.random.default_rng(47).normal(0.0, 3.0, size=200_000)
+        assert self.mismatches(x) == []
+
+    def test_keeps_the_shape(self):
+        x = np.linspace(-3, 3, 12, dtype=np.float32).reshape(3, 4).T
+        assert self.mismatches(x) == []
+        assert erf(np.float64(0.5)).shape == () and erf(0.5) == scipy_erf(0.5)
+        assert erf(np.zeros((2, 0))).shape == (2, 0)
