@@ -112,8 +112,7 @@ def _sentence_bleu(hyp: _Sentence, refs: Sequence[_Sentence], max_n: int = DEFAU
         raise ValueError("empty reference list")
 
     def clipped(n: int, counts: Counter) -> int:
-        # one reference (every BLEU against a source) is its own clip table
-        ref_max = refs[0].ngrams(n) if len(refs) == 1 else _top_two([r.ngrams(n) for r in refs])[0]
+        ref_max = _top_two([r.ngrams(n) for r in refs])[0]
         return sum(min(cnt, ref_max.get(gram, 0)) for gram, cnt in counts.items())
 
     return _bleu(hyp, max_n, [len(r.words) for r in refs], clipped)

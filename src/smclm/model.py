@@ -165,7 +165,7 @@ def erf(x) -> np.ndarray:
     y = small * _polevl(z, _T) / _p1evl(z, _U)
     if has_tail:
         w = np.minimum(mag[tail], 8.0)
-        e = np.exp(-w * w) if x.dtype == np.float32 else _libm_exp(-w * w)
+        e = _libm_exp(-w * w)
         y[tail] = np.copysign(1.0 - e * _polevl(w, _P) / _p1evl(w, _Q), a[tail])
     y = y.reshape(x.shape)
     return y.astype(np.float32) if x.dtype == np.float32 else y
