@@ -8,8 +8,8 @@ Run from the repository root, with no options:
 It walks the patterns in blocks of 2^22, compares the two results bit for
 bit (any NaN equals any NaN), prints progress every 2^28 patterns and ends
 with the mismatch count and the seconds taken; it exits 1 on any mismatch.
-The file name keeps pytest from collecting it: one run takes 7-10 minutes
-on one core (432 s on a shared 2-core x86-64 machine).
+The file name keeps pytest from collecting it: one run takes 7-12 minutes
+on one core (721 s on a shared 2-core x86-64 machine).
 """
 
 import sys
