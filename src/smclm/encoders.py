@@ -8,6 +8,7 @@ vectors by sha256 of the normalized sentence.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from functools import lru_cache
 from typing import Mapping
@@ -37,7 +38,7 @@ def unit(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite embedding vector")
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))  # what np.linalg.norm computes, without its wrapper
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return (v / n).astype(np.float32)
@@ -52,7 +53,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine undefined for zero vectors")
     return min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb))))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,27 +31,19 @@ TokenEmbedder = Callable[[str], np.ndarray]
 class _Sentence:
     """One sentence as the metrics read it.
 
-    Its words, its 1..n-gram counts, its encoder vector and its unit-row
-    token-embedding matrix are each computed on first use and kept, so a
-    sentence scored against many others is tokenized and counted once.
+    Its words, its encoder vector and its unit-row token-embedding matrix are
+    each computed on first use and kept, so a sentence scored against many
+    others is tokenized and encoded once.
     """
 
     def __init__(self, text: str, encoder=None, token_embedder: TokenEmbedder | None = None):
         self.text = text
         self.encoder = encoder
         self.token_embedder = token_embedder
-        self._ngrams: dict[int, Counter] = {}
 
     @cached_property
     def words(self) -> list[str]:
         return normalize(self.text).split()
-
-    def ngrams(self, n: int) -> Counter:
-        counts = self._ngrams.get(n)
-        if counts is None:
-            w = self.words
-            counts = self._ngrams[n] = Counter(zip(*(w[i:] for i in range(n))))
-        return counts
 
     @cached_property
     def vector(self) -> np.ndarray:
@@ -67,37 +59,15 @@ class _Sentence:
         return e / norms
 
 
-def _top_two(counts: Sequence[Counter]) -> tuple[dict, dict]:
-    """Per gram, the largest and the second-largest count over ``counts``
-    (a gram found in one Counter only has no second entry)."""
-    top1: dict = {}
-    top2: dict = {}
-    for c in counts:
-        for gram, cnt in c.items():
-            t = top1.get(gram, 0)
-            if cnt > t:
-                top1[gram] = cnt
-                if t:
-                    top2[gram] = t
-            elif cnt > top2.get(gram, 0):
-                top2[gram] = cnt
-    return top1, top2
-
-
-def _bleu(
-    hyp: _Sentence, max_n: int, ref_lengths: Sequence[int], clipped: Callable[[int, Counter], int]
-) -> float:
-    """The one BLEU body: ``clipped(n, counts)`` is the clip-limited match
-    count of hyp's order-n ``counts`` against its references."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    c = len(hyp.words)
+def _bleu(c: int, matches: Sequence[int], ref_lengths: Iterable[int]) -> float:
+    """The one BLEU formula for a hypothesis of ``c`` words: ``matches[n - 1]``
+    is its clip-limited order-n match count against its references."""
     if c == 0:
         return 0.0
     log_sum = 0.0
-    orders = range(1, min(max_n, c) + 1)
+    orders = range(1, min(len(matches), c) + 1)
     for n in orders:
-        matched = clipped(n, hyp.ngrams(n))
+        matched = matches[n - 1]
         if matched == 0:
             return 0.0
         log_sum += math.log(matched / (c - n + 1))
@@ -107,15 +77,85 @@ def _bleu(
     return 100.0 * bp * geo
 
 
-def _sentence_bleu(hyp: _Sentence, refs: Sequence[_Sentence], max_n: int = DEFAULT_MAX_N) -> float:
-    if not refs:
-        raise ValueError("empty reference list")
+class _NgramTable:
+    """The 1..max_n-gram counts of a list of sentences, one entry per
+    (sentence, gram): ``row`` is the sentence's index, ``gram`` the gram's id
+    and ``count`` how often the gram occurs in that sentence.
 
-    def clipped(n: int, counts: Counter) -> int:
-        ref_max = _top_two([r.ngrams(n) for r in refs])[0]
-        return sum(min(cnt, ref_max.get(gram, 0)) for gram, cnt in counts.items())
+    Grams are told apart exactly: a word's id comes from a dict, and an
+    order-n gram's id is the dense rank of (its first n - 1 words' id, its last
+    word's id), so no key outgrows int64 whatever max_n is. Ids run order by
+    order, so the entries sorted by (row, gram) fall into (row, order) runs.
+    """
 
-    return _bleu(hyp, max_n, [len(r.words) for r in refs], clipped)
+    def __init__(self, sentences: Sequence[Sequence[str]], max_n: int):
+        if max_n < 1:
+            raise ValueError("max_n must be >= 1")
+        self.lengths = [len(w) for w in sentences]
+        self.orders = min(max_n, max(self.lengths, default=0))
+        words = list(chain.from_iterable(sentences))
+        ids = dict(zip(dict.fromkeys(words), range(len(words))))
+        word = np.fromiter(map(ids.__getitem__, words), np.int64, len(words))
+        row = np.repeat(np.arange(len(sentences)), self.lengths)
+        gram, rows, starts = [word], [row], [0]
+        prev, self.size = word, len(ids)
+        for n in range(2, self.orders + 1):
+            # windows that cross a sentence end get ids too, and are dropped
+            ids_n, prev = np.unique(prev[:-1] * len(ids) + word[n - 1 :], return_inverse=True)
+            head = row[: len(prev)]
+            inside = head == row[n - 1 :]
+            gram.append(prev[inside] + self.size)
+            rows.append(head[inside])
+            starts.append(self.size)
+            self.size += len(ids_n)
+        key = np.concatenate(rows) * self.size + np.concatenate(gram)
+        key, self.count = np.unique(key, return_counts=True)
+        self.row, self.gram = np.divmod(key, self.size)
+        # where each (row, order) run starts, and the end: row m's first order
+        firsts = np.add.outer(np.arange(len(sentences) + 1) * self.size, starts[: self.orders])
+        self._bounds = np.searchsorted(key, firsts.ravel()[: len(sentences) * self.orders + 1])
+
+    def _per_gram(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """``ufunc`` over the entry ``values`` of each gram, from 0."""
+        out = np.zeros(self.size, np.int64)
+        ufunc.at(out, self.gram, values)
+        return out
+
+    def _matches(self, clip: np.ndarray) -> list[list[int]]:
+        """Per row and order, the sum of ``clip`` (one value per entry)."""
+        total = np.concatenate(([0], np.cumsum(clip)))[self._bounds]
+        return np.diff(total).reshape(len(self.lengths), self.orders).tolist()
+
+    def bleu(self, hyps: Iterable[int], refs: Sequence[int]) -> list[float]:
+        """BLEU of each hyps row against the refs rows: every gram is clipped
+        at its largest count among the references."""
+        if not refs:
+            raise ValueError("empty reference list")
+        is_ref = np.zeros(len(self.lengths), bool)
+        is_ref[list(refs)] = True
+        top = self._per_gram(np.maximum, np.where(is_ref[self.row], self.count, 0))
+        matches = self._matches(np.minimum(self.count, top[self.gram]))
+        ref_lengths = [self.lengths[r] for r in refs]
+        return [_bleu(self.lengths[h], matches[h], ref_lengths) for h in hyps]
+
+    def self_bleu(self, cands: Sequence[int]) -> float:
+        """Mean leave-one-out BLEU over the cands rows, one term per copy: a
+        copy's clip count for a gram is the set's top count, or the second one
+        where it holds the top itself (top == second when two copies hold it)."""
+        if len(cands) < 2:
+            raise ValueError("self_bleu needs at least 2 candidates")
+        copies = np.bincount(cands, minlength=len(self.lengths))[self.row]
+        own = np.where(copies > 0, self.count, 0)
+        top = self._per_gram(np.maximum, own)
+        at_top = own == top[self.gram]
+        second = self._per_gram(np.maximum, np.where(at_top, 0, own))
+        second = np.where(self._per_gram(np.add, copies * at_top) > 1, top, second)
+        matches = self._matches(np.where(self.count < top[self.gram], self.count, second[self.gram]))
+        # a closest reference length depends only on which lengths the other copies have
+        lengths = [self.lengths[i] for i in cands]
+        refs = {c: set(lengths) - ({c} if lengths.count(c) == 1 else set()) for c in set(lengths)}
+        scores = {i: _bleu(self.lengths[i], matches[i], refs[self.lengths[i]]) for i in set(cands)}
+        return float(np.mean([scores[i] for i in cands]))
 
 
 def bleu(hypothesis: str, references: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
@@ -126,57 +166,39 @@ def bleu(hypothesis: str, references: Sequence[str], max_n: int = DEFAULT_MAX_N)
     those orders gives 0. Brevity penalty uses the closest reference length
     (ties broken toward the shorter reference). Returns 0..100.
     """
-    return _sentence_bleu(_Sentence(hypothesis), [_Sentence(r) for r in references], max_n)
+    table = _NgramTable([_Sentence(t).words for t in (hypothesis, *references)], max_n)
+    return table.bleu([0], range(1, len(references) + 1))[0]
 
 
-def _source_bleus(source: _Sentence, candidates: Sequence[_Sentence], max_n: int) -> list[float]:
-    """BLEU of each candidate against the source alone."""
-    return [_sentence_bleu(c, [source], max_n) for c in candidates]
+def _pair_bleu(hyp: _Sentence, ref: _Sentence) -> float:
+    return _NgramTable([hyp.words, ref.words], DEFAULT_MAX_N).bleu([0], [1])[0]
 
 
 def ori_bleu(source: str, candidates: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
     """Mean BLEU of each candidate against the source; high means copying."""
     if not candidates:
         raise ValueError("no candidates")
-    cands = [_Sentence(c) for c in candidates]
-    return float(np.mean(_source_bleus(_Sentence(source), cands, max_n)))
-
-
-def _self_bleu(candidates: Sequence[_Sentence], max_n: int) -> float:
-    # A candidate's references are all the others, so its clip count for a
-    # gram is the set's top count, or the second one where it holds the top
-    # itself; both come from one pass over the set per order.
-    if len(candidates) < 2:
-        raise ValueError("self_bleu needs at least 2 candidates")
-    tops: dict[int, tuple[dict, dict]] = {}
-
-    def clipped(n: int, counts: Counter) -> int:
-        if n not in tops:
-            tops[n] = _top_two([c.ngrams(n) for c in candidates])
-        top1, top2 = tops[n]
-        return sum(cnt if cnt < top1[gram] else top2.get(gram, 0) for gram, cnt in counts.items())
-
-    lengths = [len(c.words) for c in candidates]
-    return float(np.mean([
-        _bleu(cand, max_n, lengths[:i] + lengths[i + 1 :], clipped)
-        for i, cand in enumerate(candidates)
-    ]))
+    table = _NgramTable([_Sentence(t).words for t in (source, *candidates)], max_n)
+    return float(np.mean(table.bleu(range(1, len(candidates) + 1), [0])))
 
 
 def self_bleu(candidates: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
     """Leave-one-out BLEU among candidates; high means low diversity."""
-    return _self_bleu([_Sentence(c) for c in candidates], max_n)
+    return _NgramTable([_Sentence(t).words for t in candidates], max_n).self_bleu(range(len(candidates)))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # standard O(len(a)*len(b)) DP, two rolling rows
-    prev = [0] * (len(b) + 1)
+    # bit-parallel LCS (Allison-Dix, as Hyyro writes it): after a prefix of a,
+    # bit j of v is 0 where its LCS with b[: j + 1] exceeds that with b[:j]
+    match: dict[str, int] = {}
+    for j, y in enumerate(b):
+        match[y] = match.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _rouge_l(hypothesis: _Sentence, references: Sequence[_Sentence]) -> float:
@@ -272,13 +294,13 @@ def bert_ibleu(
     """Token-matching similarity combined with (1 - BLEU(best, source)). 0..100."""
     src = _Sentence(source, token_embedder=token_embedder)
     hyp = _Sentence(best, token_embedder=token_embedder)
-    return _ibleu(_token_match(src, hyp), _sentence_bleu(hyp, [src]), beta)
+    return _ibleu(_token_match(src, hyp), _pair_bleu(hyp, src), beta)
 
 
 def sbert_ibleu(source: str, best: str, encoder, beta: float = DEFAULT_BETA) -> float:
     """Sentence-cosine similarity combined with (1 - BLEU(best, source)). 0..100."""
     src, hyp = _Sentence(source, encoder), _Sentence(best, encoder)
-    return _ibleu(_sentence_cosine(src, hyp), _sentence_bleu(hyp, [src]), beta)
+    return _ibleu(_sentence_cosine(src, hyp), _pair_bleu(hyp, src), beta)
 
 
 @dataclass(frozen=True)
@@ -332,7 +354,7 @@ def calibrate_beta(
         a, b = sentence[inp], sentence[ref]
         token_scores.append(_token_match(a, b))
         sentence_scores.append(_sentence_cosine(a, b))
-        bleu_scores.append(_sentence_bleu(a, [b]))
+        bleu_scores.append(_pair_bleu(a, b))
     return calibrate_beta_from_scores(token_scores, sentence_scores, bleu_scores)
 
 
@@ -466,16 +488,15 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
                 raise ValueError(f"record {idx}: {e}") from None
             skipped += 1
             continue
-        # one record per distinct text, shared by every score of this record
-        sentence = {
-            t: _Sentence(t, cfg.encoder, cfg.token_embedder)
-            for t in {source, *references, *candidates}
-        }
-        src = sentence[source]
-        refs = [sentence[r] for r in references]
-        cands = [sentence[c] for c in candidates]
+        # one record per distinct text, and one n-gram table over them, shared
+        # by every score of this record; the source is row 0
+        at = {t: i for i, t in enumerate(dict.fromkeys([source, *references, *candidates]))}
+        sentences = [_Sentence(t, cfg.encoder, cfg.token_embedder) for t in at]
+        grams = _NgramTable([s.words for s in sentences], DEFAULT_MAX_N)
+        ref_rows, cand_rows = [at[r] for r in references], [at[c] for c in candidates]
+        src, refs, cands = sentences[0], [sentences[i] for i in ref_rows], [sentences[i] for i in cand_rows]
         # BLEU(candidate, source) once per candidate: oriBLEU, selection, combined
-        src_bleu = _source_bleus(src, cands, DEFAULT_MAX_N)
+        src_bleu = grams.bleu(cand_rows, [0])
         if best_idx is None:
             scores = [
                 0.0 if not c.words else _ibleu(_sentence_cosine(src, c), b, cfg.beta)
@@ -488,8 +509,8 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
             "source": source,
             "best": best_idx,
             "oriBLEU": float(np.mean(src_bleu)),
-            "selfBLEU": _self_bleu(cands, DEFAULT_MAX_N) if len(cands) >= 2 else None,
-            "BLEU": _sentence_bleu(best, refs),
+            "selfBLEU": grams.self_bleu(cand_rows) if len(cand_rows) >= 2 else None,
+            "BLEU": grams.bleu([cand_rows[best_idx]], ref_rows)[0],
             "ROUGE-L": _rouge_l(best, refs),
             "oriBERT": ori_bert,
             "oriSBERT": ori_sbert,

@@ -201,10 +201,12 @@ def _layer_norm_backward(dy, xhat, inv_std, g):
     dg = (dy * xhat).sum(axis=0)
     db = dy.sum(axis=0)
     dxhat = dy * g
+    # the means as _layer_norm takes them, without ndarray.mean's wrapper
+    d = dy.shape[-1]
     dx = (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
     ) * inv_std
     return dx, dg, db
 

@@ -6,7 +6,11 @@ tables, explicit bookkeeping) so they share no code or structure with the
 package. ``normalize_per_char`` is normalize as a per-character category
 scan, and ``self_bleu_loop`` is self-BLEU as a leave-one-out loop of string
 ``bleu`` calls; both are the bodies their table-driven and top-two-count
-replacements must equal. ``batch_nll_and_grads_loop`` is the per-example
+replacements must equal. ``counter_bleu``, ``counter_ori_bleu`` and
+``counter_self_bleu`` are the BLEU family as it was computed from one
+``Counter`` per sentence and order (self-BLEU clipping from ``top_two``
+counts), the path the library's sparse n-gram table must equal float for
+float. ``batch_nll_and_grads_loop`` is the per-example
 training loss the batched loss body replaced. ``select_full_vocabulary`` is
 one group's beam selection over a full ``(b, V)`` score array, the body the
 decoder's shortlist walks must equal, ``banned_next_tokens_scan`` is the
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import string
 import unicodedata
+from collections import Counter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -116,6 +121,83 @@ def self_bleu_loop(candidates: list[str], max_n: int = 3) -> float:
         others = [c for j, c in enumerate(candidates) if j != i]
         scores.append(bleu(cand, others, max_n))
     return float(np.mean(scores))
+
+
+def _counter_ngrams(words: list[str], n: int) -> Counter:
+    return Counter(zip(*(words[i:] for i in range(n))))
+
+
+def top_two(counts: list[Counter]) -> tuple[dict, dict]:
+    """Per gram, the largest and the second-largest count over ``counts``
+    (a gram found in one Counter only has no second entry)."""
+    top1: dict = {}
+    top2: dict = {}
+    for c in counts:
+        for gram, cnt in c.items():
+            t = top1.get(gram, 0)
+            if cnt > t:
+                top1[gram] = cnt
+                if t:
+                    top2[gram] = t
+            elif cnt > top2.get(gram, 0):
+                top2[gram] = cnt
+    return top1, top2
+
+
+def _counter_bleu_body(hyp: list[str], max_n: int, ref_lengths: list[int],
+                       clipped: Callable[[int, Counter], int]) -> float:
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    c = len(hyp)
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    orders = range(1, min(max_n, c) + 1)
+    for n in orders:
+        matched = clipped(n, _counter_ngrams(hyp, n))
+        if matched == 0:
+            return 0.0
+        log_sum += math.log(matched / (c - n + 1))
+    geo = math.exp(log_sum / len(orders))
+    r = min(ref_lengths, key=lambda L: (abs(L - c), L))
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return 100.0 * bp * geo
+
+
+def counter_bleu(hypothesis: str, references: list[str], max_n: int = 3) -> float:
+    """Sentence BLEU on 0..100, each gram clipped at its top count among the references."""
+    hyp = normalize(hypothesis).split()
+    refs = [normalize(r).split() for r in references]
+    if not refs:
+        raise ValueError("empty reference list")
+
+    def clipped(n: int, counts: Counter) -> int:
+        ref_max = top_two([_counter_ngrams(r, n) for r in refs])[0]
+        return sum(min(cnt, ref_max.get(gram, 0)) for gram, cnt in counts.items())
+
+    return _counter_bleu_body(hyp, max_n, [len(r) for r in refs], clipped)
+
+
+def counter_ori_bleu(source: str, candidates: list[str], max_n: int = 3) -> float:
+    """Mean counter_bleu of each candidate against the source."""
+    return float(np.mean([counter_bleu(c, [source], max_n) for c in candidates]))
+
+
+def counter_self_bleu(candidates: list[str], max_n: int = 3) -> float:
+    """Leave-one-out BLEU: a candidate's clip count for a gram is the set's
+    top count, or the second one where it holds the top itself."""
+    cands = [normalize(c).split() for c in candidates]
+    tops = {n: top_two([_counter_ngrams(c, n) for c in cands]) for n in range(1, max_n + 1)}
+
+    def clipped(n: int, counts: Counter) -> int:
+        top1, top2 = tops[n]
+        return sum(cnt if cnt < top1[gram] else top2.get(gram, 0) for gram, cnt in counts.items())
+
+    lengths = [len(c) for c in cands]
+    return float(np.mean([
+        _counter_bleu_body(cand, max_n, lengths[:i] + lengths[i + 1 :], clipped)
+        for i, cand in enumerate(cands)
+    ]))
 
 
 def batch_nll_and_grads_loop(model, batch):

@@ -1,11 +1,20 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import oracle_bleu, oracle_rouge_l, self_bleu_loop
+from oracles import (
+    counter_bleu,
+    counter_ori_bleu,
+    counter_self_bleu,
+    oracle_bleu,
+    oracle_lcs,
+    oracle_rouge_l,
+    self_bleu_loop,
+)
 from smclm import metrics
 from smclm.encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
 from smclm.metrics import (
@@ -116,6 +125,75 @@ class TestOriSelfBleu:
         assert self_bleu(cands) == self_bleu_loop(cands)
 
 
+class TestNgramTableAgainstCounters:
+    """The sparse n-gram table must give the Counter path's BLEU, oriBLEU and
+    selfBLEU float for float."""
+
+    @staticmethod
+    def candidate_sets(rng, count, lo=1, hi=9):
+        """(source, texts) pairs whose texts repeat, copy the source, hold
+        one-word texts and texts that normalize to nothing."""
+        for _ in range(count):
+            source = random_sentence(rng, lo, hi)
+            pool = [random_sentence(rng, lo, hi) for _ in range(int(rng.integers(1, 5)))]
+            pool += [source, "...", "?!", str(rng.choice(WORDS))]
+            yield source, [pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(1, 9)))]
+
+    def test_bleu_family_equals_counter_oracle(self):
+        rng = np.random.default_rng(41)
+        for source, texts in self.candidate_sets(rng, 300):
+            hyp, refs = texts[0], texts[1:] or [source]
+            for max_n in (1, 2, 3, 4):
+                assert bleu(hyp, refs, max_n) == counter_bleu(hyp, refs, max_n), (hyp, refs, max_n)
+                assert ori_bleu(source, texts, max_n) == counter_ori_bleu(source, texts, max_n)
+                if len(texts) >= 2:
+                    assert self_bleu(texts, max_n) == counter_self_bleu(texts, max_n), (texts, max_n)
+
+    @pytest.mark.parametrize("max_n", range(1, 9))
+    def test_long_sentences_every_order(self, max_n):
+        # 40 words over 3 word types, and edits of one base, so high orders match
+        rng = np.random.default_rng(43 + max_n)
+        small = WORDS[:3]
+        for _ in range(10):
+            base = [str(w) for w in rng.choice(small, 40)]
+            texts = []
+            for _ in range(5):
+                edited = list(base)
+                for i in rng.integers(40, size=int(rng.integers(0, 6))):
+                    edited[int(i)] = str(rng.choice(small))
+                texts.append(" ".join(edited))
+            texts.append(texts[1])
+            source = " ".join(base)
+            assert bleu(texts[0], texts[1:], max_n) == counter_bleu(texts[0], texts[1:], max_n)
+            assert ori_bleu(source, texts, max_n) == counter_ori_bleu(source, texts, max_n)
+            assert self_bleu(texts, max_n) == counter_self_bleu(texts, max_n)
+
+    def test_any_max_n_is_accepted(self):
+        # a gram's id never packs all its words into one integer
+        texts = ["the cat sat on the mat " * 9 + "a dog", "the cat sat on the mat " * 10 + "a dog"]
+        assert bleu(texts[0], texts[1:], 1000) == counter_bleu(texts[0], texts[1:], 1000) > 0.0
+        assert self_bleu(texts, 1000) == counter_self_bleu(texts, 1000)
+
+    def test_max_n_below_one_raises(self):
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            bleu("the cat", ["the cat"], 0)
+
+    def test_self_bleu_memory_on_a_large_candidate_set(self):
+        # 1,000 shuffles of 30 distinct words: 87,000 (candidate, gram) entries
+        # over about 18,000 distinct grams, where a dense candidates x grams
+        # int64 count matrix would take about 150 MB
+        rng = np.random.default_rng(47)
+        words = [f"w{i}" for i in range(30)]
+        cands = [" ".join(rng.permutation(words)) for _ in range(1000)]
+        tracemalloc.start()
+        try:
+            self_bleu(cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestRougeL:
     def test_reference_value(self):
         assert rouge_l("a c d", ["a b c d"]) == pytest.approx(100 * 6 / 7)
@@ -128,6 +206,15 @@ class TestRougeL:
             got = rouge_l(hyp, refs) / 100.0
             want = oracle_rouge_l(hyp.split(), [r.split() for r in refs])
             assert abs(got - want) < 1e-9
+
+    def test_lcs_length_equals_the_full_table(self):
+        # lengths past 64 words take the bit masks beyond one machine word
+        rng = np.random.default_rng(37)
+        for _ in range(500):
+            vocab = WORDS[: int(rng.integers(1, len(WORDS) + 1))]
+            a = [str(w) for w in rng.choice(vocab, int(rng.integers(0, 80)))]
+            b = [str(w) for w in rng.choice(vocab, int(rng.integers(0, 80)))]
+            assert metrics._lcs_length(a, b) == oracle_lcs(a, b), (a, b)
 
     def test_empty_hypothesis_warns_and_zero(self):
         with pytest.warns(UserWarning):
@@ -315,6 +402,33 @@ def string_row(rec: dict, cfg: EvalConfig) -> dict:
     }
 
 
+def counter_row(rec: dict, cfg: EvalConfig) -> dict:
+    """string_row with the BLEU family, the selection and the combined scores
+    from the Counter oracle."""
+    source, references, candidates = rec["source"], rec["references"], rec["candidates"]
+
+    def ibleu(semantic, source_bleu):
+        return 100.0 * ibleu_combine(semantic / 100.0, source_bleu / 100.0, cfg.beta)
+
+    src_bleu = [counter_bleu(c, [source]) for c in candidates]
+    best_idx = rec.get("best")
+    if best_idx is None:
+        scores = [
+            0.0 if not normalize(c) else ibleu(sentence_cosine_similarity(source, c, cfg.encoder), b)
+            for c, b in zip(candidates, src_bleu)
+        ]
+        best_idx = int(np.argmax(scores))
+    row = string_row({**rec, "best": best_idx}, cfg)
+    row.update({
+        "oriBLEU": counter_ori_bleu(source, candidates),
+        "selfBLEU": counter_self_bleu(candidates) if len(candidates) >= 2 else None,
+        "BLEU": counter_bleu(candidates[best_idx], references),
+        "BERT-iBLEU": ibleu(row["oriBERT"], src_bleu[best_idx]),
+        "SBERT-iBLEU": ibleu(row["oriSBERT"], src_bleu[best_idx]),
+    })
+    return row
+
+
 class TestRecordsAgainstStrings:
     """evaluate_corpus scores each sentence once per record; its rows must
     equal, float for float, the rows the string functions give."""
@@ -352,6 +466,23 @@ class TestRecordsAgainstStrings:
         assert any("best" in rec for rec in recs) and any("best" not in rec for rec in recs)
         assert report.rows == want
 
+    def test_rows_equal_counter_oracle_rows(self):
+        # candidates and references repeat, copy the source or one another,
+        # are one word long or normalize to nothing
+        rng = np.random.default_rng(31)
+        recs = []
+        for source, texts in TestNgramTableAgainstCounters.candidate_sets(rng, 60):
+            rec = {"source": source, "references": texts[-3:], "candidates": texts}
+            if rng.uniform() < 0.5:
+                rec["best"] = int(rng.integers(len(texts)))
+            recs.append(rec)
+        cfg = EvalConfig(encoder=HashedBagEncoder(dim=16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rouge_l on a best that normalizes to nothing
+            report = evaluate_corpus(recs, cfg)
+            want = [counter_row(rec, cfg) for rec in recs]
+        assert report.rows == want
+
 
 class TestEvaluateCorpus:
     def setup_method(self):
@@ -385,20 +516,23 @@ class TestEvaluateCorpus:
         assert row["best"] == 0
         assert row["SBERT-iBLEU"] == pytest.approx(sbert_ibleu("he cat", "the cat", self.enc))
 
-    def test_each_candidate_bleu_against_source_computed_once(self, monkeypatch):
-        calls = []
-        real = metrics._sentence_bleu
+    def test_one_ngram_table_per_record(self, monkeypatch):
+        # every BLEU of a record (against the source for each candidate, the
+        # best against the references, selfBLEU) reads one table
+        tables = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        class Counted(metrics._NgramTable):
+            def __init__(self, sentences, max_n):
+                tables.append(len(sentences))
+                super().__init__(sentences, max_n)
 
-        monkeypatch.setattr(metrics, "_sentence_bleu", counted)
+        monkeypatch.setattr(metrics, "_NgramTable", Counted)
         src = "the cat sat on the mat"
-        cands = [src, "the cat sat on mat red", "a cat is on a mat", "..."]
-        evaluate_corpus(_records([(src, ["a cat sat on the mat"], cands)]), self.cfg)
-        # once per candidate against the source, once for the best against the references
-        assert len(calls) == len(cands) + 1
+        cands = [src, "the cat sat on mat red", "a cat is on a mat", "...", "a cat is on a mat"]
+        recs = _records([(src, ["a cat sat on the mat", src], cands), ("dog ran", ["a dog ran"], ["dog ran big"])])
+        evaluate_corpus(recs, self.cfg)
+        # one row per distinct text of the record
+        assert tables == [5, 3]
 
     def test_explicit_best_respected(self):
         src = "the cat sat on the mat"
