@@ -9,15 +9,15 @@ timestep runs one ``step(cache, parents, tokens)`` for every group's live
 beams over a per-layer K/V cache whose rows follow the selected parents.
 Diversity penalties only change selection, so the groups share the step.
 
-Selection never scores the full vocabulary. Penalties and n-gram bans only
-lower the scores of known tokens, so up to rounding a group of width w picks
-from a row's best w + (distinct earlier picks) + (the row's bans) cells. Each
-timestep one argpartition keeps every row's best beam_count + (most bans of
-any beam) + 1, and a group walks its beams' lists until sel_score + log-prob
-falls strictly below its width-th best. A walk that passes the end of a list
-goes on over the rest of the row (the rounding guard): a cell tied at the
-cut, or one whose sel_score + log-prob rounds to a kept cell's, can still
-win on its lower id.
+Selection never scores the full vocabulary. Penalties and bans (the n-gram
+rule's plus ``banned_ids``) only lower the scores of known tokens, so up to
+rounding a group of width w picks from a row's best w + (distinct earlier
+picks) + (the row's bans) cells. Each timestep one argpartition keeps every
+row's best beam_count + (most bans of any beam) + 1, and a group walks its
+beams' lists until sel_score + log-prob falls strictly below its width-th
+best. A walk that passes the end of a list goes on over the rest of the row
+(the rounding guard): a cell tied at the cut, or one whose sel_score +
+log-prob rounds to a kept cell's, can still win on its lower id.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ class BeamSearchConfig:
     max_length: int = 32
     length_alpha: float = 1.0
     eos_id: int = EOS_ID
+    banned_ids: frozenset[int] = frozenset()  # ids no beam may select
 
     def __post_init__(self):
+        object.__setattr__(self, "banned_ids", frozenset(self.banned_ids))
         if self.beam_count < 1 or self.group_count < 1:
             raise ValueError("beam_count and group_count must be >= 1")
         if self.beam_count % self.group_count != 0:
@@ -232,7 +234,10 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     pools: list[list[Hypothesis]] = [[] for _ in range(cfg.group_count)]
     lp, cache = model.start(injection)  # one row, shared by every group's first beam
     for t in range(cfg.max_length):
-        bans = [[banned_next_tokens(h.tokens, cfg.no_repeat_ngram) for h in beams] for beams in live]
+        bans = [
+            [banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids for h in beams]
+            for beams in live
+        ]
         most_bans = max(len(b) for group_bans in bans for b in group_bans)
         lists = _shortlists(lp, cfg.beam_count + most_bans + 1)
         picked: dict[int, int] = {}  # picks per token by the groups done this timestep

@@ -25,10 +25,13 @@ from .tokenization import BOS_ID
 LN_EPS = 1e-5
 SQRT_2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# padded rows per loss micro-batch. Larger budgets ran the train benchmark a
-# little faster but grew its peak memory: 96 rows reached the per-example
-# loop's peak, a whole B=32 batch went 30% past it (sweep in CHANGES.md)
-ROW_BUDGET = 64
+# padded rows per loss micro-batch, cut after a stable sort by length so a
+# pass holds little padding, and real rows per slice of the vocabulary head,
+# which bounds the head's (rows, V) float64 buffer whatever the budget. 128
+# rows ran the train benchmark fastest; 256 ran slower and used more memory
+# (sweep in CHANGES.md)
+ROW_BUDGET = 128
+HEAD_ROWS = 64
 
 # cephes ndtr.c, the erf that scipy.special.erf runs: x T(x²) / U(x²) for
 # |x| <= 1, else 1 - exp(-x²) P(|x|) / Q(|x|); U and Q lead with an implied 1
@@ -222,17 +225,18 @@ def _merge_heads(a: np.ndarray, n: int, t: int) -> np.ndarray:
     return a.reshape(n, H, t, -1).transpose(0, 2, 1, 3).reshape(n * t, -1)
 
 
-def _micro_batches(lengths: list[int]) -> list[range]:
-    """Cut example indices, in order, into runs whose padded rows, count
-    times the longest length, fit ROW_BUDGET; an example longer than the
-    budget runs alone."""
-    runs, start, longest = [], 0, 0
-    for i, T in enumerate(lengths):
-        longest = max(longest, T)
-        if i > start and (i + 1 - start) * longest > ROW_BUDGET:
-            runs.append(range(start, i))
-            start, longest = i, T
-    runs.append(range(start, len(lengths)))
+def _micro_batches(lengths: list[int]) -> list[list[int]]:
+    """Example indices, stably sorted by length, cut into runs whose padded
+    rows, count times the longest length, fit ROW_BUDGET; an example longer
+    than the budget runs alone. Sorted runs pad each example to a length
+    close to its own."""
+    runs, run = [], []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if run and (len(run) + 1) * lengths[i] > ROW_BUDGET:
+            runs.append(run)
+            run = []
+        run.append(i)
+    runs.append(run)
     return runs
 
 
@@ -298,7 +302,7 @@ class TransformerLM:
                 f"sequence of {T} positions exceeds max_positions={self.config.max_positions}"
             )
 
-    def _blocks(self, x: np.ndarray, t: int, past=None, parents=None, head_rows=None):
+    def _blocks(self, x: np.ndarray, t: int, past=None, parents=None, head: bool = True):
         """The one transformer block loop: t new positions for each of n rows.
 
         ``x`` holds the input rows, row-major, shape (n * t, embed_dim).
@@ -314,8 +318,9 @@ class TransformerLM:
         gemm rows of a longer pass. While decoding, a single query runs twice
         for the same reason.
 
-        Returns the logits of the ``head_rows`` (all rows by default), the
-        activations ``_backward`` reads, and the cache grown by t positions.
+        Returns the logits of every row (None without ``head``; the loss
+        runs the head itself from ``acts["y"]``), the activations
+        ``_backward`` reads, and the cache grown by t positions.
         """
         p = self.params
         cfg = self.config
@@ -368,12 +373,12 @@ class TransformerLM:
                      xhat2=xhat2, inv2=inv2, fpost=fpost, u=u, erf_u=erf_u, g_act=g_act)
             )
         y, xhatf, invf = _layer_norm(x, p["lnf_g"], p["lnf_b"])
-        if head_rows is not None:
-            y = y[head_rows]
-        logits = y @ p["tok_emb"].T
         acts = dict(layers=layers, y=y, xhatf=xhatf, invf=invf)
+        logits = y @ p["tok_emb"].T if head else None
         if keep < n:
-            logits, grown = logits[:t], [(k[:keep], v[:keep]) for k, v in grown]
+            grown = [(k[:keep], v[:keep]) for k, v in grown]
+            if head:
+                logits = logits[:t]
         return logits, acts, grown
 
     def forward(self, tokens, injection: np.ndarray | None = None) -> np.ndarray:
@@ -424,11 +429,12 @@ class TransformerLM:
         batch_nll_and_grads and training.evaluate_nll.
 
         ``examples`` are (tokens, injection) pairs, all checked before any
-        pass runs. They are cut, in order, into micro-batches of at most
-        ROW_BUDGET padded rows, each one ``_micro_batch`` pass. Returns each
-        example's per-token mean NLL, its float64 per-token log-probs and,
-        with grads, the gradients of the mean over examples of those losses
-        (None without), so examples weigh equally regardless of length.
+        pass runs. ``_micro_batches`` sorts them by input length and cuts
+        them into micro-batches of at most ROW_BUDGET padded rows, each one
+        ``_micro_batch`` pass. Returns, in input order, each example's
+        per-token mean NLL and its float64 per-token log-probs and, with
+        grads, the gradients of the mean over examples of those losses (None
+        without), so examples weigh equally regardless of length.
         """
         if not examples:
             raise ValueError("empty batch")
@@ -440,16 +446,24 @@ class TransformerLM:
                 raise ValueError("need at least 1 target token (2 tokens without an injection)")
             prepared.append((self._inputs(tokens[:-1], injection), tokens[:-1], targets))
         grads = {name: np.zeros_like(arr) for name, arr in self.params.items()} if with_grads else None
-        lps = []
+        # the head's float64 and model-dtype buffers, shared by every slice
+        # of every micro-batch: allocated per slice, the allocator handed
+        # them back to the system and page-faulted them in again each time
+        V = self.config.vocab_size
+        head = np.empty((HEAD_ROWS, V)), np.empty((HEAD_ROWS, V), self.dtype)
+        lps = [None] * len(prepared)
         for chunk in _micro_batches([len(x) for x, _, _ in prepared]):
-            lps += self._micro_batch([prepared[i] for i in chunk], 1.0 / len(examples), grads)
+            got = self._micro_batch([prepared[i] for i in chunk], 1.0 / len(examples), grads, head)
+            for i, lp in zip(chunk, got):
+                lps[i] = lp
         return [float(-lp.mean()) for lp in lps], lps, grads
 
-    def _micro_batch(self, examples, weight: float, grads) -> list[np.ndarray]:
+    def _micro_batch(self, examples, weight: float, grads, head) -> list[np.ndarray]:
         """One right-padded forward over (input rows, input ids, targets)
         examples; returns each one's float64 per-token log-probs. With
         ``grads``, one backward adds each example's mean-NLL gradient, scaled
-        by ``weight``, into them.
+        by ``weight``, into them. The vocabulary head runs over HEAD_ROWS
+        real rows at a time, in the ``head`` buffers.
         """
         inputs, ids, targets = zip(*examples)
         lengths = [len(x) for x in inputs]
@@ -460,29 +474,39 @@ class TransformerLM:
         embedded = np.concatenate(
             [j * t + np.arange(T - len(w), T) for j, (T, w) in enumerate(zip(lengths, ids))]
         )
-        logits, acts, _ = self._blocks(_pad(inputs, t), t, head_rows=real)
-        # one float64 buffer takes the shifted logits, then their exp, which
-        # serves both the log-probs and the softmax; each head buffer is
-        # dropped once used, which keeps peak memory flat
-        e = logits.astype(np.float64)
-        del logits
-        e -= e.max(axis=-1, keepdims=True)
-        rows = np.arange(len(real))
+        _, acts, _ = self._blocks(_pad(inputs, t), t, head=False)
+        y, emb = acts["y"], self.params["tok_emb"]
         target_ids = np.concatenate(targets)
-        target_z = e[rows, target_ids]
-        np.exp(e, out=e)
-        total = e.sum(axis=-1, keepdims=True)
-        lps = np.split(target_z - np.log(total[:, 0]), np.cumsum(lengths)[:-1])
+        lp = np.empty(len(real))
         if grads is not None:
+            dy = np.zeros_like(y)
             # d(weight * mean nll)/dlogits = weight * (softmax - onehot) / T_i
-            e /= total
-            e[rows, target_ids] -= 1.0
-            e *= np.repeat([weight / T for T in lengths], lengths)[:, None]
-            dlogits = e.astype(self.dtype)
-            del e
+            row_weights = np.repeat([weight / T for T in lengths], lengths)[:, None]
+        for c in range(0, len(real), HEAD_ROWS):
+            rows, tid = real[c : c + HEAD_ROWS], target_ids[c : c + HEAD_ROWS]
+            at = np.arange(len(rows))
+            yr = y[rows]
+            # the float64 buffer takes the shifted logits, then their exp,
+            # which serves both the log-probs and the softmax
+            e, z = head[0][: len(rows)], head[1][: len(rows)]
+            np.matmul(yr, emb.T, out=z)  # the logits
+            np.copyto(e, z)
+            e -= e.max(axis=-1, keepdims=True)
+            target_z = e[at, tid]
+            np.exp(e, out=e)
+            total = e.sum(axis=-1, keepdims=True)
+            lp[c : c + len(rows)] = target_z - np.log(total[:, 0])
+            if grads is not None:
+                e /= total
+                e[at, tid] -= 1.0
+                e *= row_weights[c : c + HEAD_ROWS]
+                np.copyto(z, e, casting="same_kind")  # now dlogits
+                grads["tok_emb"] += z.T @ yr
+                dy[rows] = z @ emb
+        if grads is not None:
             token_ids = np.asarray([w for seq in ids for w in seq], dtype=np.intp)
-            self._backward(dlogits, acts, t, real, embedded, token_ids, grads)
-        return lps
+            self._backward(dy, acts, t, embedded, token_ids, grads)
+        return np.split(lp, np.cumsum(lengths)[:-1])
 
     def nll(self, tokens, injection: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """Mean per-token NLL in nats and the float64 per-token log-probs.
@@ -500,12 +524,14 @@ class TransformerLM:
         losses, lps, grads = self._loss([(tokens, injection)], with_grads=True)
         return losses[0], lps[0], grads
 
-    def _backward(self, dlogits, acts, t, head_rows, embedded, ids, grads) -> None:
-        """Add the gradients of one padded ``_blocks`` pass into ``grads``.
+    def _backward(self, dy, acts, t, embedded, ids, grads) -> None:
+        """Add the gradients of one padded ``_blocks`` pass below the
+        vocabulary head into ``grads``.
 
-        ``dlogits`` holds the ``head_rows`` rows only; padded rows get none,
-        so they add exactly zero. ``embedded`` indexes the input rows taken
-        from ``tok_emb``, whose token ids are ``ids``.
+        ``dy`` is the gradient at the final layer norm's output, every row;
+        padded rows carry zero, so they add exactly zero. ``embedded``
+        indexes the input rows taken from ``tok_emb``, whose token ids are
+        ``ids``.
         """
         p = self.params
         cfg = self.config
@@ -514,9 +540,6 @@ class TransformerLM:
         scale = np.asarray(1.0 / math.sqrt(d // H), dtype=self.dtype)
         n = len(acts["xhatf"]) // t
 
-        grads["tok_emb"] += dlogits.T @ acts["y"]
-        dy = np.zeros((n * t, d), dtype=self.dtype)
-        dy[head_rows] = dlogits @ p["tok_emb"]
         dx, dgf, dbf = _layer_norm_backward(dy, acts["xhatf"], acts["invf"], p["lnf_g"])
         grads["lnf_g"] += dgf
         grads["lnf_b"] += dbf

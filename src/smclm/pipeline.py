@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .decoding import BeamSearchConfig, diverse_beam_search
 from .jsonl import write_jsonl
 from .metrics import DEFAULT_BETA, sbert_ibleu
-from .tokenization import Vocabulary, normalize
+from .tokenization import BOS_ID, PAD_ID, UNK_ID, Vocabulary, normalize
+
+# ids a candidate never holds: detokenize drops <bos> and <pad>, and <unk>
+# would read as the word "unk" in every metric
+SPECIAL_IDS = frozenset({BOS_ID, PAD_ID, UNK_ID})
 
 
 @dataclass
@@ -40,10 +44,12 @@ def paraphrase(model, vocab: Vocabulary, encoder, source: str, cfg: PipelineConf
     Selection maximizes SBERT-iBLEU against the source under the pipeline's
     encoder and beta; ties go to the earliest candidate, and a candidate equal
     to the source scores 0 through the combine limit. Candidates that
-    detokenize to nothing score 0 without touching the encoder.
+    detokenize to nothing score 0 without touching the encoder. The decoder
+    never selects <bos>, <pad> or <unk>.
     """
     injection = encoder.encode(source)
-    hypotheses = diverse_beam_search(model, injection, cfg.beam)
+    beam = replace(cfg.beam, banned_ids=cfg.beam.banned_ids | SPECIAL_IDS)
+    hypotheses = diverse_beam_search(model, injection, beam)
     if not hypotheses:
         raise RuntimeError(f"decoder produced no hypotheses for {source!r}")
     candidates = [vocab.detokenize(h.tokens) for h in hypotheses]

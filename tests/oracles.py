@@ -245,17 +245,18 @@ def select_full_vocabulary(lp: np.ndarray, live: list[_Beam], chosen: list[int],
     ``lp`` holds the timestep's next-token log-probs for every live beam.
     Each (beam, token) cell scores sel_score + log-prob minus
     diversity_strength per pick of that token earlier in this timestep
-    (``chosen``); tokens banned by the n-gram rule are skipped. Higher score
-    wins, then the lower token id, then the earlier beam; only cells that
-    tie or beat the width-th best score are sorted. Live beams of one group
-    always share a length, so length never breaks a tie. Returns the
+    (``chosen``); tokens banned by the n-gram rule or ``cfg.banned_ids`` are
+    skipped. Higher score wins, then the lower token id, then the earlier
+    beam; only cells that tie or beat the width-th best score are sorted.
+    Live beams of one group always share a length, so length never breaks a
+    tie. Returns the
     continuing beams, the hypotheses finished by eos and the picked tokens.
     """
     lp = lp[[h.row for h in live]]
     sel = np.array([h.sel_score for h in live])
     score = sel[:, None] + lp - cfg.diversity_strength * np.bincount(chosen, minlength=lp.shape[1])
     for bi, h in enumerate(live):
-        score[bi, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram))] = -np.inf
+        score[bi, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids)] = -np.inf
     flat = score.ravel()
     k = min(width, np.count_nonzero(flat > -np.inf))
     if k == 0:

@@ -78,7 +78,7 @@ def reference_dbs(model, injection, cfg: BeamSearchConfig):
             cands = []
             for bi, (toks, lp_sum, sel) in enumerate(groups[g]):
                 lp = next_lp(model, toks, injection)
-                banned = banned_next_tokens(toks, cfg.no_repeat_ngram)
+                banned = banned_next_tokens(toks, cfg.no_repeat_ngram) | cfg.banned_ids
                 for w in range(lp.shape[0]):
                     if w in banned:
                         continue
@@ -116,6 +116,10 @@ class TestConfig:
         assert (cfg.beam_count, cfg.group_count) == (5, 5)
         assert cfg.diversity_strength == 0.6
         assert cfg.no_repeat_ngram == 2
+        assert cfg.banned_ids == frozenset()
+
+    def test_banned_ids_are_a_frozenset(self):
+        assert BeamSearchConfig(banned_ids=[3, 0, 3]).banned_ids == frozenset({0, 3})
 
     def test_validation(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -261,6 +265,8 @@ class TestAgainstReference:
         dict(beam_count=5, group_count=5, diversity_strength=0.6, no_repeat_ngram=2),
         dict(beam_count=4, group_count=2, diversity_strength=0.6, no_repeat_ngram=2, length_alpha=0.6),
         dict(beam_count=20, group_count=20, diversity_strength=0.6, no_repeat_ngram=2),
+        dict(beam_count=4, group_count=2, diversity_strength=0.6, no_repeat_ngram=2,
+             banned_ids={0, 2, 3}),
     ]
 
     def test_matches_independent_implementation(self):
@@ -323,6 +329,13 @@ class TestInvariants:
             for t in range(len(h.tokens)):
                 total += next_lp(model, h.tokens[:t], None)[h.tokens[t]]
             assert h.log_prob == pytest.approx(total, abs=1e-9)
+
+    def test_banned_ids_are_never_selected(self):
+        m = Recompute(RowModel([3.0, 1.0, 0.5, 0.0]))  # token 0 is the argmax
+        cfg = BeamSearchConfig(beam_count=2, group_count=2, no_repeat_ngram=0, max_length=4,
+                               eos_id=3, banned_ids={0})
+        hyps = diverse_beam_search(m, None, cfg)
+        assert hyps and all(0 not in h.tokens for h in hyps)
 
     def test_every_result_is_finished(self):
         # every result ended at eos or at the cap; only the cap may leave

@@ -6,6 +6,7 @@ from oracles import batch_nll_and_grads_loop, gelu_prime_unshared, gelu_unshared
 
 import smclm.model as model_module
 from smclm.model import (
+    HEAD_ROWS,
     ROW_BUDGET,
     ModelConfig,
     TransformerLM,
@@ -350,6 +351,18 @@ def assert_matches_loop(m, batch, got):
         assert np.abs(grads[name] - want[name]).max() <= GRAD_RTOL * scale, name
 
 
+def assert_matches_single_examples(m, batch):
+    """Each example's loss and log-probs from one batched ``_loss``, in input
+    order, against the example alone through ``nll``."""
+    losses, lps, _ = m._loss(batch, with_grads=False)
+    assert len(losses) == len(lps) == len(batch)
+    for (tokens, injection), loss, lp in zip(batch, losses, lps):
+        want_loss, want_lp = m.nll(tokens, injection)
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+        assert lp.shape == want_lp.shape
+        np.testing.assert_allclose(lp, want_lp, rtol=0, atol=1e-6)
+
+
 class TestBatchedLoss:
     LENGTHS = [11, 1, 5, 9, 2, 11, 7, 3, 10, 4, 6, 8, 1, 11]
 
@@ -380,9 +393,10 @@ class TestBatchedLoss:
 
     @pytest.mark.parametrize("count", [ROW_BUDGET // 8, ROW_BUDGET // 8 + 1])
     def test_rows_at_the_budget(self, count):
-        # count examples of 8 input rows fill the budget exactly, or spill
-        # one example into a second micro-batch
-        lengths = [8] * count
+        # count examples padded to 8 input rows (the last one shorter, so the
+        # sort moves it first) fill the budget exactly, or spill one example
+        # into a second micro-batch
+        lengths = [8] * (count - 1) + [3]
         assert len(_micro_batches(lengths)) == 1 + (count * 8 > ROW_BUDGET)
         m = TransformerLM(tiny_config())
         batch = mixed_batch(np.random.default_rng(37), lengths)
@@ -390,12 +404,38 @@ class TestBatchedLoss:
 
     def test_micro_batch_cuts(self):
         per = ROW_BUDGET // 8
-        assert _micro_batches([8] * per) == [range(0, per)]
-        assert _micro_batches([8] * (per + 1)) == [range(0, per), range(per, per + 1)]
-        # a longer example raises the padded length of the whole run
-        assert _micro_batches([2] * (per - 1) + [9]) == [range(0, per - 1), range(per - 1, per)]
-        # an example over the budget runs alone
-        assert _micro_batches([2, ROW_BUDGET + 1, 2]) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert _micro_batches([8] * per) == [list(range(per))]
+        assert _micro_batches([8] * (per + 1)) == [list(range(per)), [per]]
+        # sorted by length, short examples run together wherever they stand
+        assert _micro_batches([9, 2, 9, 2]) == [[1, 3, 0, 2]]
+        assert _micro_batches([9] + [2] * (per - 1) + [9]) == [list(range(1, per)), [0, per]]
+        # an example over the budget runs alone, after the ones that fit
+        assert _micro_batches([2, ROW_BUDGET + 1, 2]) == [[0, 2], [1]]
+
+    def test_equal_lengths_keep_their_order(self):
+        assert _micro_batches([3, 5, 3, 5, 3]) == [[0, 2, 4, 1, 3]]
+        m = TransformerLM(tiny_config())
+        batch = mixed_batch(np.random.default_rng(41), [5, 7, 5, 7, 5, 5])
+        assert_matches_single_examples(m, batch)
+
+    @pytest.mark.parametrize("order", ["shuffled", "longest_first"])
+    def test_results_come_back_in_input_order(self, order):
+        lengths = list(range(1, 12))
+        if order == "shuffled":
+            np.random.default_rng(43).shuffle(lengths)
+        else:
+            lengths.reverse()
+        m = TransformerLM(tiny_config())
+        batch = mixed_batch(np.random.default_rng(47), lengths)
+        assert_matches_single_examples(m, batch)
+
+    def test_head_in_slices_matches_the_loop(self):
+        # one micro-batch whose real rows span several head slices
+        lengths = [8] * (ROW_BUDGET // 8 - 2) + [5, 7]
+        assert len(_micro_batches(lengths)) == 1 and sum(lengths) > HEAD_ROWS
+        m = TransformerLM(tiny_config())
+        batch = mixed_batch(np.random.default_rng(53), lengths)
+        assert_matches_loop(m, batch, m.batch_nll_and_grads(batch))
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError, match="empty batch"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import Recompute
+from smclm import pipeline
 from smclm.decoding import BeamSearchConfig
 from smclm.encoders import HashedBagEncoder
 from smclm.jsonl import read_jsonl
@@ -14,7 +15,7 @@ from smclm.pipeline import (
     paraphrase_batch,
     write_candidates_jsonl,
 )
-from smclm.tokenization import Vocabulary
+from smclm.tokenization import BOS_ID, PAD_ID, UNK_ID, Vocabulary
 
 
 class ScriptedModel:
@@ -95,6 +96,34 @@ class TestParaphrase:
         assert all(c == "" for c in out.candidates)
         assert out.scores == [0.0, 0.0]
         assert out.best == 0
+
+
+class TestSpecialTokens:
+    def test_no_special_id_in_any_hypothesis(self, monkeypatch):
+        # the final layer norm outputs one vector v at every position, so the
+        # tied head ranks <unk>, then <pad>, then <bos> far above every word
+        vocab = make_vocab()
+        model = TransformerLM(ModelConfig(vocab_size=len(vocab), embed_dim=16, layer_count=1,
+                                          head_count=2, ff_dim=24, max_positions=12, seed=3))
+        v = np.random.default_rng(5).normal(size=16).astype(np.float32)
+        model.params["lnf_g"][:] = 0.0
+        model.params["lnf_b"][:] = v
+        for scale, special in zip((3, 2, 1), (UNK_ID, PAD_ID, BOS_ID)):
+            model.params["tok_emb"][special] = scale * v
+        decoded = []
+        decode = pipeline.diverse_beam_search
+
+        def keep(*args):
+            decoded.append(decode(*args))
+            return decoded[-1]
+
+        monkeypatch.setattr(pipeline, "diverse_beam_search", keep)
+        cfg = PipelineConfig(beam=BeamSearchConfig(beam_count=4, group_count=2, max_length=6))
+        out = paraphrase(model, vocab, HashedBagEncoder(dim=16), "the cat sat", cfg)
+        tokens = [w for h in decoded[0] for w in h.tokens]
+        assert tokens and not {BOS_ID, PAD_ID, UNK_ID} & set(tokens)
+        assert all("<unk>" not in c for c in out.candidates)
+        assert cfg.beam.banned_ids == frozenset()  # the caller's config is not changed
 
 
 class TestSelectionMatchesEvaluate:

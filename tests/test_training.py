@@ -267,12 +267,19 @@ class TestEvaluateNll:
         assert got == pytest.approx(np.mean(singles))
 
     @pytest.mark.parametrize("mode", ["smclm", "clm"])
-    def test_equals_mean_of_example_nll_over_micro_batches(self, mode):
+    def test_equals_mean_of_example_nll_over_micro_batches(self, mode, monkeypatch):
         model, vocab, encoder = small_setup(mode)
-        examples, _ = build_examples(SENTENCES * 4, vocab, mode, encoder)
-        assert sum(len(tokens) for tokens, _ in examples) > 2 * ROW_BUDGET
+        # enough copies of the sentences to fill three row budgets
+        per_copy = sum(len(tokens) for tokens, _ in build_examples(SENTENCES, vocab, mode, encoder)[0])
+        copies = 3 * ROW_BUDGET // per_copy + 1
+        examples, _ = build_examples(SENTENCES * copies, vocab, mode, encoder)
         singles = [model.nll(tokens, injection)[0] for tokens, injection in examples]
+        passes = []
+        micro_batch = TransformerLM._micro_batch
+        monkeypatch.setattr(TransformerLM, "_micro_batch",
+                            lambda self, *args: passes.append(1) or micro_batch(self, *args))
         assert evaluate_nll(model, examples) == pytest.approx(np.mean(singles), rel=1e-6)
+        assert len(passes) >= 3
 
     def test_empty_raises(self):
         model, _, _ = small_setup()
