@@ -175,7 +175,13 @@ def erf(x) -> np.ndarray:
 
 
 def erf_term(u: np.ndarray) -> np.ndarray:
-    """1 + erf(u / sqrt 2): the term gelu and gelu_prime share, computed once per layer."""
+    """1 + erf(u / sqrt 2): the term gelu and gelu_prime share, computed once per layer.
+
+    Runs over HEAD_ROWS rows at a time: erf holds several float64 copies of
+    its input, and every value is elementwise, so slicing keeps the bytes.
+    """
+    if len(u) > HEAD_ROWS:
+        return np.concatenate([erf_term(u[r : r + HEAD_ROWS]) for r in range(0, len(u), HEAD_ROWS)])
     return 1.0 + erf(u / SQRT_2)
 
 

@@ -524,6 +524,11 @@ class TestGelu:
         assert gelu(u, s).tobytes() == gelu_unshared(u).tobytes()
         assert gelu_prime(u, s).tobytes() == gelu_prime_unshared(u).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_erf_term_in_row_slices_keeps_the_bytes(self, dtype):
+        u = np.random.default_rng(42).normal(0.0, 3.0, size=(3 * HEAD_ROWS + 5, 24)).astype(dtype)
+        assert erf_term(u).tobytes() == (1.0 + erf(u / model_module.SQRT_2)).tobytes()
+
     def test_forward_logits_keep_the_bytes(self, monkeypatch):
         m = TransformerLM(tiny_config())
         inj = np.random.default_rng(43).normal(size=16).astype(np.float32)
