@@ -108,11 +108,11 @@ class HashedBagEncoder:
 
     def encode(self, sentence: str) -> np.ndarray:
         toks = normalize(sentence).split() or [""]
-        acc = np.zeros(self.dim, dtype=np.float64)
+        acc = [0.0] * self.dim  # a list of floats: no NumPy scalar indexing per word
         for t in toks:
             idx, sign = _signed_slot(t, self.dim, self.seed)
             acc[idx] += sign
-        if not acc.any():
+        if not any(acc):
             # signs cancelled exactly; fall back to the bag size position
             acc[len(toks) % self.dim] = 1.0
         return unit(acc)

@@ -13,7 +13,6 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from itertools import chain
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,35 +27,46 @@ DEFAULT_MAX_N = 3
 TokenEmbedder = Callable[[str], np.ndarray]
 
 
-class _Sentence:
-    """One sentence as the metrics read it.
+class _WordTable(dict):
+    """Each word's unit token-embedding row, embedded on first lookup, so the
+    sentences sharing a table (one record, pair or call) embed each distinct
+    word once. A row keeps the bytes ``np.linalg.norm(axis=1)`` gives it."""
 
-    Its words, its encoder vector and its unit-row token-embedding matrix are
-    each computed on first use and kept, so a sentence scored against many
-    others is tokenized and encoded once.
-    """
+    def __init__(self, token_embedder: TokenEmbedder | None):
+        super().__init__()
+        self.embed = token_embedder or HashedTokenEmbedder()
 
-    def __init__(self, text: str, encoder=None, token_embedder: TokenEmbedder | None = None):
-        self.text = text
-        self.encoder = encoder
-        self.token_embedder = token_embedder
-
-    @cached_property
-    def words(self) -> list[str]:
-        return normalize(self.text).split()
-
-    @cached_property
-    def vector(self) -> np.ndarray:
-        return self.encoder.encode(self.text)
-
-    @cached_property
-    def unit_tokens(self) -> np.ndarray:
-        embed = self.token_embedder or HashedTokenEmbedder()
-        e = np.stack([np.asarray(embed(t), dtype=np.float64) for t in self.words])
-        norms = np.linalg.norm(e, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
+    def __missing__(self, word: str) -> np.ndarray:
+        e = np.asarray(self.embed(word), dtype=np.float64)
+        norm = np.sqrt(np.add.reduce(e * e))
+        if norm == 0.0:
             raise ValueError("token embedder produced a zero vector")
-        return e / norms
+        self[word] = row = e / norm
+        return row
+
+
+class _Sentence:
+    """One sentence as the metrics read it: its words, split once, and its
+    encoder vector and unit token rows (from ``word_table``), each computed on
+    first use and kept, so a sentence scored against many others is encoded
+    once. No ``functools.cached_property``: it locks on each first access."""
+
+    def __init__(self, text: str, encoder=None, word_table: _WordTable | None = None):
+        self.text, self.encoder, self.word_table = text, encoder, word_table
+        self.words = normalize(text).split()
+        self._vector = self._unit_tokens = None
+
+    @property
+    def vector(self) -> np.ndarray:
+        if self._vector is None:
+            self._vector = self.encoder.encode(self.text)
+        return self._vector
+
+    @property
+    def unit_tokens(self) -> np.ndarray:
+        if self._unit_tokens is None:
+            self._unit_tokens = np.array([self.word_table[w] for w in self.words])
+        return self._unit_tokens
 
 
 def _bleu(c: int, matches: Sequence[int], ref_lengths: Iterable[int]) -> float:
@@ -97,15 +107,16 @@ class _NgramTable:
         ids = dict(zip(dict.fromkeys(words), range(len(words))))
         word = np.fromiter(map(ids.__getitem__, words), np.int64, len(words))
         row = np.repeat(np.arange(len(sentences)), self.lengths)
+        # words from each position to its sentence's end: no window crosses it
+        left = np.repeat(np.cumsum(self.lengths), self.lengths) - np.arange(len(words))
         gram, rows, starts = [word], [row], [0]
-        prev, self.size = word, len(ids)
+        pos, prev, self.size = np.arange(len(words)), word, len(ids)
         for n in range(2, self.orders + 1):
-            # windows that cross a sentence end get ids too, and are dropped
-            ids_n, prev = np.unique(prev[:-1] * len(ids) + word[n - 1 :], return_inverse=True)
-            head = row[: len(prev)]
-            inside = head == row[n - 1 :]
-            gram.append(prev[inside] + self.size)
-            rows.append(head[inside])
+            inside = left[pos] >= n
+            pos = pos[inside]
+            ids_n, prev = np.unique(prev[inside] * len(ids) + word[pos + n - 1], return_inverse=True)
+            gram.append(prev + self.size)
+            rows.append(row[pos])
             starts.append(self.size)
             self.size += len(ids_n)
         key = np.concatenate(rows) * self.size + np.concatenate(gram)
@@ -231,9 +242,9 @@ def _token_match(a: _Sentence, b: _Sentence) -> float:
     if not a.words or not b.words:
         return 0.0
     # unit rows can still dot to 1 + a few ulp; keep scores in range
-    sims = np.clip(a.unit_tokens @ b.unit_tokens.T, -1.0, 1.0)
-    p = max(0.0, float(np.mean(np.max(sims, axis=1))))
-    r = max(0.0, float(np.mean(np.max(sims, axis=0))))
+    sims = np.minimum(np.maximum(a.unit_tokens @ b.unit_tokens.T, -1.0), 1.0)
+    p = max(0.0, float(np.add.reduce(sims.max(axis=1)) / len(a.words)))
+    r = max(0.0, float(np.add.reduce(sims.max(axis=0)) / len(b.words)))
     if p + r == 0.0:
         return 0.0
     return 100.0 * 2.0 * p * r / (p + r)
@@ -248,8 +259,8 @@ def token_match_similarity(
     tokens; recall is symmetric. Negative precision/recall is clamped to 0
     before the harmonic mean so the result stays in [0, 100].
     """
-    return _token_match(_Sentence(a, token_embedder=token_embedder),
-                        _Sentence(b, token_embedder=token_embedder))
+    word_table = _WordTable(token_embedder)
+    return _token_match(_Sentence(a, word_table=word_table), _Sentence(b, word_table=word_table))
 
 
 def _sentence_cosine(a: _Sentence, b: _Sentence) -> float:
@@ -292,8 +303,8 @@ def bert_ibleu(
     token_embedder: TokenEmbedder | None = None,
 ) -> float:
     """Token-matching similarity combined with (1 - BLEU(best, source)). 0..100."""
-    src = _Sentence(source, token_embedder=token_embedder)
-    hyp = _Sentence(best, token_embedder=token_embedder)
+    word_table = _WordTable(token_embedder)
+    src, hyp = _Sentence(source, word_table=word_table), _Sentence(best, word_table=word_table)
     return _ibleu(_token_match(src, hyp), _pair_bleu(hyp, src), beta)
 
 
@@ -349,8 +360,9 @@ def calibrate_beta(
         raise ValueError("no calibration pairs")
     token_scores, sentence_scores, bleu_scores = [], [], []
     for inp, ref in pairs:
-        # one record per distinct text of the pair, for all three scores
-        sentence = {t: _Sentence(t, encoder, token_embedder) for t in {inp, ref}}
+        # one record per distinct text of the pair and one word table, for all three scores
+        word_table = _WordTable(token_embedder)
+        sentence = {t: _Sentence(t, encoder, word_table) for t in {inp, ref}}
         a, b = sentence[inp], sentence[ref]
         token_scores.append(_token_match(a, b))
         sentence_scores.append(_sentence_cosine(a, b))
@@ -488,10 +500,11 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
                 raise ValueError(f"record {idx}: {e}") from None
             skipped += 1
             continue
-        # one record per distinct text, and one n-gram table over them, shared
-        # by every score of this record; the source is row 0
+        # one record per distinct text, one word table and one n-gram table
+        # over them, shared by every score of this record; the source is row 0
         at = {t: i for i, t in enumerate(dict.fromkeys([source, *references, *candidates]))}
-        sentences = [_Sentence(t, cfg.encoder, cfg.token_embedder) for t in at]
+        word_table = _WordTable(cfg.token_embedder)
+        sentences = [_Sentence(t, cfg.encoder, word_table) for t in at]
         grams = _NgramTable([s.words for s in sentences], DEFAULT_MAX_N)
         ref_rows, cand_rows = [at[r] for r in references], [at[c] for c in candidates]
         src, refs, cands = sentences[0], [sentences[i] for i in ref_rows], [sentences[i] for i in cand_rows]

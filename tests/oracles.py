@@ -10,7 +10,11 @@ replacements must equal. ``counter_bleu``, ``counter_ori_bleu`` and
 ``counter_self_bleu`` are the BLEU family as it was computed from one
 ``Counter`` per sentence and order (self-BLEU clipping from ``top_two``
 counts), the path the library's sparse n-gram table must equal float for
-float. ``batch_nll_and_grads_loop`` is the per-example
+float. ``unit_tokens_per_occurrence`` is a sentence's unit token rows with
+one embedder call per word occurrence, normalized together by
+``np.linalg.norm``, the body the metrics' per-record word table must equal,
+and ``bag_encode_accumulating`` is the hashed bag encoder summing its signed
+slots in a NumPy array. ``batch_nll_and_grads_loop`` is the per-example
 training loss the batched loss body replaced. ``select_full_vocabulary`` is
 one group's beam selection over a full ``(b, V)`` score array, the body the
 decoder's shortlist walks must equal, ``banned_next_tokens_scan`` is the
@@ -35,6 +39,7 @@ import numpy as np
 from scipy.special import erf
 
 from smclm.decoding import BeamSearchConfig, Hypothesis, _Beam, banned_next_tokens
+from smclm.encoders import HashedBagEncoder, _signed_slot, unit
 from smclm.metrics import bleu
 from smclm.model import INV_SQRT_2PI, SQRT_2
 from smclm.tokenization import BOS_ID, normalize
@@ -198,6 +203,29 @@ def counter_self_bleu(candidates: list[str], max_n: int = 3) -> float:
         _counter_bleu_body(cand, max_n, lengths[:i] + lengths[i + 1 :], clipped)
         for i, cand in enumerate(cands)
     ]))
+
+
+def unit_tokens_per_occurrence(words: list[str], token_embedder) -> np.ndarray:
+    """One embedder call per word occurrence, stacked, each row divided by its
+    ``np.linalg.norm``; a zero row raises."""
+    e = np.stack([np.asarray(token_embedder(t), dtype=np.float64) for t in words])
+    norms = np.linalg.norm(e, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("token embedder produced a zero vector")
+    return e / norms
+
+
+def bag_encode_accumulating(encoder: HashedBagEncoder, sentence: str) -> np.ndarray:
+    """The hashed bag of ``sentence``, its signed slots summed into a float64
+    NumPy array; a bag whose signs cancel falls back to the bag-size slot."""
+    toks = normalize(sentence).split() or [""]
+    acc = np.zeros(encoder.dim, dtype=np.float64)
+    for t in toks:
+        idx, sign = _signed_slot(t, encoder.dim, encoder.seed)
+        acc[idx] += sign
+    if not acc.any():
+        acc[len(toks) % encoder.dim] = 1.0
+    return unit(acc)
 
 
 def batch_nll_and_grads_loop(model, batch):

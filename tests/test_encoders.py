@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ClusterOracleEncoder
+from oracles import ClusterOracleEncoder, bag_encode_accumulating
 from smclm import encoders
 from smclm.encoders import (
     EMBED_MAGIC,
@@ -63,6 +63,29 @@ class TestHashedBag:
         enc = HashedBagEncoder(dim=16, seed=0)
         v = enc.encode("...")
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("dim,seed", [(1, 0), (4, 3), (16, 0), (64, 7)])
+    def test_equals_the_accumulating_oracle(self, dim, seed):
+        # dim 1 puts every word on one slot, so many bags cancel
+        rng = np.random.default_rng(53 + dim)
+        words = [f"w{i}" for i in range(40)] + ["The", "cat!", "..."]
+        enc = HashedBagEncoder(dim, seed)
+        for _ in range(60):
+            sentence = " ".join(rng.choice(words, int(rng.integers(0, 30))))
+            assert np.array_equal(enc.encode(sentence), bag_encode_accumulating(enc, sentence)), sentence
+
+    def test_cancelling_signs_fall_back_to_the_bag_size_slot(self):
+        enc = HashedBagEncoder(dim=4, seed=0)
+        first = {}
+        for word in (f"t{i}" for i in range(200)):
+            slot, sign = encoders._signed_slot(word, 4, 0)
+            if (slot, -sign) in first:
+                break
+            first.setdefault((slot, sign), word)
+        sentence = f"{first[slot, -sign]} {word}"
+        v = enc.encode(sentence)
+        assert v.tolist() == [0.0, 0.0, 1.0, 0.0]  # two words: slot 2 % 4
+        assert np.array_equal(v, bag_encode_accumulating(enc, sentence))
 
     def test_shared_token_closer_than_disjoint(self):
         # appending one token keeps a sentence nearer to itself than to a

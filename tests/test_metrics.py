@@ -14,6 +14,7 @@ from oracles import (
     oracle_lcs,
     oracle_rouge_l,
     self_bleu_loop,
+    unit_tokens_per_occurrence,
 )
 from smclm import metrics
 from smclm.encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
@@ -194,6 +195,18 @@ class TestNgramTableAgainstCounters:
         assert peak < 64 * 2**20
 
 
+class TestNgramTableWindows:
+    """No window that crosses a sentence end gets a gram id."""
+
+    def test_two_sentences_two_orders(self):
+        # a, b, c, d and the bigrams ab, cd; "b c" crosses a sentence end
+        assert metrics._NgramTable([["a", "b"], ["c", "d"]], 2).size == 6
+
+    def test_three_sentences_three_orders(self):
+        # 8 words, 5 bigrams, 3 trigrams
+        assert metrics._NgramTable([["a", "b", "c"], ["d", "e", "f", "g"], ["h"]], 3).size == 16
+
+
 class TestRougeL:
     def test_reference_value(self):
         assert rouge_l("a c d", ["a b c d"]) == pytest.approx(100 * 6 / 7)
@@ -256,6 +269,56 @@ class TestTokenMatch:
 
     def test_empty_side_zero(self):
         assert token_match_similarity("", "the cat") == 0.0
+
+
+class GaussianEmbedder:
+    """A float-valued, not one-hot, token embedder seeded by the word."""
+
+    def __init__(self, dim: int, dtype=np.float64):
+        self.dim, self.dtype = dim, dtype
+
+    def __call__(self, word: str) -> np.ndarray:
+        seed = int.from_bytes(word.encode("utf-8"), "little") % 2**32
+        return (np.random.default_rng(seed).normal(size=self.dim) * 3.7).astype(self.dtype)
+
+
+class TestWordTable:
+    """Token rows read from one word table must equal, byte for byte, the rows
+    of one embedder call per word occurrence normalized by np.linalg.norm."""
+
+    @pytest.mark.parametrize("embed", [
+        None, HashedTokenEmbedder(8), GaussianEmbedder(3), GaussianEmbedder(64, np.float32),
+        GaussianEmbedder(300), GaussianEmbedder(1000),
+    ], ids=["hashed64", "hashed8", "gauss3", "gauss64f32", "gauss300", "gauss1000"])
+    def test_rows_equal_the_per_occurrence_oracle(self, embed):
+        rng = np.random.default_rng(59)
+        table = metrics._WordTable(embed)
+        for _ in range(60):
+            sentence = metrics._Sentence(random_sentence(rng, 1, 20), word_table=table)
+            want = unit_tokens_per_occurrence(sentence.words, embed or HashedTokenEmbedder())
+            assert np.array_equal(sentence.unit_tokens, want)
+        assert sorted(table) == sorted(WORDS)
+
+    def test_each_word_is_embedded_once(self):
+        calls = []
+
+        def embed(word):
+            calls.append(word)
+            return GaussianEmbedder(8)(word)
+
+        table = metrics._WordTable(embed)
+        for text in ("the cat sat on the mat", "the mat sat", "a cat"):
+            metrics._Sentence(text, word_table=table).unit_tokens
+        assert sorted(calls) == ["a", "cat", "mat", "on", "sat", "the"]
+
+    def test_zero_vector_raises(self):
+        def embed(word):
+            return np.zeros(4) if word == "cat" else np.ones(4)
+
+        with pytest.raises(ValueError, match="zero vector"):
+            token_match_similarity("the cat", "the dog", embed)
+        with pytest.raises(ValueError, match="zero vector"):
+            unit_tokens_per_occurrence(["the", "cat"], embed)
 
 
 class TestSentenceCosine:
@@ -533,6 +596,27 @@ class TestEvaluateCorpus:
         evaluate_corpus(recs, self.cfg)
         # one row per distinct text of the record
         assert tables == [5, 3]
+
+    def test_token_embedder_runs_once_per_distinct_word_per_record(self):
+        calls = []
+
+        def embed(word):
+            calls.append(word)
+            return HashedTokenEmbedder()(word)
+
+        recs = [
+            {"source": "the cat sat on the mat", "references": ["a cat sat on the mat", "the cat sat"],
+             "candidates": ["the cat is on the mat", "a dog sat"], "best": 0},
+            {"source": "the dog ran", "references": ["a dog ran far", "the dog ran"],
+             "candidates": ["the big dog ran", "dog"], "best": 1},
+        ]
+        evaluate_corpus(recs, EvalConfig(encoder=self.enc, token_embedder=embed))
+        want = sum(
+            len({w for t in (rec["source"], rec["candidates"][rec["best"]], *rec["references"])
+                 for w in normalize(t).split()})
+            for rec in recs
+        )
+        assert len(calls) == want
 
     def test_explicit_best_respected(self):
         src = "the cat sat on the mat"
