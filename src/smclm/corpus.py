@@ -22,14 +22,17 @@ FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
 
 # words whose trailing period does not end a sentence
-ABBREVIATIONS = {
+ABBREVIATIONS = frozenset({
     "mr", "mrs", "ms", "dr", "prof", "rev", "gen", "sen", "rep", "st", "mt",
     "sr", "jr", "vs", "etc", "no", "vol", "fig", "dept", "inc", "ltd", "co",
     "corp", "approx", "est", "jan", "feb", "mar", "apr", "jun", "jul", "aug",
     "sep", "sept", "oct", "nov", "dec", "e.g", "i.e", "cf", "al",
-}
+})
 
 _BOUNDARY = re.compile(r"([.?!]+)(\s+)(?=[A-Z\"'“‘])")
+_LAST_RUN = re.compile(r"[\w.]+$")
+# a run the window cuts keeps >= W - 1 chars ($ matches before a final newline): no abbreviation
+_ABBREVIATION_WINDOW = max(map(len, ABBREVIATIONS)) + 2
 _ACCEPTABLE_BYTES = (string.ascii_letters + string.digits + string.punctuation + string.whitespace).encode()
 
 
@@ -44,12 +47,14 @@ def split_sentences(text: str) -> list[str]:
     """Rule-based splitting on sentence punctuation before an uppercase/quote.
 
     A lone period after a stop-listed abbreviation is not a boundary, so
-    "Dr. Smith arrived. He left." yields two sentences.
+    "Dr. Smith arrived. He left." yields two sentences. Each period's word
+    is searched for in a bounded window, so splitting is linear in len(text).
     """
     cuts = []
     for m in _BOUNDARY.finditer(text):
         if m.group(1) == ".":
-            last = re.search(r"[\w.]+$", text[: m.start(1)])
+            end = m.start(1)
+            last = _LAST_RUN.search(text, max(0, end - _ABBREVIATION_WINDOW), end)
             if last and last.group(0).lower() in ABBREVIATIONS:
                 continue
         cuts.append(m.end(1))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 BOS_TOKEN = "<bos>"
@@ -18,6 +19,7 @@ BOS_ID = 0
 EOS_ID = 1
 UNK_ID = 2
 PAD_ID = 3
+_VOCAB_CHUNK = 64  # sentences per words() call in build_vocabulary
 
 
 class _PunctuationTable(dict):
@@ -101,14 +103,17 @@ def build_vocabulary(corpus: Iterable[str], min_freq: int = 1) -> Vocabulary:
     starting after the four special tokens. A corpus word spelled like a
     special token (normalize keeps "<" and ">") is not counted, and tokenize
     maps it to <unk>.
+    Chunks of sentences are joined by newlines, which no word spans and which
+    end lower()'s final-sigma context, so each counts as it would alone.
     """
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     counts = Counter()
     seen_any = False
-    for sentence in corpus:
+    sentences = iter(corpus)
+    while chunk := list(islice(sentences, _VOCAB_CHUNK)):
         seen_any = True
-        counts.update(words(sentence))
+        counts.update(words("\n".join(chunk)))
     if not seen_any:
         raise ValueError("empty corpus")
     kept = sorted(

@@ -19,7 +19,11 @@ training loss the batched loss body replaced. ``select_full_vocabulary`` is
 one group's beam selection over a full ``(b, V)`` score array, the body the
 decoder's shortlist walks must equal, ``banned_next_tokens_scan`` is the
 n-gram ban as a slice per prefix position, and ``acceptable_count_per_char`` is
-the language filter's per-character count. ``gelu_unshared`` and ``gelu_prime_unshared``
+the language filter's per-character count. ``split_sentences_full_prefix`` is the
+sentence splitter searching the whole text before each period for its word, and
+``build_vocabulary_per_sentence`` counts the vocabulary one ``words`` call per
+sentence; they are the bodies the windowed splitter and the chunked count must
+equal. ``gelu_unshared`` and ``gelu_prime_unshared``
 are GELU and its derivative as written before they shared the erf term.
 ``Recompute`` is the reference decoder state: it gives any model
 with a ``forward`` the ``start``/``step`` calls the decoder takes, by
@@ -30,6 +34,7 @@ synthetic one-hot sentence encoder for clustered test corpora.
 from __future__ import annotations
 
 import math
+import re
 import string
 import unicodedata
 from collections import Counter
@@ -38,11 +43,12 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.special import erf
 
+from smclm.corpus import _BOUNDARY, ABBREVIATIONS
 from smclm.decoding import BeamSearchConfig, Hypothesis, _Beam, banned_next_tokens
 from smclm.encoders import HashedBagEncoder, _signed_slot, unit
 from smclm.metrics import bleu
 from smclm.model import INV_SQRT_2PI, SQRT_2
-from smclm.tokenization import BOS_ID, normalize
+from smclm.tokenization import BOS_ID, SPECIAL_TOKENS, Vocabulary, normalize, words
 
 
 def oracle_bleu(hyp: list[str], refs: list[list[str]], max_n: int = 3) -> float:
@@ -117,6 +123,47 @@ def acceptable_count_per_char(text: str) -> int:
     whitespace, one set lookup per character."""
     acceptable = set(string.ascii_letters + string.digits + string.punctuation + string.whitespace)
     return sum(1 for ch in text if ch in acceptable)
+
+
+def split_sentences_full_prefix(text: str) -> list[str]:
+    """Sentences of text, each lone period's word found by searching a copy of
+    the whole text before it."""
+    cuts = []
+    for m in _BOUNDARY.finditer(text):
+        if m.group(1) == ".":
+            last = re.search(r"[\w.]+$", text[: m.start(1)])
+            if last and last.group(0).lower() in ABBREVIATIONS:
+                continue
+        cuts.append(m.end(1))
+    out = []
+    prev = 0
+    for cut in cuts:
+        piece = text[prev:cut].strip()
+        if piece:
+            out.append(piece)
+        prev = cut
+    tail = text[prev:].strip()
+    if tail:
+        out.append(tail)
+    return out
+
+
+def build_vocabulary_per_sentence(corpus, min_freq: int = 1) -> Vocabulary:
+    """The vocabulary of corpus, counted with one ``words`` call per sentence."""
+    counts = Counter()
+    seen_any = False
+    for sentence in corpus:
+        seen_any = True
+        counts.update(words(sentence))
+    if not seen_any:
+        raise ValueError("empty corpus")
+    kept = sorted(
+        (t for t, c in counts.items() if c >= min_freq and t not in SPECIAL_TOKENS),
+        key=lambda t: (-counts[t], t),
+    )
+    if not kept:
+        raise ValueError(f"no token reaches min_freq={min_freq}")
+    return Vocabulary(SPECIAL_TOKENS + tuple(kept))
 
 
 def self_bleu_loop(candidates: list[str], max_n: int = 3) -> float:

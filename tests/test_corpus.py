@@ -1,11 +1,13 @@
 import json
 import random
+import time
 
 import pytest
 
 import smclm.corpus as corpus_module
-from oracles import acceptable_count_per_char
+from oracles import acceptable_count_per_char, split_sentences_full_prefix
 from smclm.corpus import (
+    ABBREVIATIONS,
     ParaphraseGroup,
     build_corpus,
     default_lang_filter,
@@ -69,6 +71,65 @@ class TestSplitSentences:
         assert split_sentences("Use fruit, e.g. Apples are fine.") == [
             "Use fruit, e.g. Apples are fine."
         ]
+
+    def test_abbreviations_are_immutable_and_the_window_covers_them(self):
+        # `$` also matches before a final newline, so the word before
+        # "xapprox\n. Next" is read from a window one char short of its end
+        assert isinstance(ABBREVIATIONS, frozenset)
+        assert corpus_module._ABBREVIATION_WINDOW >= max(map(len, ABBREVIATIONS)) + 2
+
+    def test_every_abbreviation_equals_the_full_prefix_oracle(self):
+        texts = []
+        for abbreviation in sorted(ABBREVIATIONS):
+            for word in (abbreviation, "x" + abbreviation, "xa" + abbreviation):
+                for cased in (word, word.upper(), word.title()):
+                    for gap in ("", "\n", " \n"):
+                        texts.append(f"See {cased}{gap}. Next one.")
+                        texts.append(f"{cased}{gap}. Next")
+        for text in texts:
+            assert split_sentences(text) == split_sentences_full_prefix(text), repr(text)
+        # the stop list still holds with a newline between word and period
+        assert split_sentences("Go approx\n. Next") == ["Go approx\n. Next"]
+        assert split_sentences("Go xapprox\n. Next") == ["Go xapprox\n.", "Next"]
+        assert split_sentences("Go e.g. Next") == ["Go e.g. Next"]
+
+    def test_random_texts_equal_the_full_prefix_oracle(self):
+        rng = random.Random(18)
+        abbreviations = sorted(ABBREVIATIONS)
+        plain = ["cat", "Dog", "3.14", "a.b.c", "naïve", "Straße", "Σοφία", "İstanbul",
+                 "漢字", "x_y", "e.g", "i.e", "U.S", "ok"]
+        gaps = [" ", "  ", "\n", " \n", "\t", ""]
+        ends = [".", ".", ".", "?", "!", "...", "?!", ".."]
+        starts = ["Next", "A", "Z", '"Go', "'so", "“Quote", "‘q", "next", "é"]
+
+        def word():
+            if rng.random() < 0.5:
+                w = rng.choice(abbreviations)
+                w = rng.choice(["", "", "x", "é", "xa", "1"]) + w
+                return rng.choice([w, w.upper(), w.title()])
+            return rng.choice(plain)
+
+        for _ in range(3000):
+            parts = []
+            for _ in range(rng.randint(1, 8)):
+                parts += [word(), rng.choice(gaps), rng.choice(ends), rng.choice(gaps), rng.choice(starts)]
+                parts.append(rng.choice(gaps))
+            text = "".join(parts)
+            assert split_sentences(text) == split_sentences_full_prefix(text), repr(text)
+
+    def test_long_document_splits_in_linear_time(self):
+        # the full-prefix search took about 10 s on such a document
+        sentences = [
+            f"Dr. Lee met Mr. Ng at No. {i} St. on Jan. {i % 28 + 1}, approx. at noon"
+            f"{'.' if i % 3 else '!'}" for i in range(2000)
+        ]
+        text = " ".join(sentences)
+        assert len(text) > 100_000
+        start = time.monotonic()
+        out = split_sentences(text)
+        elapsed = time.monotonic() - start
+        assert elapsed < 1, f"runtime {elapsed:.2f}s exceeds the 1s bound"
+        assert out == sentences
 
 
 class TestLangFilter:

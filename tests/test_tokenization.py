@@ -1,9 +1,11 @@
+import random
+import re
 import unicodedata
 
 import numpy as np
 import pytest
 
-from oracles import normalize_per_char
+from oracles import build_vocabulary_per_sentence, normalize_per_char
 from smclm import tokenization
 from smclm.tokenization import (
     BOS_ID,
@@ -87,8 +89,10 @@ class TestVocabulary:
         assert v.tokens[4:] == ("a",)
 
     def test_empty_corpus_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty corpus"):
             build_vocabulary([])
+        with pytest.raises(ValueError, match="empty corpus"):
+            build_vocabulary(iter([]))
 
     def test_nothing_reaches_min_freq_raises(self):
         with pytest.raises(ValueError):
@@ -134,6 +138,59 @@ class TestVocabulary:
             Vocabulary(("x",) + SPECIAL_TOKENS[1:] + ("a",))
         with pytest.raises(ValueError):
             Vocabulary(SPECIAL_TOKENS + ("a", "a"))
+
+
+class TestVocabularyChunks:
+    # chunks of sentences are normalized together; each must count as if alone
+    PIECES = ["Σ", "ΣΑΣ", "ΑΣ", "Σα", "ΑΣ'", "Α\u0301Σ", "aΣ", "the", "The", "CAT", "what's",
+              "<bos>", "<BOS>", "<unk>", "<eos>.", "...", "!?", "—", "“", "", " ", "\t", "\u00a0",
+              "\u2028", "ß", "İ", "ǅ", "3.14", "e.g."]
+
+    def sentence(self, rng):
+        return "".join(rng.choice(self.PIECES + [" "] * 8) for _ in range(rng.randint(0, 12)))
+
+    def check(self, corpus, min_freq):
+        try:
+            expected = build_vocabulary_per_sentence(corpus, min_freq).tokens
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                build_vocabulary(iter(corpus), min_freq)
+            return
+        assert build_vocabulary(corpus, min_freq).tokens == expected
+        assert build_vocabulary((s for s in corpus), min_freq).tokens == expected
+
+    def test_equals_the_per_sentence_oracle(self):
+        rng = random.Random(18)
+        for n in (0, 1, 2, 63, 64, 65, 129, 300):
+            for min_freq in (1, 2, 5):
+                self.check([self.sentence(rng) for _ in range(n)], min_freq)
+
+    def test_sigma_at_sentence_edges(self):
+        edges = ["ΑΣ", "Σα", "ΑΣ'", "'Σα", "Σ", "ΣΣ"]
+        for a in edges:
+            for b in edges:
+                self.check([a, b], 1)
+                self.check(["x"] * 63 + [a, b], 1)
+        assert build_vocabulary(["ΑΣ", "Σα"]).tokens[4:] == ("ας", "σα")
+
+    def test_punctuation_and_whitespace_only_sentences(self):
+        corpus = ["a b", "...", "  ", "", "\n", "!?", "b"] * 20
+        self.check(corpus, 1)
+        assert build_vocabulary(corpus).tokens[4:] == ("b", "a")
+
+    def test_generator_is_read_once(self):
+        pulled = []
+
+        def sentences():
+            for i in range(200):
+                pulled.append(i)
+                yield f"w{i % 7} common"
+
+        v = build_vocabulary(sentences(), min_freq=2)
+        assert pulled == list(range(200))
+        assert v.tokens == build_vocabulary_per_sentence(
+            [f"w{i % 7} common" for i in range(200)], 2
+        ).tokens
 
 
 class TestVocabularyFile:
