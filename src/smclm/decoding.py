@@ -9,15 +9,15 @@ timestep runs one ``step(cache, parents, tokens)`` for every group's live
 beams over a per-layer K/V cache whose rows follow the selected parents.
 Diversity penalties only change selection, so the groups share the step.
 
-Selection never scores the full vocabulary. Penalties and bans (the n-gram
-rule's plus ``banned_ids``) only lower the scores of known tokens, so up to
-rounding a group of width w picks from a row's best w + (distinct earlier
-picks) + (the row's bans) cells. Each timestep one argpartition keeps every
-row's best beam_count + (most bans of any beam) + 1, and a group walks its
-beams' lists until sel_score + log-prob falls strictly below its width-th
-best. A walk that passes the end of a list goes on over the rest of the row
-(the rounding guard): a cell tied at the cut, or one whose sel_score +
-log-prob rounds to a kept cell's, can still win on its lower id.
+Selection never scores the full vocabulary. Each timestep sets every live
+beam's bans (the n-gram rule's plus ``banned_ids``) to -inf in its row of the
+log-probs, which the decoder owns (``TransformerLM`` returns fresh arrays).
+Penalties only lower known tokens' scores, so up to rounding a group of width
+w picks from a row's best w + (distinct earlier picks) cells. One argpartition
+keeps every row's best beam_count + 1. A group walks its beams' lists until
+sel_score + log-prob is -inf or strictly below its width-th best; a walk past
+a list's end goes on over the rest of the row, as a cell tied at the cut, or
+one whose score rounds to a kept cell's, can still win on its lower id.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ class BeamSearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "banned_ids", frozenset(self.banned_ids))
+        if min(self.banned_ids, default=0) < 0:
+            raise ValueError(f"banned_ids must be >= 0, got {min(self.banned_ids)}")
         if self.beam_count < 1 or self.group_count < 1:
             raise ValueError("beam_count and group_count must be >= 1")
         if self.beam_count % self.group_count != 0:
@@ -147,30 +149,28 @@ def _walk(lp: np.ndarray, lists, row: int):
         yield from (c for c in full if c[1] not in listed)
 
 
-def _select(lp: np.ndarray, lists, live: list[_Beam], bans: list[set[int]],
-            picked: dict[int, int], cfg: BeamSearchConfig, width: int, group: int):
+def _select(lp: np.ndarray, lists, live: list[_Beam], picked: dict[int, int],
+            cfg: BeamSearchConfig, width: int, group: int):
     """Extend one group's live beams by one token and keep the best width.
 
     A (beam, token) cell scores sel_score + log-prob minus diversity_strength
     per earlier pick of the token this timestep (``picked``, which gains this
-    group's picks); banned and -inf cells never win. Higher score wins, then
-    the lower token id, then the earlier beam (live beams of one group share
-    a length, so length never breaks a tie). Each beam walks its row (see
-    ``_walk``) and stops at the first cell whose sel_score + log-prob is
-    strictly below the width-th best score: nothing later in the row can win.
-    Returns the continuing beams and the hypotheses finished by eos.
+    group's picks); -inf cells, masked bans included, never win. Higher score
+    wins, then the lower token id, then the earlier beam (one group's live
+    beams share a length). Each beam walks its row (see ``_walk``) until
+    sel_score + log-prob is -inf or strictly below the width-th best score:
+    nothing later can win. Returns (continuing beams, hypotheses ended by eos).
     """
     best: list[tuple[float, int, int]] = []  # (-score, token, beam), best first
-    for bi, (h, banned) in enumerate(zip(live, bans)):
+    for bi, h in enumerate(live):
         for neg_lp, w in _walk(lp, lists, h.row):
             base = h.sel_score - neg_lp  # = sel_score + log-prob, bit for bit
             if base == -np.inf or (len(best) == width and base < -best[-1][0]):
                 break
-            if w not in banned:
-                key = (-(base - cfg.diversity_strength * picked.get(w, 0)), w, bi)
-                if len(best) < width or key < best[-1]:
-                    insort(best, key)
-                    del best[width:]
+            key = (-(base - cfg.diversity_strength * picked.get(w, 0)), w, bi)
+            if len(best) < width or key < best[-1]:
+                insort(best, key)
+                del best[width:]
     new_live, finished = [], []
     for neg_score, w, bi in best:
         parent = live[bi]
@@ -233,17 +233,17 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     live: list[list[_Beam]] = [[_Beam((), 0.0, 0.0, 0)] for _ in range(cfg.group_count)]
     pools: list[list[Hypothesis]] = [[] for _ in range(cfg.group_count)]
     lp, cache = model.start(injection)  # one row, shared by every group's first beam
+    if max(cfg.banned_ids, default=0) >= lp.shape[1]:
+        raise ValueError(f"banned_ids must be < vocab_size={lp.shape[1]}, got {max(cfg.banned_ids)}")
     for t in range(cfg.max_length):
-        bans = [
-            [banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids for h in beams]
-            for beams in live
-        ]
-        most_bans = max(len(b) for group_bans in bans for b in group_bans)
-        lists = _shortlists(lp, cfg.beam_count + most_bans + 1)
+        bans = [(h.row, w) for beams in live for h in beams
+                for w in banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids]
+        lp[[row for row, _ in bans], [w for _, w in bans]] = -np.inf  # one per beam reads slower
+        lists = _shortlists(lp, cfg.beam_count + 1)
         picked: dict[int, int] = {}  # picks per token by the groups done this timestep
         for g in range(cfg.group_count):
             if live[g]:
-                live[g], done = _select(lp, lists, live[g], bans[g], picked, cfg, per_group, g)
+                live[g], done = _select(lp, lists, live[g], picked, cfg, per_group, g)
                 pools[g].extend(done)
         beams = [h for group in live for h in group]
         if not beams or t == cfg.max_length - 1:

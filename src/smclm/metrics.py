@@ -272,6 +272,12 @@ def sentence_cosine_similarity(a: str, b: str, encoder) -> float:
     return _sentence_cosine(_Sentence(a, encoder), _Sentence(b, encoder))
 
 
+def check_beta(beta: float) -> None:
+    """Reject a beta that is not a finite number > 0: nan and inf combine to nan."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
+
+
 def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
     """Weighted-harmonic combination of semantic similarity and source novelty.
 
@@ -280,8 +286,7 @@ def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
     semantic == 0 or b_bleu == 1 mapping to 0. Increasing in beta when
     semantic > 1 - b_bleu, decreasing when semantic < 1 - b_bleu.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    check_beta(beta)
     if not 0.0 <= semantic <= 1.0:
         raise ValueError(f"semantic similarity {semantic} outside [0, 1]")
     if not 0.0 <= b_bleu <= 1.0:
@@ -394,6 +399,7 @@ class EvalConfig:
     fluency: Mapping[str, float] | None = None  # sha256 hex of normalized sentence -> score
 
     def __post_init__(self):
+        check_beta(self.beta)
         if self.ref_reduce not in ("mean", "max"):
             raise ValueError("ref_reduce must be 'mean' or 'max'")
 
@@ -450,10 +456,14 @@ def load_fluency_file(path: str) -> dict[str, float]:
 
 
 def _fluency_entry(rec: dict) -> tuple[str, float]:
+    key = rec["sentence_sha256"]
+    # fluency_key's form: any other key could never match a sentence
+    if not (isinstance(key, str) and len(key) == 64 and not key.strip("0123456789abcdef")):
+        raise ValueError(f"sentence_sha256 must be 64 lowercase hex digits, got {key!r}")
     score = float(rec["fluency"])
     if not math.isfinite(score):
         raise ValueError(f"fluency must be a finite number, got {rec['fluency']!r}")
-    return rec["sentence_sha256"], score
+    return key, score
 
 
 def _check_record(rec: dict) -> tuple[str, list[str], list[str], int | None]:

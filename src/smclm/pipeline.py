@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .decoding import BeamSearchConfig, diverse_beam_search
 from .jsonl import write_jsonl
-from .metrics import DEFAULT_BETA, sbert_ibleu
+from .metrics import DEFAULT_BETA, check_beta, sbert_ibleu
 from .tokenization import BOS_ID, PAD_ID, UNK_ID, Vocabulary, normalize
 
 # ids a candidate never holds: detokenize drops <bos> and <pad>, and <unk>
@@ -36,6 +36,9 @@ class PipelineConfig:
 
     beam: BeamSearchConfig = field(default_factory=BeamSearchConfig)
     beta: float = DEFAULT_BETA
+
+    def __post_init__(self):
+        check_beta(self.beta)
 
 
 def paraphrase(model, vocab: Vocabulary, encoder, source: str, cfg: PipelineConfig) -> CandidateSet:

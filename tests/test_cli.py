@@ -680,6 +680,32 @@ class TestErrorPaths:
         assert calls == []
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_generate_non_finite_beta_fails_before_decoding(self, tmp_path, capsys, monkeypatch):
+        from smclm import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        rc, out, err = run(
+            capsys, "generate", "--checkpoint", ckpt, "--input", src,
+            "--out", f"{tmp_path}/out.jsonl", "--beta", "nan",
+        )
+        assert rc == 1 and out == ""
+        assert "beta must be finite and > 0, got nan" in json.loads(err)["error"]
+        assert calls == []
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_evaluate_infinite_beta_prints_nothing(self, tmp_path, capsys):
+        # nan or inf used to print "SBERT-iBLEU": NaN, which is not JSON
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"source": "a b c", "references": ["a c"]}\n')
+        rc, out, err = run(
+            capsys, "evaluate", "--records", str(records), "--copy-input",
+            "--encoder", "hashed-bag", "--beta", "inf",
+        )
+        assert rc == 1 and out == ""
+        assert "beta must be finite and > 0, got inf" in json.loads(err)["error"]
+
     def test_empty_validation_file_fails_before_training(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("\n".join(["<bos>", "<eos>", "<unk>", "<pad>", "word"]) + "\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,20 @@ class TestConfig:
             BeamSearchConfig(diversity_strength=-0.1)
         with pytest.raises(ValueError):
             BeamSearchConfig(max_length=0)
+        # a negative id would mask the last vocabulary columns
+        with pytest.raises(ValueError, match="banned_ids must be >= 0, got -1"):
+            BeamSearchConfig(banned_ids={3, -1})
+
+    def test_banned_id_outside_the_vocabulary_fails_before_selection(self, monkeypatch):
+        selected = []
+        monkeypatch.setattr(decoding, "_select", lambda *a: selected.append(a))
+        m = Recompute(RowModel([3.0, 1.0, 0.5, 0.0]))
+        cfg = BeamSearchConfig(beam_count=2, group_count=2, max_length=4, eos_id=3, banned_ids={1, 4})
+        with pytest.raises(ValueError, match="banned_ids must be < vocab_size=4, got 4"):
+            diverse_beam_search(m, None, cfg)
+        assert selected == []
+        monkeypatch.undo()  # the last in-range id decodes
+        assert diverse_beam_search(m, None, replace(cfg, banned_ids={1, 3}))
 
 
 class TestBannedNextTokens:
@@ -449,15 +464,29 @@ class TestShortlistAgainstFullVocabulary:
     @pytest.fixture
     def checked(self, monkeypatch):
         """Run the oracle beside every group step of the decoder; returns, per
-        checked step, how many of the timestep's shortlists were cut."""
-        steps = []
-        real = decoding._select
+        checked step, how many of the timestep's shortlists were cut.
 
-        def both(lp, lists, live, bans, picked, cfg, width, group):
+        The decoder masks its bans into the log-probs that ``start``/``step``
+        return; the oracle gets a copy taken before the mask and applies the
+        bans itself."""
+        steps, unmasked = [], {}
+        real = decoding._select
+        for cls in (TransformerLM, Recompute):
+            for name in ("start", "step"):
+                def kept(self, *args, _call=getattr(cls, name)):
+                    lp, cache = _call(self, *args)
+                    unmasked["lp"] = (lp, lp.copy())
+                    return lp, cache
+
+                monkeypatch.setattr(cls, name, kept)
+
+        def both(lp, lists, live, picked, cfg, width, group):
+            returned, raw = unmasked["lp"]
+            assert lp is returned
             chosen = [w for w, c in picked.items() for _ in range(c)]
-            want = select_full_vocabulary(lp, live, chosen, cfg, width, group)
+            want = select_full_vocabulary(raw, live, chosen, cfg, width, group)
             before = dict(picked)
-            got = real(lp, lists, live, bans, picked, cfg, width, group)
+            got = real(lp, lists, live, picked, cfg, width, group)
             assert_same_selection(got, want)
             for w in want[2]:
                 before[w] = before.get(w, 0) + 1
@@ -470,12 +499,16 @@ class TestShortlistAgainstFullVocabulary:
 
     @staticmethod
     def direct(lp, live, cfg, width, k, picked=None):
-        lists = decoding._shortlists(lp, k)
-        bans = [banned_next_tokens(h.tokens, cfg.no_repeat_ngram) for h in live]
+        """_select on a copy of lp masked the way the decoder masks it, against
+        the oracle on lp itself."""
+        masked = lp.copy()
+        for h in live:
+            masked[h.row, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids)] = -np.inf
+        lists = decoding._shortlists(masked, k)
         picked = dict(picked or {})
         chosen = [w for w, c in picked.items() for _ in range(c)]
         want = select_full_vocabulary(lp, live, chosen, cfg, width, 0)
-        got = decoding._select(lp, lists, live, bans, picked, cfg, width, 0)
+        got = decoding._select(masked, lists, live, picked, cfg, width, 0)
         assert_same_selection(got, want)
         return lists, got
 
@@ -559,6 +592,27 @@ class TestShortlistAgainstFullVocabulary:
         live = [decoding._Beam((0, 1), -1.0, -1.0, 0)]
         _, got = self.direct(lp, live, cfg, width=2, k=1)
         assert got == ([], [])
+
+    TOP_BANNED = np.log([0.02, 0.03, 0.05, 0.04, 0.04, 0.06, 0.2, 0.4, 0.05, 0.05])
+
+    def test_banned_top_cells_in_a_cut_row(self):
+        # token 7 holds the top log-prob and is a banned id; the bigram rule
+        # bans the second best, 6, after (3, 6, 3). A cut at k = beam_count + 1
+        # keeps 5 and two of the tied 2, 8 and 9, and tied 2 wins on its id
+        lp = self.TOP_BANNED[None, :].copy()
+        cfg = BeamSearchConfig(beam_count=2, group_count=1, no_repeat_ngram=2, banned_ids={7})
+        live = [decoding._Beam((3, 6, 3), -1.0, -1.0, 0)]
+        lists, (new_live, _) = self.direct(lp, live, cfg, width=2, k=cfg.beam_count + 1)
+        assert len(lists[0]) == 3 and lists[0][0][1] == 5
+        assert [h.tokens[-1] for h in new_live] == [5, 2]
+
+    def test_banned_top_cell_step_by_step(self, checked):
+        m = Recompute(RowModel(self.TOP_BANNED))
+        cfg = BeamSearchConfig(beam_count=2, group_count=2, no_repeat_ngram=2, max_length=5,
+                               eos_id=99, banned_ids={7})
+        hyps = diverse_beam_search(m, None, cfg)
+        assert len(hyps) == 2 and all(7 not in h.tokens for h in hyps)
+        assert checked and all(checked)  # every group step saw cut shortlists
 
     def test_minus_inf_cells_are_never_selected(self):
         lp = np.full((2, 8), -np.inf)

@@ -356,6 +356,14 @@ class TestIbleuCombine:
         with pytest.raises(ValueError):
             ibleu_combine(0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        # nan and inf used to combine to nan
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            ibleu_combine(0.5, 0.2, beta)
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            EvalConfig(beta=beta)
+
     def test_monotone_increasing_when_semantic_dominates(self):
         vals = [ibleu_combine(0.9, 0.5, b) for b in (1, 2, 3, 4, 5)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
@@ -699,11 +707,26 @@ class TestEvaluateCorpus:
     def test_non_finite_fluency_is_a_bad_record(self, tmp_path, value):
         path = tmp_path / "flu.jsonl"
         path.write_text(
-            '{"sentence_sha256": "aa", "fluency": 1.5}\n'
-            f'{{"sentence_sha256": "bb", "fluency": {value}}}\n',
+            f'{{"sentence_sha256": "{"a" * 64}", "fluency": 1.5}}\n'
+            f'{{"sentence_sha256": "{"b" * 64}", "fluency": {value}}}\n',
             encoding="utf-8",
         )
         with pytest.raises(ValueError, match=r"flu\.jsonl:2: bad record: fluency must be a finite number"):
+            load_fluency_file(str(path))
+
+    @pytest.mark.parametrize("key", [
+        '["ab"]', "12", '"ab"', f'"{"A" * 64}"', f'"{"g" * 64}"', f'"{"a" * 63}"',
+    ], ids=["list", "int", "short", "upper", "non-hex", "63-digits"])
+    def test_fluency_key_must_be_a_sha256_hex_digest(self, tmp_path, key):
+        # a list key used to raise TypeError outside the path:line wrapper,
+        # and an int key was stored where no sentence could match it
+        path = tmp_path / "flu.jsonl"
+        path.write_text(
+            json.dumps({"sentence_sha256": fluency_key("the cat"), "fluency": 1.5}) + "\n"
+            + f'{{"sentence_sha256": {key}, "fluency": 2.5}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"flu\.jsonl:2: bad record: sentence_sha256 must be 64 lowercase hex"):
             load_fluency_file(str(path))
 
     def test_report_json_and_table(self):

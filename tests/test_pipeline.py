@@ -126,6 +126,13 @@ class TestSpecialTokens:
         assert cfg.beam.banned_ids == frozenset()  # the caller's config is not changed
 
 
+@pytest.mark.parametrize("beta", [0.0, float("nan"), float("inf")])
+def test_pipeline_config_rejects_a_beta_that_cannot_select(beta):
+    # beta 0 used to fail only after the first source was decoded
+    with pytest.raises(ValueError, match="beta must be finite and > 0"):
+        PipelineConfig(beta=beta)
+
+
 class TestSelectionMatchesEvaluate:
     def test_same_best_and_score_as_evaluate_corpus(self):
         # the pipeline and evaluate_corpus each hold a copy of the selection
