@@ -157,6 +157,9 @@ def _load_config_file(path: str | None) -> dict:
 def cmd_train(args) -> dict:
     if args.show_defaults:
         return {"model": ModelConfig(vocab_size=5).to_dict(), "train": TrainConfig().to_dict()}
+    for required in ("corpus", "vocab", "out"):
+        if getattr(args, required) is None:
+            raise ValueError(f"--{required} is required")
     file_cfg = _load_config_file(args.config)
     model_kw = dict(file_cfg.get("model", {}))
     train_kw = dict(file_cfg.get("train", {}))
@@ -242,6 +245,8 @@ def _by_source(items: list, path: str) -> dict[str, dict]:
 
 
 def cmd_evaluate(args) -> dict:
+    if not args.copy_input and not args.candidates:
+        raise ValueError("pass --candidates FILE or --copy-input")
     records = read_jsonl(args.records)
     _by_source(records, args.records)
     by_source = {} if args.copy_input else _by_source(read_jsonl(args.candidates), args.candidates)
@@ -252,7 +257,9 @@ def cmd_evaluate(args) -> dict:
         if not isinstance(r, dict):
             joined.append(r)
         elif args.copy_input:
-            joined.append({**r, "candidates": [r.get("source")] * args.copies, "best": 0})
+            # two copies, the fewest that define selfBLEU: identical copies
+            # score oriBLEU and selfBLEU at exactly 100 or 0, at any count
+            joined.append({**r, "candidates": [r.get("source")] * 2, "best": 0})
         else:
             cand = by_source.get(_source(r), {})
             joined.append({**r, "candidates": cand.get("candidates"), "best": cand.get("best")})
@@ -399,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True, help="JSONL of {source, references}")
     p.add_argument("--candidates", help="JSONL of {source, candidates, best}")
     p.add_argument("--copy-input", action="store_true", dest="copy_input",
-                   help="score the source copied as every candidate")
-    p.add_argument("--copies", type=_positive_int, default=5,
-                   help="candidate count in copy-input mode")
+                   help="score two copies of the source as the candidates")
     p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
     p.add_argument("--ref-reduce", choices=["mean", "max"], dest="ref_reduce",
                    default=metrics_mod.EvalConfig.ref_reduce)
@@ -426,15 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "train" and not args.show_defaults:
-            for required in ("corpus", "vocab", "out"):
-                if getattr(args, required) is None:
-                    raise ValueError(f"--{required} is required")
-        if args.command == "evaluate" and not args.copy_input and not args.candidates:
-            raise ValueError("pass --candidates FILE or --copy-input")
         summary = args.fn(args)
-    except SystemExit:
-        raise
     except RuntimeError as e:
         # training aborts (non-finite loss) use a distinct exit code
         print(json.dumps({"error": str(e), "type": type(e).__name__}), file=sys.stderr)

@@ -61,9 +61,8 @@ def split_sentences(text: str) -> list[str]:
     out = []
     prev = 0
     for cut in cuts:
-        piece = text[prev:cut].strip()
-        if piece:
-            out.append(piece)
+        # never empty: the piece ends with the punctuation run of its cut
+        out.append(text[prev:cut].strip())
         prev = cut
     tail = text[prev:].strip()
     if tail:

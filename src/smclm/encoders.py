@@ -68,16 +68,6 @@ def _signed_slot(token: str, dim: int, seed: int) -> tuple[int, float]:
     return (h >> 1) % dim, 1.0 if h & 1 else -1.0
 
 
-def hashed_token_vector(token: str, dim: int, seed: int = 0) -> np.ndarray:
-    """Deterministic signed one-hot unit vector for a single token."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    idx, sign = _signed_slot(token, dim, seed)
-    v = np.zeros(dim, dtype=np.float32)
-    v[idx] = sign
-    return v
-
-
 class HashedTokenEmbedder:
     """Per-token embedder used by the token-matching metric; callable."""
 
@@ -88,7 +78,11 @@ class HashedTokenEmbedder:
         self.seed = seed
 
     def __call__(self, token: str) -> np.ndarray:
-        return hashed_token_vector(token, self.dim, self.seed)
+        """Deterministic signed one-hot unit vector for a single token."""
+        idx, sign = _signed_slot(token, self.dim, self.seed)
+        v = np.zeros(self.dim, dtype=np.float32)
+        v[idx] = sign
+        return v
 
 
 class HashedBagEncoder:

@@ -315,9 +315,8 @@ class TransformerLM:
         Without ``past`` they are n whole sequences, right-padded to t
         positions; the causal mask already hides a row's padded positions
         from its real ones. With ``past``, a per-layer (K, V) cache of shape
-        (rows, head_count, s, head_dim), row i continues cache row
-        ``parents[i]``. Each new position attends to the cached ones and
-        causally to the new ones.
+        (rows, head_count, s, head_dim), t is 1 and row i continues cache
+        row ``parents[i]``.
 
         A lone row (n * t == 1) runs twice and the copy is dropped: numpy
         sends a one-row matmul to gemv, which rounds differently from the
@@ -340,7 +339,7 @@ class TransformerLM:
             if parents is not None:
                 parents = [parents[0]] * 2
         if t > 1:
-            causal = np.tri(t, s + t, s, dtype=bool)
+            causal = np.tri(t, dtype=bool)
 
         layers, grown = [], []
         for i in range(cfg.layer_count):
@@ -359,7 +358,7 @@ class TransformerLM:
             qh = _split_heads(q, n, t, H)
             kh = k4.reshape(n * H, s + t, dh)
             vh = v4.reshape(n * H, s + t, dh)
-            if past is not None and t == 1:
+            if past is not None:
                 qh = np.repeat(qh, 2, axis=1)
             scores = (qh @ kh.transpose(0, 2, 1)) * scale
             if t > 1:

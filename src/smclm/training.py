@@ -56,8 +56,6 @@ def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
     # out bit-exact there (lr*step/warmup rounds twice and can miss by 1 ulp)
     if step <= cfg.warmup_steps:
         return lr * (step / cfg.warmup_steps)
-    if total_steps == cfg.warmup_steps:
-        return lr
     return lr * ((total_steps - step) / (total_steps - cfg.warmup_steps))
 
 

@@ -302,7 +302,7 @@ class TestEncoderDefaults:
 
 
 class TestSizeFlags:
-    """--copies, --encoder-dim and --token-dim take positive integers; any
+    """--encoder-dim and --token-dim take positive integers; any
     other value exits 2 naming the flag, before a file is read."""
 
     @staticmethod
@@ -313,7 +313,7 @@ class TestSizeFlags:
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     @pytest.mark.parametrize("command,flag", [
-        ("evaluate", "--copies"), ("evaluate", "--encoder-dim"), ("evaluate", "--token-dim"),
+        ("evaluate", "--encoder-dim"), ("evaluate", "--token-dim"),
         ("calibrate-beta", "--encoder-dim"), ("calibrate-beta", "--token-dim"),
     ])
     def test_a_bad_size_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, value):
@@ -345,12 +345,9 @@ class TestSizeFlags:
         monkeypatch.setattr(cli, "HashedTokenEmbedder", RecordingEmbedder)
         path = tmp_path / "in.jsonl"
         path.write_text('{"source": "the cat sat on the mat", "references": ["the cat sat"]}\n')
-        copies = ["--copies", "1"] if command == "evaluate" else []
-        summary = run_json(capsys, command, *self.inputs(command, path), *copies,
-                           "--encoder", "hashed-bag", "--encoder-dim", "1", "--token-dim", "3")
+        run_json(capsys, command, *self.inputs(command, path),
+                 "--encoder", "hashed-bag", "--encoder-dim", "1", "--token-dim", "3")
         assert dims == [("encoder", 1), ("token", 3)]
-        if command == "evaluate":
-            assert summary["counts"]["selfBLEU_missing"] == 1
 
 
 class TestErrorPaths:

@@ -573,6 +573,20 @@ class TestEvaluateCorpus:
         assert report.means["BERT-iBLEU"] == 0.0
         assert report.means["SBERT-iBLEU"] == 0.0
 
+    def test_copy_input_report_is_the_same_at_any_count_from_two(self):
+        # evaluate --copy-input writes two copies: oriBLEU and selfBLEU of
+        # identical copies are exactly 100 or 0, so more copies change nothing
+        sources = [("the cat sat on the mat", ["a cat is on the mat"]), ("dog", ["the dog ran"]),
+                   ("...", ["a cat"]), ("the the the cat", ["the cat", "a cat"])]
+
+        def report(count):
+            recs = _records([(s, refs, [s] * count) for s, refs in sources])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # rouge_l on "..." that normalizes to nothing
+                return evaluate_corpus(recs, self.cfg).to_json()
+
+        assert report(2) == report(5) == report(9)
+
     def test_best_selected_by_sbert_ibleu_when_absent(self):
         src = "the cat sat on the mat"
         cands = [src, "the cat sat on mat red"]
