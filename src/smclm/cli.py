@@ -245,6 +245,8 @@ def _by_source(items: list, path: str) -> dict[str, dict]:
 
 
 def cmd_evaluate(args) -> dict:
+    if args.copy_input and args.candidates:
+        raise ValueError("pass --candidates FILE or --copy-input, not both")
     if not args.copy_input and not args.candidates:
         raise ValueError("pass --candidates FILE or --copy-input")
     records = read_jsonl(args.records)

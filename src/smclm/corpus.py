@@ -105,7 +105,10 @@ def build_corpus(
     accept = lang_filter or default_lang_filter
     domains: dict[str, list[list[str]]] = {}
     for domain, docs in sources:
-        domains.setdefault(domain, []).append(list(docs))
+        # an empty pool could not be drawn from; its domain keeps a zero row
+        pools = domains.setdefault(domain, [])
+        if docs:
+            pools.append(list(docs))
     stats = {
         d: {"admitted": 0, "rejected": {"short": 0, "language": 0, "empty": 0, "duplicate": 0}}
         for d in domains
@@ -182,7 +185,7 @@ def split_groups(
     """
     if len(ratios) != len(SPLIT_NAMES):
         raise ValueError(f"need 3 ratios ({','.join(SPLIT_NAMES)}), got {len(ratios)}")
-    if any(r <= 0 for r in ratios):
+    if not all(r > 0 for r in ratios):  # nan fails too
         raise ValueError("ratios must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios sum to {sum(ratios)}, expected 1")

@@ -22,6 +22,7 @@ one whose score rounds to a kept cell's, can still win on its lower id.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass
 
@@ -49,11 +50,15 @@ class BeamSearchConfig:
             raise ValueError("beam_count and group_count must be >= 1")
         if self.beam_count % self.group_count != 0:
             raise ValueError("beam_count must be divisible by group_count")
-        if self.diversity_strength < 0:
-            raise ValueError("diversity_strength must be >= 0")
-        if self.no_repeat_ngram < 0:
+        # written so that nan fails: a nan penalty sends every selection
+        # through a full-row walk
+        if not (math.isfinite(self.diversity_strength) and self.diversity_strength >= 0):
+            raise ValueError(f"diversity_strength must be finite and >= 0, got {self.diversity_strength!r}")
+        if not math.isfinite(self.length_alpha):
+            raise ValueError(f"length_alpha must be finite, got {self.length_alpha!r}")
+        if not self.no_repeat_ngram >= 0:
             raise ValueError("no_repeat_ngram must be >= 0")
-        if self.max_length < 1:
+        if not self.max_length >= 1:
             raise ValueError("max_length must be >= 1")
 
 

@@ -494,22 +494,22 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     (a candidate that normalizes to nothing scores 0, ties go to the
     earliest). Records with a single candidate report selfBLEU as missing.
     Malformed records, and records whose candidate set is missing
-    ('candidates' absent or None), raise when cfg.strict; otherwise they are
-    skipped and counted.
+    ('candidates' absent or None), raise when cfg.strict, before any record
+    is scored; otherwise they are skipped and counted.
     """
     if cfg.encoder is None:
         raise ValueError("EvalConfig.encoder is required")
     reduce_fn = np.mean if cfg.ref_reduce == "mean" else np.max
-    rows = []
-    skipped = 0
+    checked, skipped = [], 0
     for idx, rec in enumerate(records):
         try:
-            source, references, candidates, best_idx = _check_record(rec)
+            checked.append(_check_record(rec))
         except ValueError as e:
             if cfg.strict:
                 raise ValueError(f"record {idx}: {e}") from None
             skipped += 1
-            continue
+    rows = []
+    for source, references, candidates, best_idx in checked:
         # one record per distinct text, one word table and one n-gram table
         # over them, shared by every score of this record; the source is row 0
         at = {t: i for i, t in enumerate(dict.fromkeys([source, *references, *candidates]))}

@@ -59,14 +59,17 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocab_size < 5:
+        # each check is written so that nan fails it
+        if not self.vocab_size >= 5:
             raise ValueError("vocab_size must cover the 4 specials plus a word")
-        if self.embed_dim < 1 or self.layer_count < 1 or self.ff_dim < 1:
-            raise ValueError("embed_dim, layer_count, ff_dim must be >= 1")
+        if not all(n >= 1 for n in (self.embed_dim, self.layer_count, self.head_count, self.ff_dim)):
+            raise ValueError("embed_dim, layer_count, head_count, ff_dim must be >= 1")
         if self.embed_dim % self.head_count != 0:
             raise ValueError("embed_dim must be divisible by head_count")
-        if self.max_positions < 2:
+        if not self.max_positions >= 2:
             raise ValueError("max_positions must be >= 2")
+        if not (math.isfinite(self.init_std) and self.init_std > 0):
+            raise ValueError(f"init_std must be finite and > 0, got {self.init_std!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

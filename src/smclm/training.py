@@ -32,12 +32,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each check is written so that nan fails it
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
+        if not (self.learning_rate > 0 and self.batch_size >= 1 and self.epochs >= 1):
             raise ValueError("learning_rate, batch_size, epochs must be positive")
-        if self.warmup_steps < 0 or self.weight_decay < 0:
+        if not (self.warmup_steps >= 0 and self.weight_decay >= 0):
             raise ValueError("warmup_steps and weight_decay must be >= 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
+        if not all(map(math.isfinite, (self.learning_rate, self.weight_decay, self.eps))):
+            raise ValueError("learning_rate, weight_decay and eps must be finite")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -301,6 +301,55 @@ class TestEncoderDefaults:
         assert HashedTokenEmbedder().dim == DEFAULT_DIM == 64
 
 
+class TestEmbeddingsFlag:
+    """train, evaluate and calibrate-beta read a file-backed table that
+    covers every text they encode, and score as the encoder it was made by."""
+
+    def test_train_evaluate_and_calibrate_beta(self, tmp_path, capsys):
+        from smclm.encoders import HashedBagEncoder, write_embedding_file
+
+        records = [
+            {"source": f"the {n} {v} very quickly",
+             "references": [f"a {n} {v} quickly", f"the {n} {v} now"]}
+            for n, v in zip(NOUNS[:4], VERBS[:4])
+        ]
+        cands = [{"source": r["source"], "candidates": [*r["references"], f"so {r['source']}"]}
+                 for r in records]
+        texts = {t for r in records for t in (r["source"], *r["references"])}
+        texts |= {t for c in cands for t in c["candidates"]}
+        enc = HashedBagEncoder(dim=16)
+        table = str(tmp_path / "table.smem")
+        write_embedding_file(table, {t: enc.encode(t) for t in sorted(texts)})
+        recs_path, cands_path = tmp_path / "records.jsonl", tmp_path / "cands.jsonl"
+        recs_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        cands_path.write_text("".join(json.dumps(c) + "\n" for c in cands))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(t + "\n" for t in sorted(texts)))
+        vocab, ckpt = str(tmp_path / "vocab.txt"), str(tmp_path / "m.smck")
+        run_json(capsys, "build-vocab", "--corpus", str(corpus), "--out", vocab)
+
+        summary = run_json(
+            capsys, "train", "--corpus", str(corpus), "--vocab", vocab, "--out", ckpt,
+            "--embeddings", table, "--embed-dim", "16", "--layers", "1", "--heads", "2",
+            "--ff-dim", "16", "--max-positions", "16", "--batch-size", "8", "--epochs", "1",
+            "--warmup-steps", "0", "--learning-rate", "1e-3",
+        )
+        assert summary["steps"] == 2 and summary["skipped"] == 0
+        spec = load_checkpoint(ckpt)[1]["encoder"]
+        assert spec == {"kind": "file-backed", "dim": 16, "path": table}
+
+        hashed = ["--encoder", "hashed-bag", "--encoder-dim", "16"]
+        evaluate = ["evaluate", "--records", str(recs_path), "--candidates", str(cands_path)]
+        from_table = run_json(capsys, *evaluate, "--embeddings", table)
+        assert from_table["counts"]["evaluated"] == 4
+        assert from_table["means"] == pytest.approx(run_json(capsys, *evaluate, *hashed)["means"])
+
+        calibrate = ["calibrate-beta", "--pairs", str(recs_path)]
+        from_table = run_json(capsys, *calibrate, "--embeddings", table)
+        assert from_table["pairs"] == 8
+        assert from_table == pytest.approx(run_json(capsys, *calibrate, *hashed))
+
+
 class TestSizeFlags:
     """--encoder-dim and --token-dim take positive integers; any
     other value exits 2 naming the flag, before a file is read."""
@@ -691,6 +740,35 @@ class TestErrorPaths:
         assert "beta must be finite and > 0, got nan" in json.loads(err)["error"]
         assert calls == []
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_generate_nan_diversity_fails_before_decoding(self, tmp_path, capsys, monkeypatch):
+        # nan diversity once decoded every selection by a full-row walk, and exited 0
+        from smclm import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        rc, out, err = run(
+            capsys, "generate", "--checkpoint", ckpt, "--input", src,
+            "--out", f"{tmp_path}/out.jsonl", "--diversity", "nan",
+        )
+        assert rc == 1 and out == ""
+        assert "diversity_strength must be finite and >= 0, got nan" in json.loads(err)["error"]
+        assert calls == []
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_evaluate_takes_one_candidate_source(self, tmp_path, capsys):
+        # --copy-input once silently ignored the --candidates file
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"source": "a b c", "references": ["a c"]}\n')
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"source": "a b c", "candidates": ["a c b"], "best": 0}\n')
+        rc, out, err = run(
+            capsys, "evaluate", "--records", str(records), "--candidates", str(cands),
+            "--copy-input", "--encoder", "hashed-bag",
+        )
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "pass --candidates FILE or --copy-input, not both"
 
     def test_evaluate_infinite_beta_prints_nothing(self, tmp_path, capsys):
         # nan or inf used to print "SBERT-iBLEU": NaN, which is not JSON

@@ -234,6 +234,25 @@ class TestBuildCorpus:
         assert sorted(admitted) == ["A dog ran in the park.", "The cat sat on the mat."]
         assert manifest["domains"]["d"]["rejected"]["duplicate"] == 0
 
+    @pytest.mark.parametrize("at", [0, 2, 3])
+    def test_an_empty_source_adds_only_its_zero_row(self, at):
+        # an empty document list once crashed the draw (numpy "high <= 0")
+        zero = {"admitted": 0, "rejected": {"short": 0, "language": 0, "empty": 0, "duplicate": 0}}
+        want, want_manifest = build_corpus(demo_sources(), 60, seed=4)
+        # a new domain, then a known one
+        for domain, extra in (("blank", {"blank": zero}), ("news", {})):
+            sources = demo_sources()
+            sources.insert(at, (domain, []))
+            got, manifest = build_corpus(sources, 60, seed=4)
+            assert got == want
+            assert manifest == {**want_manifest, "domains": {**want_manifest["domains"], **extra}}
+
+    def test_only_empty_sources_fall_short(self):
+        admitted, manifest = build_corpus([("news", []), ("web", [])], 3)
+        assert admitted == []
+        assert manifest["shortfall"] is True
+        assert [d["admitted"] for d in manifest["domains"].values()] == [0, 0]
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             build_corpus(demo_sources(), 0)
@@ -297,6 +316,11 @@ class TestSplitGroups:
             split_groups(make_groups(10), ratios=(0.4, 0.3, 0.2, 0.1))
         with pytest.raises(ValueError, match="cannot fill"):
             split_groups(make_groups(2))
+
+    def test_nan_ratio_rejected(self):
+        # nan once reached the apportionment: "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="ratios must be positive"):
+            split_groups(make_groups(10), ratios=(0.8, float("nan"), 0.15))
 
     def test_sentence_in_two_groups_rejected(self):
         # it could land in train and test at once

@@ -619,6 +619,27 @@ class TestEvaluateCorpus:
         # one row per distinct text of the record
         assert tables == [5, 3]
 
+    def test_a_bad_last_record_fails_before_any_is_scored(self, monkeypatch):
+        tables = []
+
+        class Counted(metrics._NgramTable):
+            def __init__(self, sentences, max_n):
+                tables.append(len(sentences))
+                super().__init__(sentences, max_n)
+
+        monkeypatch.setattr(metrics, "_NgramTable", Counted)
+        recs = _records([(f"the {n} sat", [f"a {n} sat"], [f"the {n} sat down"])
+                         for n in ("cat", "cow", "owl")])
+        recs.append({"source": "dog ran", "references": ["a dog", "dog"], "candidates": ["x"], "best": 1})
+        with pytest.raises(ValueError, match="record 3: 'best' index 1 out of range"):
+            evaluate_corpus(recs, self.cfg)
+        assert tables == []
+        # not strict: the bad record is skipped and the rest scored, in order
+        report = evaluate_corpus(recs[::-1], EvalConfig(encoder=self.enc, strict=False))
+        assert report.counts["skipped"] == 1
+        assert [row["source"] for row in report.rows] == [r["source"] for r in recs[2::-1]]
+        assert tables == [3, 3, 3]
+
     def test_token_embedder_runs_once_per_distinct_word_per_record(self):
         calls = []
 
