@@ -1,7 +1,7 @@
 """Binary model checkpoints: config JSON blob plus named float32 tensors.
 
 Layout, little-endian throughout: magic "SMCK", u32 version, u32 JSON blob
-length, the JSON blob (model config, optional vocabulary path, encoder spec),
+length, the JSON blob (model config, vocabulary tokens, encoder spec),
 then every tensor in param_entries order as name (u32 length + UTF-8), u32
 rank, u32 dims, and the float32 payload. Round-trips are bit-exact.
 """
@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 from .model import ModelConfig, TransformerLM, param_entries
+from .tokenization import Vocabulary
 
 CHECKPOINT_MAGIC = b"SMCK"
 CHECKPOINT_VERSION = 1
@@ -23,13 +24,13 @@ def save_checkpoint(
     path: str,
     model: TransformerLM,
     encoder_spec: dict | None = None,
-    vocab_path: str | None = None,
+    vocab: Vocabulary | None = None,
     extra: dict | None = None,
 ) -> None:
     meta = {
         "config": model.config.to_dict(),
         "encoder": encoder_spec,
-        "vocab_path": vocab_path,
+        "vocab": list(vocab.tokens) if vocab is not None else None,
     }
     if extra:
         meta["extra"] = extra
@@ -66,6 +67,9 @@ def load_checkpoint(path: str) -> tuple[TransformerLM, dict]:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         meta = json.loads(_read_exact(f, blob_len, "metadata blob").decode("utf-8"))
         config = ModelConfig.from_dict(meta["config"])
+        tokens = meta.get("vocab")
+        if tokens is not None and len(tokens) != config.vocab_size:
+            raise ValueError(f"{path}: stored vocabulary has {len(tokens)} tokens, not {config.vocab_size}")
         params = {}
         for name, shape, _ in param_entries(config):
             (name_len,) = struct.unpack("<I", _read_exact(f, 4, "tensor name length"))

@@ -21,7 +21,7 @@ from .encoders import DEFAULT_DIM, HashedTokenEmbedder, encoder_from_spec
 from .jsonl import read_jsonl, string_list, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
-from .tokenization import build_vocabulary, load_vocabulary, save_vocabulary
+from .tokenization import Vocabulary, build_vocabulary, load_vocabulary, save_vocabulary
 from .training import TrainConfig, train
 
 
@@ -53,25 +53,18 @@ def _write_lines(lines: list[str], path: str) -> None:
                 f.write(line + "\n")
 
 
-def _resolve_encoder(args, embed_dim: int | None = None, meta_spec: dict | None = None):
-    """Encoder precedence: --embeddings file, then --encoder kind, then the
-    spec stored in a checkpoint.
-
-    Given a model's embed_dim (train, generate), --encoder defaults to it and
-    the encoder, however chosen, must produce it; otherwise --encoder
-    defaults to DEFAULT_DIM.
-    """
+def _flag_spec(args, default_dim: int) -> dict:
+    """The encoder spec that --embeddings FILE or --encoder KIND names."""
     if args.embeddings:
-        spec = {"kind": "file-backed", "path": args.embeddings}
-    elif args.encoder:
-        encoder_dim = args.encoder_dim or embed_dim or DEFAULT_DIM
-        spec = {"kind": args.encoder, "dim": encoder_dim, "seed": args.encoder_seed}
-    elif meta_spec:
-        spec = meta_spec
-    else:
-        raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")
+        return {"kind": "file-backed", "path": args.embeddings}
+    if args.encoder:
+        return {"kind": args.encoder, "dim": args.encoder_dim or default_dim, "seed": args.encoder_seed}
+    raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")
+
+
+def _model_encoder(spec: dict, embed_dim: int):
     encoder = encoder_from_spec(spec)
-    if embed_dim is not None and encoder.dim != embed_dim:
+    if encoder.dim != embed_dim:
         raise ValueError(f"encoder dim {encoder.dim} must match embed_dim {embed_dim}")
     return encoder
 
@@ -178,7 +171,8 @@ def cmd_train(args) -> dict:
     corpus = _read_lines(args.corpus)
     valid = _read_lines(args.valid) if args.valid else None
     model_cfg = ModelConfig(vocab_size=len(vocab), **model_kw)
-    encoder = _resolve_encoder(args, model_cfg.embed_dim) if train_cfg.mode == "smclm" else None
+    dim = model_cfg.embed_dim
+    encoder = _model_encoder(_flag_spec(args, dim), dim) if train_cfg.mode == "smclm" else None
     model = TransformerLM(model_cfg)
     report = train(model, vocab, corpus, train_cfg, encoder=encoder,
                    valid_corpus=valid, log_path=args.log)
@@ -187,7 +181,7 @@ def cmd_train(args) -> dict:
             tmp,
             model,
             encoder_spec=encoder.spec() if encoder is not None else None,
-            vocab_path=args.vocab,
+            vocab=vocab,
             extra={"train": train_cfg.to_dict()},
         )
     return {"checkpoint": args.out, "mode": train_cfg.mode, **report.to_dict()}
@@ -197,15 +191,17 @@ def cmd_generate(args) -> dict:
     sources = _read_lines(args.input)
     _by_source([{"source": s} for s in sources], args.input)
     model, meta = ckpt.load_checkpoint(args.checkpoint)
-    vocab_path = args.vocab or meta.get("vocab_path")
-    if not vocab_path:
-        raise ValueError("checkpoint stores no vocabulary path; pass --vocab")
-    vocab = load_vocabulary(vocab_path)
-    if len(vocab) != model.config.vocab_size:
-        raise ValueError(
-            f"vocabulary size {len(vocab)} does not match checkpoint {model.config.vocab_size}"
-        )
-    encoder = _resolve_encoder(args, model.config.embed_dim, meta.get("encoder"))
+    spec, tokens = meta["encoder"], meta.get("vocab")
+    if spec is None:
+        raise ValueError(f"{args.checkpoint} is a clm checkpoint; generate needs an smclm one")
+    if tokens is None:
+        raise ValueError(f"{args.checkpoint} stores no vocabulary")
+    if args.embeddings:
+        if spec["kind"] != "file-backed":
+            raise ValueError(f"--embeddings needs a file-backed checkpoint, not {spec['kind']}")
+        spec = {**spec, "path": args.embeddings}
+    vocab = Vocabulary(tuple(tokens))
+    encoder = _model_encoder(spec, model.config.embed_dim)
     beam = BeamSearchConfig(
         beam_count=args.beams,
         group_count=args.groups,
@@ -265,7 +261,7 @@ def cmd_evaluate(args) -> dict:
         else:
             cand = by_source.get(_source(r), {})
             joined.append({**r, "candidates": cand.get("candidates"), "best": cand.get("best")})
-    encoder = _resolve_encoder(args)
+    encoder = encoder_from_spec(_flag_spec(args, DEFAULT_DIM))
     cfg = metrics_mod.EvalConfig(
         encoder=encoder,
         token_embedder=HashedTokenEmbedder(args.token_dim),
@@ -300,7 +296,7 @@ def _calibration_pairs(rec: dict) -> list[tuple[str, str]]:
 
 def cmd_calibrate_beta(args) -> dict:
     pairs = [p for rec_pairs in read_jsonl(args.pairs, _calibration_pairs) for p in rec_pairs]
-    encoder = _resolve_encoder(args)
+    encoder = encoder_from_spec(_flag_spec(args, DEFAULT_DIM))
     result = metrics_mod.calibrate_beta(pairs, encoder, HashedTokenEmbedder(args.token_dim))
     return {**result.to_dict(), "pairs": len(pairs)}
 
@@ -387,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="paraphrase sources with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", help="override the vocabulary path stored in the checkpoint")
     p.add_argument("--input", required=True, help="source sentences, one per line")
     p.add_argument("--out", required=True, help="candidates JSONL")
     p.add_argument("--beams", type=int, default=BeamSearchConfig.beam_count)
@@ -401,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "model's max_positions")
     p.add_argument("--alpha", type=float, default=BeamSearchConfig.length_alpha)
     p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
-    _add_encoder_flags(p)
+    p.add_argument("--embeddings", help="another path for a file-backed checkpoint's table")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evaluate", help="score candidates against references")

@@ -5,6 +5,7 @@ import pytest
 
 from smclm.checkpoint import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from smclm.model import ModelConfig, TransformerLM
+from smclm.tokenization import SPECIAL_TOKENS, Vocabulary
 
 
 @pytest.fixture
@@ -22,30 +23,31 @@ def model():
 
 
 SPEC = {"kind": "hashed-bag", "dim": 8, "parameters": {"seed": 1}}
+VOCAB = Vocabulary(SPECIAL_TOKENS + tuple("abcdefg"))
 
 
 class TestRoundTrip:
     def test_bit_exact(self, model, tmp_path):
         path = tmp_path / "m.smck"
-        save_checkpoint(path, model, SPEC, vocab_path="vocab.txt", extra={"note": 1})
+        save_checkpoint(path, model, SPEC, vocab=VOCAB, extra={"note": 1})
         loaded, meta = load_checkpoint(path)
         assert loaded.config == model.config
         for name in model.params:
             assert loaded.params[name].tobytes() == model.params[name].tobytes()
             assert loaded.params[name].dtype == np.float32
         assert meta["encoder"] == SPEC
-        assert meta["vocab_path"] == "vocab.txt"
+        assert meta["vocab"] == list(VOCAB.tokens)
         assert meta["extra"] == {"note": 1}
 
     def test_save_twice_identical(self, model, tmp_path):
         a, b = tmp_path / "a.smck", tmp_path / "b.smck"
-        save_checkpoint(a, model, SPEC, vocab_path=None)
-        save_checkpoint(b, model, SPEC, vocab_path=None)
+        save_checkpoint(a, model, SPEC)
+        save_checkpoint(b, model, SPEC)
         assert a.read_bytes() == b.read_bytes()
 
     def test_float64_model_saved_as_float32(self, model, tmp_path):
         path = tmp_path / "m.smck"
-        save_checkpoint(path, model.astype(np.float64), SPEC, vocab_path=None)
+        save_checkpoint(path, model.astype(np.float64), SPEC)
         loaded, _ = load_checkpoint(path)
         assert loaded.dtype == np.float32
 
@@ -53,7 +55,7 @@ class TestRoundTrip:
 class TestFileLayout:
     def test_header(self, model, tmp_path):
         path = tmp_path / "m.smck"
-        save_checkpoint(path, model, SPEC, vocab_path=None)
+        save_checkpoint(path, model, SPEC)
         raw = path.read_bytes()
         assert raw[:4] == CHECKPOINT_MAGIC
         version, meta_len = struct.unpack("<II", raw[4:12])
@@ -64,7 +66,7 @@ class TestFileLayout:
 class TestCorruption:
     def write_good(self, model, tmp_path):
         path = tmp_path / "m.smck"
-        save_checkpoint(path, model, SPEC, vocab_path=None)
+        save_checkpoint(path, model, SPEC)
         return path
 
     def test_bad_magic(self, model, tmp_path):
@@ -88,6 +90,13 @@ class TestCorruption:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [10, 12])
+    def test_stored_vocabulary_of_another_size(self, model, tmp_path, size):
+        path = tmp_path / "m.smck"
+        save_checkpoint(path, model, SPEC, vocab=Vocabulary(SPECIAL_TOKENS + tuple("abcdefgh")[:size - 4]))
+        with pytest.raises(ValueError, match=f"stored vocabulary has {size} tokens, not 11"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, model, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from smclm.checkpoint import load_checkpoint
 from smclm.cli import atomic_path, main
+from smclm.encoders import HashedBagEncoder
 from smclm.metrics import fluency_key
 
 NOUNS = ["cat", "dog", "bird", "horse", "train", "river", "cloud", "stone",
@@ -29,22 +30,26 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-def write_tiny_checkpoint(tmp_path):
-    """An untrained 8-position model, its vocabulary and a one-line input;
-    returns the checkpoint and input paths."""
+TINY_TOKENS = ("<bos>", "<eos>", "<unk>", "<pad>", "cat", "sat", "mat")
+
+
+def write_tiny_checkpoint(tmp_path, encoder_spec=HashedBagEncoder(dim=8).spec(),
+                          tokens=TINY_TOKENS, vocab_size=7):
+    """An untrained 8-dim, 8-position model, stored with encoder_spec and the
+    vocabulary of tokens, and a one-line input; returns the checkpoint and
+    input paths."""
     from smclm.checkpoint import save_checkpoint
-    from smclm.encoders import HashedBagEncoder
     from smclm.model import ModelConfig, TransformerLM
+    from smclm.tokenization import Vocabulary
 
     model = TransformerLM(
-        ModelConfig(vocab_size=7, embed_dim=8, layer_count=1, head_count=2,
+        ModelConfig(vocab_size=vocab_size, embed_dim=8, layer_count=1, head_count=2,
                     ff_dim=12, max_positions=8, seed=0)
     )
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_text("\n".join(["<bos>", "<eos>", "<unk>", "<pad>", "cat", "sat", "mat"]) + "\n")
     save_checkpoint(
         f"{tmp_path}/m.smck", model,
-        encoder_spec=HashedBagEncoder(dim=8).spec(), vocab_path=str(vocab),
+        encoder_spec=encoder_spec,
+        vocab=Vocabulary(tokens) if tokens else None,
     )
     src = tmp_path / "in.txt"
     src.write_text("cat sat mat\n")
@@ -350,6 +355,101 @@ class TestEmbeddingsFlag:
         assert from_table == pytest.approx(run_json(capsys, *calibrate, *hashed))
 
 
+def table_spec(tmp_path, dim):
+    """The spec of a dim-wide file-backed table covering the tiny input."""
+    from smclm.encoders import FileBackedEncoder, write_embedding_file
+
+    path = f"{tmp_path}/table{dim}.smem"
+    write_embedding_file(path, {"cat sat mat": HashedBagEncoder(dim).encode("cat sat mat")})
+    return FileBackedEncoder.load(path).spec()
+
+
+class TestSelfContainedCheckpoint:
+    """generate takes its vocabulary and encoder from the checkpoint; only
+    --embeddings may point a file-backed checkpoint at another table."""
+
+    def test_generate_needs_no_vocabulary_file_or_working_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with open("corpus.txt", "w") as f:
+            f.writelines(f"the {n} {v} today\n" for n, v in zip(NOUNS, VERBS))
+        run_json(capsys, "build-vocab", "--corpus", "corpus.txt", "--out", "vocab.txt")
+        run_json(
+            capsys, "train", "--corpus", "corpus.txt", "--vocab", "vocab.txt", "--out", "m.smck",
+            "--encoder", "hashed-bag", "--embed-dim", "8", "--layers", "1", "--heads", "2",
+            "--ff-dim", "12", "--max-positions", "10", "--epochs", "1", "--warmup-steps", "0",
+            "--learning-rate", "1e-2",
+        )
+        generate = ["generate", "--input", "corpus.txt", "--beams", "4", "--groups", "2"]
+        run_json(capsys, *generate, "--checkpoint", "m.smck", "--out", "here.jsonl")
+        os.remove("vocab.txt")
+        os.mkdir("elsewhere")
+        monkeypatch.chdir("elsewhere")
+        generate[2] = "../corpus.txt"
+        run_json(capsys, *generate, "--checkpoint", "../m.smck", "--out", "there.jsonl")
+        assert (tmp_path / "elsewhere/there.jsonl").read_bytes() == (tmp_path / "here.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("case,message", [
+        ("clm checkpoint", "is a clm checkpoint; generate needs an smclm one"),
+        ("no stored vocabulary", "stores no vocabulary"),
+        ("--embeddings on hashed-bag", "--embeddings needs a file-backed checkpoint, not hashed-bag"),
+        ("table of another dim", "encoder dim 16 must match embed_dim 8"),
+        ("--embeddings of another dim", "encoder dim 16 must match embed_dim 8"),
+    ])
+    def test_generate_refuses_before_decoding(self, tmp_path, capsys, monkeypatch, case, message):
+        from smclm import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        kw, flags = {}, []
+        if case == "clm checkpoint":
+            kw["encoder_spec"] = None
+        elif case == "no stored vocabulary":
+            kw["tokens"] = None
+        elif case == "--embeddings on hashed-bag":
+            flags = ["--embeddings", table_spec(tmp_path, 8)["path"]]
+        elif case == "table of another dim":
+            kw["encoder_spec"] = table_spec(tmp_path, 16)
+        else:
+            kw["encoder_spec"] = table_spec(tmp_path, 8)
+            flags = ["--embeddings", table_spec(tmp_path, 16)["path"]]
+        ckpt, src = write_tiny_checkpoint(tmp_path, **kw)
+        rc, out, err = run(
+            capsys, "generate", "--checkpoint", ckpt, "--input", src,
+            "--out", f"{tmp_path}/out.jsonl", *flags,
+        )
+        assert rc == 1 and out == ""
+        assert message in json.loads(err)["error"]
+        assert calls == []
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_embeddings_relocates_a_file_backed_table(self, tmp_path, capsys, monkeypatch):
+        import smclm.cli as cli_mod
+
+        seen = []
+        monkeypatch.setattr(cli_mod, "paraphrase_batch", lambda *a: seen.append(a[2]) or [])
+        ckpt, src = write_tiny_checkpoint(tmp_path, table_spec(tmp_path, 8))
+        moved = tmp_path / "moved.smem"
+        os.replace(tmp_path / "table8.smem", moved)
+        run_json(capsys, "generate", "--checkpoint", ckpt, "--input", src,
+                 "--out", f"{tmp_path}/out.jsonl", "--embeddings", str(moved))
+        assert [enc.spec() for enc in seen] == [{"kind": "file-backed", "dim": 8, "path": str(moved)}]
+
+    @pytest.mark.parametrize("flag", [
+        ["--vocab", "vocab.txt"], ["--encoder", "hashed-bag"],
+        ["--encoder-dim", "8"], ["--encoder-seed", "7"],
+    ])
+    def test_removed_generate_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--checkpoint", ckpt, "--input", src,
+                  "--out", f"{tmp_path}/out.jsonl", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+
 class TestSizeFlags:
     """--encoder-dim and --token-dim take positive integers; any
     other value exits 2 naming the flag, before a file is read."""
@@ -596,33 +696,20 @@ class TestErrorPaths:
         assert summary["counts"]["evaluated"] == 1
         assert summary["counts"]["skipped"] == 2
 
-    def test_generate_vocab_size_mismatch(self, tmp_path, capsys):
-        from smclm.encoders import HashedBagEncoder
-        from smclm.checkpoint import save_checkpoint
-        from smclm.model import ModelConfig, TransformerLM
+    def test_generate_vocab_size_mismatch(self, tmp_path, capsys, monkeypatch):
+        from smclm import pipeline
 
-        model = TransformerLM(
-            ModelConfig(vocab_size=8, embed_dim=8, layer_count=1, head_count=2,
-                        ff_dim=12, max_positions=8, seed=0)
-        )
-        save_checkpoint(
-            f"{tmp_path}/m.smck", model,
-            encoder_spec=HashedBagEncoder(dim=8).spec(), vocab_path=None,
-        )
-        vocab = tmp_path / "vocab.txt"
-        vocab.write_text("\n".join(["<bos>", "<eos>", "<unk>", "<pad>", "word"]) + "\n")
-        src = tmp_path / "in.txt"
-        src.write_text("word word\n")
-        rc, _, err = run(
-            capsys,
-            "generate",
-            "--checkpoint", f"{tmp_path}/m.smck",
-            "--vocab", str(vocab),
-            "--input", str(src),
+        calls = []
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        ckpt, src = write_tiny_checkpoint(tmp_path, vocab_size=8)
+        rc, out, err = run(
+            capsys, "generate", "--checkpoint", ckpt, "--input", src,
             "--out", f"{tmp_path}/out.jsonl",
         )
-        assert rc == 1
-        assert "does not match" in json.loads(err)["error"]
+        assert rc == 1 and out == ""
+        assert "stored vocabulary has 7 tokens, not 8" in json.loads(err)["error"]
+        assert calls == []
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_generate_clamps_max_length_to_position_window(self, tmp_path, capsys):
         ckpt, src = write_tiny_checkpoint(tmp_path)
@@ -712,16 +799,17 @@ class TestErrorPaths:
     def test_encoder_dim_mismatch_at_generate_fails_before_decoding(
         self, tmp_path, capsys, monkeypatch
     ):
-        import smclm.cli as cli_mod
+        from smclm import pipeline
 
         calls = []
-        monkeypatch.setattr(cli_mod, "paraphrase_batch", lambda *a: calls.append(a) or [])
-        ckpt, src = write_tiny_checkpoint(tmp_path)  # an 8-dim model
-        rc, _, err = run(
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        # an 8-dim model whose checkpoint names a 16-dim encoder
+        ckpt, src = write_tiny_checkpoint(tmp_path, HashedBagEncoder(dim=16).spec())
+        rc, out, err = run(
             capsys, "generate", "--checkpoint", ckpt, "--input", src,
-            "--out", f"{tmp_path}/out.jsonl", "--encoder", "hashed-bag", "--encoder-dim", "16",
+            "--out", f"{tmp_path}/out.jsonl",
         )
-        assert rc == 1
+        assert rc == 1 and out == ""
         assert "encoder dim 16 must match embed_dim 8" in json.loads(err)["error"]
         assert calls == []
         assert not (tmp_path / "out.jsonl").exists()
