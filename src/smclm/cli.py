@@ -37,6 +37,14 @@ def atomic_path(path: str):
             os.remove(tmp)
 
 
+def _check_output_dirs(args) -> None:
+    """Fail before any work when an output file's directory is missing."""
+    for flag in ("out", "log", "manifest", "report"):
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"the directory of --{flag} {path} does not exist")
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -168,11 +176,11 @@ def cmd_train(args) -> dict:
         model_kw["seed"] = args.model_seed
     train_cfg = TrainConfig(**train_kw)
     vocab = load_vocabulary(args.vocab)
-    corpus = _read_lines(args.corpus)
-    valid = _read_lines(args.valid) if args.valid else None
     model_cfg = ModelConfig(vocab_size=len(vocab), **model_kw)
     dim = model_cfg.embed_dim
     encoder = _model_encoder(_flag_spec(args, dim), dim) if train_cfg.mode == "smclm" else None
+    corpus = _read_lines(args.corpus)
+    valid = _read_lines(args.valid) if args.valid else None
     model = TransformerLM(model_cfg)
     report = train(model, vocab, corpus, train_cfg, encoder=encoder,
                    valid_corpus=valid, log_path=args.log)
@@ -428,6 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         summary = args.fn(args)
     except RuntimeError as e:
         # training aborts (non-finite loss) use a distinct exit code

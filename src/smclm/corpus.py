@@ -86,7 +86,6 @@ def build_corpus(
     target_count: int,
     seed: int = 0,
     min_chars: int = 10,
-    lang_filter: Callable[[str], bool] | None = None,
     splitter: Callable[[str], list[str]] = split_sentences,
 ) -> tuple[list[str], dict]:
     """Sample deduplicated sentences until target_count or exhaustion.
@@ -102,7 +101,6 @@ def build_corpus(
         raise ValueError("target_count must be >= 1")
     if not sources:
         raise ValueError("no sources")
-    accept = lang_filter or default_lang_filter
     domains: dict[str, list[list[str]]] = {}
     for domain, docs in sources:
         # an empty pool could not be drawn from; its domain keeps a zero row
@@ -130,7 +128,7 @@ def build_corpus(
         if len(doc) < min_chars:
             rejected["short"] += 1
             continue
-        if not accept(doc):
+        if not default_lang_filter(doc):
             rejected["language"] += 1
             continue
         sentences = [s for s in splitter(doc) if s.strip()]

@@ -16,7 +16,8 @@ the package needs numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,6 +48,20 @@ _Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062
       1.65666309194161350182e3, 5.57535340817727675546e2)
 
 
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real}
+
+
+def check_field_types(config) -> None:
+    """Reject a non-integer (or a bool) in an int field and a non-number (or
+    a bool) in a float field, naming the field: a JSON config value of the
+    wrong type fails late or passes silently (true is batch size 1)."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        kind = _FIELD_KINDS.get(field.type)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -59,6 +74,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         # each check is written so that nan fails it
         if not self.vocab_size >= 5:
             raise ValueError("vocab_size must cover the 4 specials plus a word")

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import TransformerLM
+from .model import TransformerLM, check_field_types
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
 MODES = ("clm", "smclm")
@@ -32,6 +32,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         # each check is written so that nan fails it
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")

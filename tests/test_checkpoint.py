@@ -95,7 +95,8 @@ class TestCorruption:
     @pytest.mark.parametrize("size", [10, 12])
     def test_stored_vocabulary_of_another_size(self, model, tmp_path, size):
         path = tmp_path / "m.smck"
-        save_checkpoint(path, model, SPEC, vocab=Vocabulary(SPECIAL_TOKENS + tuple("abcdefgh")[:size - 4]))
+        vocab = Vocabulary(SPECIAL_TOKENS + tuple("abcdefgh"[: size - 4]))
+        save_checkpoint(path, model, SPEC, vocab=vocab)
         with pytest.raises(ValueError, match=f"stored vocabulary has {size} tokens, not 11"):
             load_checkpoint(path)
 

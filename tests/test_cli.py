@@ -1,10 +1,13 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from smclm.checkpoint import load_checkpoint
-from smclm.cli import atomic_path, main
+from smclm.cli import atomic_path, build_parser, main
 from smclm.encoders import HashedBagEncoder
 from smclm.metrics import fluency_key
 
@@ -381,19 +384,22 @@ class TestSelfContainedCheckpoint:
             "--ff-dim", "12", "--max-positions", "10", "--epochs", "1", "--warmup-steps", "0",
             "--learning-rate", "1e-2",
         )
-        generate = ["generate", "--input", "corpus.txt", "--beams", "4", "--groups", "2"]
-        run_json(capsys, *generate, "--checkpoint", "m.smck", "--out", "here.jsonl")
+        beams = ["--beams", "4", "--groups", "2"]
+        run_json(capsys, "generate", "--checkpoint", "m.smck", "--input", "corpus.txt",
+                 "--out", "here.jsonl", *beams)
         os.remove("vocab.txt")
         os.mkdir("elsewhere")
         monkeypatch.chdir("elsewhere")
-        generate[2] = "../corpus.txt"
-        run_json(capsys, *generate, "--checkpoint", "../m.smck", "--out", "there.jsonl")
-        assert (tmp_path / "elsewhere/there.jsonl").read_bytes() == (tmp_path / "here.jsonl").read_bytes()
+        run_json(capsys, "generate", "--checkpoint", "../m.smck", "--input", "../corpus.txt",
+                 "--out", "there.jsonl", *beams)
+        there = (tmp_path / "elsewhere/there.jsonl").read_bytes()
+        assert there == (tmp_path / "here.jsonl").read_bytes()
 
     @pytest.mark.parametrize("case,message", [
         ("clm checkpoint", "is a clm checkpoint; generate needs an smclm one"),
         ("no stored vocabulary", "stores no vocabulary"),
-        ("--embeddings on hashed-bag", "--embeddings needs a file-backed checkpoint, not hashed-bag"),
+        ("--embeddings on hashed-bag",
+         "--embeddings needs a file-backed checkpoint, not hashed-bag"),
         ("table of another dim", "encoder dim 16 must match embed_dim 8"),
         ("--embeddings of another dim", "encoder dim 16 must match embed_dim 8"),
     ])
@@ -434,7 +440,7 @@ class TestSelfContainedCheckpoint:
         os.replace(tmp_path / "table8.smem", moved)
         run_json(capsys, "generate", "--checkpoint", ckpt, "--input", src,
                  "--out", f"{tmp_path}/out.jsonl", "--embeddings", str(moved))
-        assert [enc.spec() for enc in seen] == [{"kind": "file-backed", "dim": 8, "path": str(moved)}]
+        assert [e.spec() for e in seen] == [{"kind": "file-backed", "dim": 8, "path": str(moved)}]
 
     @pytest.mark.parametrize("flag", [
         ["--vocab", "vocab.txt"], ["--encoder", "hashed-bag"],
@@ -896,6 +902,114 @@ class TestErrorPaths:
         assert rc == 1
         assert "has no sentences" in json.loads(err)["error"]
         assert not out.exists()
+
+
+class TestTrainConfigTypes:
+    @pytest.mark.parametrize("section,field,value", [
+        ("train", "epochs", 1.5),
+        ("train", "batch_size", True),
+        ("train", "learning_rate", "1e-3"),
+        ("model", "embed_dim", 8.0),
+    ])
+    def test_a_wrong_type_fails_before_the_corpus_is_read(
+        self, tmp_path, capsys, monkeypatch, section, field, value
+    ):
+        # epochs 1.5 once failed inside train() naming no field, and batch_size
+        # true trained at batch size 1
+        from smclm import training
+
+        calls = []
+        monkeypatch.setattr(training, "build_examples", lambda *a, **k: calls.append(a))
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(["<bos>", "<eos>", "<unk>", "<pad>", "word"]) + "\n")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("word word word\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {field: value}}))
+        rc, out, err = run(
+            capsys, "train", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--out", f"{tmp_path}/m.smck", "--config", str(config), "--encoder", "hashed-bag",
+        )
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"].startswith(f"{field} must be ")
+        assert calls == []
+        assert not (tmp_path / "m.smck").exists()
+
+
+def command_args(tmp_path, command) -> list[str]:
+    """Valid arguments for command, each output a file in tmp_path."""
+    words = ["<bos>", "<eos>", "<unk>", "<pad>", "word"]
+    if command == "build-corpus":
+        write_documents(tmp_path / "news.txt", "news")
+        return ["--source", f"news={tmp_path}/news.txt", "--target", "5",
+                "--out", f"{tmp_path}/corpus.txt", "--manifest", f"{tmp_path}/manifest.json"]
+    if command == "build-vocab":
+        (tmp_path / "corpus.txt").write_text("word word word\n")
+        return ["--corpus", f"{tmp_path}/corpus.txt", "--out", f"{tmp_path}/vocab.txt"]
+    if command == "train":
+        (tmp_path / "vocab.txt").write_text("\n".join(words) + "\n")
+        (tmp_path / "corpus.txt").write_text("word word word\n")
+        return ["--corpus", f"{tmp_path}/corpus.txt", "--vocab", f"{tmp_path}/vocab.txt",
+                "--out", f"{tmp_path}/m.smck", "--log", f"{tmp_path}/log.jsonl",
+                "--encoder", "hashed-bag", "--embed-dim", "8", "--layers", "1", "--heads", "2",
+                "--ff-dim", "12", "--max-positions", "8", "--warmup-steps", "0"]
+    if command == "generate":
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        return ["--checkpoint", ckpt, "--input", src, "--out", f"{tmp_path}/cands.jsonl"]
+    assert command == "evaluate"
+    (tmp_path / "records.jsonl").write_text('{"source": "a b c", "references": ["a c"]}\n')
+    return ["--records", f"{tmp_path}/records.jsonl", "--copy-input", "--encoder", "hashed-bag",
+            "--report", f"{tmp_path}/report.json"]
+
+
+class TestMissingOutputDirectory:
+    """Each output file's directory is checked before the first unit of work;
+    a missing one once failed after all of it, naming a temp file."""
+
+    @pytest.mark.parametrize("command,flag,work", [
+        ("build-corpus", "--out", "smclm.corpus.build_corpus"),
+        ("build-corpus", "--manifest", "smclm.corpus.build_corpus"),
+        ("build-vocab", "--out", "smclm.cli.build_vocabulary"),
+        ("train", "--out", "smclm.training.build_examples"),
+        ("train", "--log", "smclm.training.build_examples"),
+        ("generate", "--out", "smclm.pipeline.diverse_beam_search"),
+        ("evaluate", "--report", "smclm.metrics.evaluate_corpus"),
+    ])
+    def test_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, flag, work):
+        calls = []
+        monkeypatch.setattr(work, lambda *a, **k: calls.append(a))
+        argv = command_args(tmp_path, command)
+        missing = f"{tmp_path}/nodir/{os.path.basename(argv[argv.index(flag) + 1])}"
+        argv[argv.index(flag) + 1] = missing
+        rc, out, err = run(capsys, command, *argv)
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == f"the directory of {flag} {missing} does not exist"
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["build-corpus", "build-vocab", "train", "generate",
+                                         "evaluate"])
+    def test_the_same_arguments_run(self, tmp_path, capsys, command):
+        run_json(capsys, command, *command_args(tmp_path, command))
+
+
+class TestReadmeCommands:
+    def test_every_walkthrough_command_parses(self):
+        """The README's smclm commands, continuation lines joined and comments
+        dropped, parse as they stand, so a removed flag cannot stay documented."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        commands = [
+            words[1:]
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if (words := shlex.split(line, comments=True))[:1] == ["smclm"]
+        ]
+        assert len(commands) == 9
+        parser = build_parser()
+        for words in commands:
+            try:
+                parser.parse_args(words)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: smclm {shlex.join(words)}")
 
 
 class TestAtomicPath:

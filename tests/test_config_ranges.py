@@ -1,4 +1,5 @@
-"""Every config rejects an out-of-range value, nan included, when it is built."""
+"""Every config rejects an out-of-range value, nan included, when it is
+built; ModelConfig and TrainConfig also reject a value of the wrong type."""
 
 import math
 
@@ -39,6 +40,18 @@ REQUIRED = {ModelConfig: {"vocab_size": 5}, TrainConfig: {}, BeamSearchConfig: {
     (BeamSearchConfig, "length_alpha", inf),
     (BeamSearchConfig, "length_alpha", -inf),
     (BeamSearchConfig, "max_length", nan),
+    (ModelConfig, "embed_dim", 8.0),
+    (ModelConfig, "layer_count", True),
+    (ModelConfig, "seed", "0"),
+    (ModelConfig, "init_std", True),
+    (ModelConfig, "init_std", "0.02"),
+    (ModelConfig, "max_positions", None),
+    (TrainConfig, "epochs", 1.5),
+    (TrainConfig, "batch_size", True),
+    (TrainConfig, "warmup_steps", "10"),
+    (TrainConfig, "seed", 0.0),
+    (TrainConfig, "learning_rate", "1e-3"),
+    (TrainConfig, "beta1", False),
 ])
 def test_out_of_range_value_is_rejected_naming_its_field(config, field, value):
     with pytest.raises(ValueError, match=field):
@@ -48,6 +61,7 @@ def test_out_of_range_value_is_rejected_naming_its_field(config, field, value):
 @pytest.mark.parametrize("config,field,value", [
     (ModelConfig, "init_std", 1e-6),
     (TrainConfig, "weight_decay", 0.0),
+    (TrainConfig, "learning_rate", 1),
     (TrainConfig, "beta1", 0.0),
     (TrainConfig, "beta2", 0.0),
     (BeamSearchConfig, "diversity_strength", 0.0),

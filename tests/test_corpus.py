@@ -259,12 +259,11 @@ class TestBuildCorpus:
         with pytest.raises(ValueError):
             build_corpus([], 5)
 
-    def test_custom_filter_and_splitter(self):
+    def test_custom_splitter(self):
         sources = [("d", ["alpha beta gamma delta"])]
         admitted, _ = build_corpus(
             sources,
             1,
-            lang_filter=lambda t: True,
             splitter=lambda t: t.split(),
             min_chars=1,
         )
