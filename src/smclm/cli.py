@@ -62,9 +62,10 @@ def _write_lines(lines: list[str], path: str) -> None:
 
 
 def _flag_spec(args, default_dim: int) -> dict:
-    """The encoder spec that --embeddings FILE or --encoder KIND names."""
+    """The encoder spec that --embeddings FILE or --encoder KIND names; FILE is
+    stored absolute, so a checkpoint's spec loads from any directory."""
     if args.embeddings:
-        return {"kind": "file-backed", "path": args.embeddings}
+        return {"kind": "file-backed", "path": os.path.abspath(args.embeddings)}
     if args.encoder:
         return {"kind": args.encoder, "dim": args.encoder_dim or default_dim, "seed": args.encoder_seed}
     raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")

@@ -8,6 +8,7 @@ sentence can straddle train/valid/test.
 
 from __future__ import annotations
 
+import itertools
 import re
 import string
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .jsonl import read_jsonl, string_list, write_jsonl
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
+_U32 = (1 << 32) - 1
 
 # words whose trailing period does not end a sentence
 ABBREVIATIONS = frozenset({
@@ -81,6 +83,37 @@ def default_lang_filter(text: str, threshold: float = 0.9) -> bool:
     return ok / len(text) >= threshold
 
 
+def _uniform_below(rng: np.random.Generator) -> Callable[[int], int]:
+    """``below(n)``: the integer ``int(rng.integers(n))`` would draw, for 1 <= n <= 2**32.
+
+    ``Generator.integers`` draws a bound up to 2**32 by Lemire's multiply
+    and reject on 32-bit outputs (numpy's ``buffered_bounded_lemire_uint32``),
+    and PCG64 gives the low half of a 64-bit word, then keeps its high half
+    for the next 32-bit output. ``below`` replays both steps on raw words
+    read 256 at a time, so its draws depend only on the raw stream. It owns
+    the generator: a draw made from ``rng`` directly would no longer match.
+    """
+    raw = rng.bit_generator.random_raw
+
+    def halves() -> list[int]:
+        words = raw(256)
+        return np.column_stack((words & _U32, words >> 32)).ravel().tolist()
+
+    next_u32 = itertools.chain.from_iterable(iter(halves, None)).__next__
+
+    def below(n: int) -> int:
+        if n == 1:  # integers(1) consumes nothing
+            return 0
+        m = next_u32() * n
+        if m & _U32 < n:  # the threshold is below n, so most draws skip it
+            threshold = ((1 << 32) - n) % n
+            while m & _U32 < threshold:
+                m = next_u32() * n
+        return m >> 32
+
+    return below
+
+
 def build_corpus(
     sources: Sequence[tuple[str, Sequence[str]]],
     target_count: int,
@@ -91,7 +124,8 @@ def build_corpus(
     """Sample deduplicated sentences until target_count or exhaustion.
 
     Each loop picks a domain, a source within it, and an unconsumed document
-    within that, all uniformly from the seeded generator; any rejection
+    within that, all uniformly from the seeded generator through
+    ``_uniform_below``, which makes every draw; any rejection
     (short document, language filter, sentence-less document, an exact
     repeat of an admitted sentence) consumes the document and re-enters the
     domain choice. The manifest carries per-domain admit/reject counts and a
@@ -111,15 +145,15 @@ def build_corpus(
         d: {"admitted": 0, "rejected": {"short": 0, "language": 0, "empty": 0, "duplicate": 0}}
         for d in domains
     }
-    rng = np.random.default_rng(seed)
+    below = _uniform_below(np.random.default_rng(seed))
     seen: set[str] = set()
     admitted: list[str] = []
     names = [d for d in domains if domains[d]]
     while len(admitted) < target_count and names:
-        domain = names[int(rng.integers(len(names)))]
+        domain = names[below(len(names))]
         pools = domains[domain]
-        pool = pools[int(rng.integers(len(pools)))]
-        doc = pool.pop(int(rng.integers(len(pool))))
+        pool = pools[below(len(pools))]
+        doc = pool.pop(below(len(pool)))
         if not pool:
             pools.remove(pool)
             if not pools:
@@ -135,7 +169,7 @@ def build_corpus(
         if not sentences:
             rejected["empty"] += 1
             continue
-        sentence = sentences[int(rng.integers(len(sentences)))].strip()
+        sentence = sentences[below(len(sentences))].strip()
         if sentence in seen:
             rejected["duplicate"] += 1
             continue

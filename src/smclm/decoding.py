@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_field_types
 from .tokenization import EOS_ID
 
 
@@ -43,6 +44,7 @@ class BeamSearchConfig:
     banned_ids: frozenset[int] = frozenset()  # ids no beam may select
 
     def __post_init__(self):
+        check_field_types(self)
         object.__setattr__(self, "banned_ids", frozenset(self.banned_ids))
         if min(self.banned_ids, default=0) < 0:
             raise ValueError(f"banned_ids must be >= 0, got {min(self.banned_ids)}")

@@ -23,7 +23,9 @@ the language filter's per-character count. ``split_sentences_full_prefix`` is th
 sentence splitter searching the whole text before each period for its word, and
 ``build_vocabulary_per_sentence`` counts the vocabulary one ``words`` call per
 sentence; they are the bodies the windowed splitter and the chunked count must
-equal. ``gelu_unshared`` and ``gelu_prime_unshared``
+equal. ``build_corpus_generator_integers`` is build_corpus with every draw a
+scalar ``Generator.integers`` call, the body its raw-stream draws must equal.
+``gelu_unshared`` and ``gelu_prime_unshared``
 are GELU and its derivative as written before they shared the erf term.
 ``Recompute`` is the reference decoder state: it gives any model
 with a ``forward`` the ``start``/``step`` calls the decoder takes, by
@@ -43,7 +45,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.special import erf
 
-from smclm.corpus import _BOUNDARY, ABBREVIATIONS
+from smclm.corpus import _BOUNDARY, ABBREVIATIONS, default_lang_filter, split_sentences
 from smclm.decoding import BeamSearchConfig, Hypothesis, _Beam, banned_next_tokens
 from smclm.encoders import HashedBagEncoder, _signed_slot, unit
 from smclm.metrics import bleu
@@ -146,6 +148,65 @@ def split_sentences_full_prefix(text: str) -> list[str]:
     if tail:
         out.append(tail)
     return out
+
+
+def build_corpus_generator_integers(sources, target_count: int, seed: int = 0,
+                                    min_chars: int = 10, splitter=split_sentences):
+    """build_corpus drawing the domain, source, document and sentence with
+    ``int(rng.integers(n))`` from ``np.random.default_rng(seed)``."""
+    if target_count < 1:
+        raise ValueError("target_count must be >= 1")
+    if not sources:
+        raise ValueError("no sources")
+    domains: dict[str, list[list[str]]] = {}
+    for domain, docs in sources:
+        pools = domains.setdefault(domain, [])
+        if docs:
+            pools.append(list(docs))
+    stats = {
+        d: {"admitted": 0, "rejected": {"short": 0, "language": 0, "empty": 0, "duplicate": 0}}
+        for d in domains
+    }
+    rng = np.random.default_rng(seed)
+    seen: set[str] = set()
+    admitted: list[str] = []
+    names = [d for d in domains if domains[d]]
+    while len(admitted) < target_count and names:
+        domain = names[int(rng.integers(len(names)))]
+        pools = domains[domain]
+        pool = pools[int(rng.integers(len(pools)))]
+        doc = pool.pop(int(rng.integers(len(pool))))
+        if not pool:
+            pools.remove(pool)
+            if not pools:
+                names.remove(domain)
+        rejected = stats[domain]["rejected"]
+        if len(doc) < min_chars:
+            rejected["short"] += 1
+            continue
+        if not default_lang_filter(doc):
+            rejected["language"] += 1
+            continue
+        sentences = [s for s in splitter(doc) if s.strip()]
+        if not sentences:
+            rejected["empty"] += 1
+            continue
+        sentence = sentences[int(rng.integers(len(sentences)))].strip()
+        if sentence in seen:
+            rejected["duplicate"] += 1
+            continue
+        seen.add(sentence)
+        admitted.append(sentence)
+        stats[domain]["admitted"] += 1
+    manifest = {
+        "target": target_count,
+        "admitted": len(admitted),
+        "shortfall": len(admitted) < target_count,
+        "seed": seed,
+        "min_chars": min_chars,
+        "domains": stats,
+    }
+    return admitted, manifest
 
 
 def build_vocabulary_per_sentence(corpus, min_freq: int = 1) -> Vocabulary:

@@ -395,6 +395,29 @@ class TestSelfContainedCheckpoint:
         there = (tmp_path / "elsewhere/there.jsonl").read_bytes()
         assert there == (tmp_path / "here.jsonl").read_bytes()
 
+    def test_a_relative_embeddings_path_loads_from_another_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from smclm.encoders import encoder_from_spec, write_embedding_file
+
+        monkeypatch.chdir(tmp_path)
+        texts = [f"the {n} {v} today" for n, v in zip(NOUNS, VERBS)]
+        with open("corpus.txt", "w") as f:
+            f.writelines(t + "\n" for t in texts)
+        write_embedding_file("table.smem", {t: HashedBagEncoder(8).encode(t) for t in texts})
+        run_json(capsys, "build-vocab", "--corpus", "corpus.txt", "--out", "vocab.txt")
+        run_json(
+            capsys, "train", "--corpus", "corpus.txt", "--vocab", "vocab.txt", "--out", "fb.smck",
+            "--embeddings", "table.smem", "--embed-dim", "8", "--layers", "1", "--heads", "2",
+            "--ff-dim", "12", "--max-positions", "10", "--epochs", "1", "--warmup-steps", "0",
+        )
+        os.mkdir("elsewhere")
+        monkeypatch.chdir("elsewhere")
+        spec = load_checkpoint("../fb.smck")[1]["encoder"]
+        encoder = encoder_from_spec(spec)
+        assert spec["path"] == str(tmp_path / "table.smem")
+        assert encoder.encode(texts[0]) == pytest.approx(HashedBagEncoder(8).encode(texts[0]))
+
     @pytest.mark.parametrize("case,message", [
         ("clm checkpoint", "is a clm checkpoint; generate needs an smclm one"),
         ("no stored vocabulary", "stores no vocabulary"),

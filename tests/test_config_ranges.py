@@ -1,5 +1,5 @@
-"""Every config rejects an out-of-range value, nan included, when it is
-built; ModelConfig and TrainConfig also reject a value of the wrong type."""
+"""Every config rejects an out-of-range value, nan included, and a value of
+the wrong type when it is built."""
 
 import math
 
@@ -52,6 +52,14 @@ REQUIRED = {ModelConfig: {"vocab_size": 5}, TrainConfig: {}, BeamSearchConfig: {
     (TrainConfig, "seed", 0.0),
     (TrainConfig, "learning_rate", "1e-3"),
     (TrainConfig, "beta1", False),
+    (BeamSearchConfig, "beam_count", True),
+    (BeamSearchConfig, "beam_count", 4.0),
+    (BeamSearchConfig, "max_length", 8.0),
+    (BeamSearchConfig, "group_count", "5"),
+    (BeamSearchConfig, "no_repeat_ngram", 2.0),
+    (BeamSearchConfig, "eos_id", None),
+    (BeamSearchConfig, "diversity_strength", "0.6"),
+    (BeamSearchConfig, "length_alpha", False),
 ])
 def test_out_of_range_value_is_rejected_naming_its_field(config, field, value):
     with pytest.raises(ValueError, match=field):

@@ -2,10 +2,11 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 import smclm.corpus as corpus_module
-from oracles import acceptable_count_per_char, split_sentences_full_prefix
+from oracles import acceptable_count_per_char, build_corpus_generator_integers, split_sentences_full_prefix
 from smclm.corpus import (
     ABBREVIATIONS,
     ParaphraseGroup,
@@ -19,6 +20,7 @@ from smclm.corpus import (
     split_groups,
     split_sentences,
     write_groups_jsonl,
+    _uniform_below,
 )
 
 
@@ -268,6 +270,52 @@ class TestBuildCorpus:
             min_chars=1,
         )
         assert admitted[0] in {"alpha", "beta", "gamma", "delta"}
+
+
+class TestUniformBelow:
+    # 2**31 + 1 rejects about half its words; 2**32 - 1 rejects only a zero low half
+    BOUNDS = (1, 2, 3, 7, 2000, 2**31 + 1, 2**32 - 1)
+
+    def test_draws_equal_generator_integers(self):
+        # 700 draws take more than one 256-word chunk
+        for seed in range(200):
+            mix = random.Random(seed)
+            bounds = [1] + [mix.choice(self.BOUNDS) for _ in range(700)]
+            rng = np.random.default_rng(seed)
+            want = [int(rng.integers(n)) for n in bounds]
+            below = _uniform_below(np.random.default_rng(seed))
+            assert [below(n) for n in bounds] == want, seed
+
+
+def random_sources(rng: random.Random) -> list[tuple[str, list[str]]]:
+    """Sources over a few domains whose documents are often rejected, drawn
+    from a small stock so that sentences repeat."""
+    stock = [doc(i, "news") for i in range(12)] + [
+        "Short.", "tiny", "   ", "\t\n", "",
+        "это предложение на русском языке и оно длинное",
+        "Café au lait. Über alles geht es. Naïve façade here.",
+        "One plain sentence without a boundary",
+        "Dr. Smith arrived. He left at noon! Did he? Yes.",
+        "Exactly the same sentence again.",
+    ]
+    sources = []
+    for _ in range(rng.randint(1, 6)):
+        domain = rng.choice(["news", "web", "wiki", "forum"])
+        sources.append((domain, [rng.choice(stock) for _ in range(rng.randint(0, 25))]))
+    return sources
+
+
+class TestBuildCorpusDraws:
+    def test_equals_the_generator_integers_oracle(self):
+        rng = random.Random(11)
+        for case in range(300):
+            sources = random_sources(rng)
+            supply = sum(len(docs) for _, docs in sources)
+            target = rng.choice([1, max(1, supply // 3), supply + 5])
+            kw = {"seed": rng.randrange(2**32), "min_chars": rng.choice([1, 10, 30]),
+                  "splitter": rng.choice([split_sentences, str.split])}
+            assert build_corpus(sources, target, **kw) == build_corpus_generator_integers(
+                sources, target, **kw), case
 
 
 def make_groups(n):
