@@ -11,7 +11,7 @@ import hashlib
 import math
 import struct
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -111,6 +111,10 @@ class HashedBagEncoder:
             acc[len(toks) % self.dim] = 1.0
         return unit(acc)
 
+    def missing(self, sentences: Iterable[str]) -> list[str]:
+        """Every sentence has a vector, so none is missing; ``sentences`` is not read."""
+        return []
+
     def spec(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "seed": self.seed}
 
@@ -139,6 +143,10 @@ class FileBackedEncoder:
         if vec is None:
             raise KeyError(f"no embedding stored for sentence: {sentence!r}")
         return vec
+
+    def missing(self, sentences: Iterable[str]) -> list[str]:
+        """The distinct sentences, in first-seen order, whose key the table lacks."""
+        return [s for s in dict.fromkeys(sentences) if sentence_key(s) not in self._table]
 
     def spec(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "path": self.path}

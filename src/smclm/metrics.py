@@ -363,6 +363,7 @@ def calibrate_beta(
     """Measure (input, reference) pairs and choose beta from the score ratios."""
     if not pairs:
         raise ValueError("no calibration pairs")
+    _check_covered(encoder, chain.from_iterable(pairs))
     token_scores, sentence_scores, bleu_scores = [], [], []
     for inp, ref in pairs:
         # one record per distinct text of the pair and one word table, for all three scores
@@ -389,7 +390,8 @@ METRIC_NAMES = tuple(name for _, names in METRIC_GROUPS for name in names)
 
 @dataclass
 class EvalConfig:
-    """Knobs for evaluate_corpus; encoder supplies the sentence-cosine side."""
+    """Knobs for evaluate_corpus; encoder (``encode`` and ``missing``) supplies
+    the sentence-cosine side."""
 
     encoder: object = None
     token_embedder: TokenEmbedder | None = None
@@ -485,6 +487,25 @@ def _check_record(rec: dict) -> tuple[str, list[str], list[str], int | None]:
     return source, references, candidates, best
 
 
+def _encoded_texts(source: str, references: list[str], candidates: list[str], best: int | None):
+    """The texts that scoring a checked record encodes: the source, the
+    references and the best candidate or, with no best, every candidate the
+    selection scores (the first when none has words: it is then the best)."""
+    yield source
+    yield from references
+    if best is not None:
+        yield candidates[best]
+    else:
+        yield from [c for c in candidates if normalize(c).split()] or candidates[:1]
+
+
+def _check_covered(encoder, texts: Iterable[str]) -> None:
+    """Raise, before any score, when ``encoder`` has no vector for some text."""
+    missing = encoder.missing(texts)
+    if missing:
+        raise ValueError(f"the encoder has no vector for {len(missing)} sentence(s), first {missing[0]!r}")
+
+
 def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     """Score generation records and aggregate the full metric table.
 
@@ -493,9 +514,10 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     SBERT-iBLEU against the source is selected here by the pipeline's rule
     (a candidate that normalizes to nothing scores 0, ties go to the
     earliest). Records with a single candidate report selfBLEU as missing.
-    Malformed records, and records whose candidate set is missing
-    ('candidates' absent or None), raise when cfg.strict, before any record
-    is scored; otherwise they are skipped and counted.
+    Malformed records, records whose candidate set is missing
+    ('candidates' absent or None), and records with a text the encoder has
+    no vector for (``encoder.missing``), raise when cfg.strict, before any
+    record is scored; otherwise they are skipped and counted.
     """
     if cfg.encoder is None:
         raise ValueError("EvalConfig.encoder is required")
@@ -503,7 +525,9 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     checked, skipped = [], 0
     for idx, rec in enumerate(records):
         try:
-            checked.append(_check_record(rec))
+            record = _check_record(rec)
+            _check_covered(cfg.encoder, _encoded_texts(*record))
+            checked.append(record)
         except ValueError as e:
             if cfg.strict:
                 raise ValueError(f"record {idx}: {e}") from None

@@ -176,15 +176,24 @@ def erf(x) -> np.ndarray:
     once, like scipy's float32 loop; other real input gives float64. |x| > 1
     takes 1 - erfc(|x|) with its sign; from |x| = 8 on that is exactly 1,
     so those arguments, infinities included, are evaluated at 8.
+
+    The input is never written: for float64 input ``a`` is a view of it.
+    Without a tail the work is three float64 arrays, filled in place.
     """
     x = np.asarray(x)
     a = np.asarray(x, dtype=np.float64).ravel()
-    mag = np.abs(a)
-    tail = mag > 1.0  # NaN stays with the rational, which returns it
-    has_tail = tail.any()
-    small = np.where(tail, 0.0, a) if has_tail else a
+    # fmax/fmin skip NaN, which stays with the rational, which returns it
+    has_tail = a.size > 0 and (np.fmax.reduce(a) > 1.0 or np.fmin.reduce(a) < -1.0)
+    if has_tail:
+        mag = np.abs(a)
+        tail = mag > 1.0
+        small = np.where(tail, 0.0, a)
+    else:
+        small = a
     z = small * small
-    y = small * _polevl(z, _T) / _p1evl(z, _U)
+    y = _polevl(z, _T)
+    y *= small
+    y /= _p1evl(z, _U)
     if has_tail:
         w = np.minimum(mag[tail], 8.0)
         e = _libm_exp(-w * w)
@@ -196,22 +205,34 @@ def erf(x) -> np.ndarray:
 def erf_term(u: np.ndarray) -> np.ndarray:
     """1 + erf(u / sqrt 2): the term gelu and gelu_prime share, computed once per layer.
 
-    Runs over HEAD_ROWS rows at a time: erf holds several float64 copies of
-    its input, and every value is elementwise, so slicing keeps the bytes.
+    Runs over HEAD_ROWS rows at a time: erf holds three float64 arrays the
+    size of its input (four for float32 input, which it first widens), and
+    every value is elementwise, so slicing keeps the bytes.
     """
     if len(u) > HEAD_ROWS:
         return np.concatenate([erf_term(u[r : r + HEAD_ROWS]) for r in range(0, len(u), HEAD_ROWS)])
-    return 1.0 + erf(u / SQRT_2)
+    s = erf(u / SQRT_2)
+    s += 1.0
+    return s
 
 
 def gelu(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """GELU of ``u`` given ``s = erf_term(u)``."""
-    return 0.5 * u * s
+    g = 0.5 * u
+    g *= s
+    return g
 
 
 def gelu_prime(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """d gelu / du given ``s = erf_term(u)``."""
-    return 0.5 * s + u * INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    # 0.5 s + u / sqrt(2 pi) * exp(-u u / 2) in one buffer, one operation a
+    # line in the expression's order, so the bytes are the expression's
+    d = -0.5 * u
+    d *= u
+    np.exp(d, out=d)
+    d *= u * INV_SQRT_2PI
+    d += 0.5 * s
+    return d
 
 
 def _layer_norm(x, g, b):
@@ -390,7 +411,7 @@ class TransformerLM:
             fpost, xhat2, inv2 = _layer_norm(x_mid, p[pre + "ln2_g"], p[pre + "ln2_b"])
             u = fpost @ p[pre + "w1"] + p[pre + "b1"]
             erf_u = erf_term(u)
-            g_act = gelu(u, erf_u).astype(self.dtype)
+            g_act = gelu(u, erf_u).astype(self.dtype, copy=False)
             x = x_mid + (g_act @ p[pre + "w2"] + p[pre + "b2"])
             layers.append(
                 dict(xhat1=xhat1, inv1=inv1, a=a, att=att, vh=vh, qh=qh, kh=kh, o=o,
@@ -576,7 +597,7 @@ class TransformerLM:
             grads[pre + "w2"] += c["g_act"].T @ dm
             grads[pre + "b2"] += dm.sum(axis=0)
             dg_act = dm @ p[pre + "w2"].T
-            du = dg_act * gelu_prime(c["u"], c["erf_u"]).astype(self.dtype)
+            du = dg_act * gelu_prime(c["u"], c["erf_u"]).astype(self.dtype, copy=False)
             grads[pre + "w1"] += c["fpost"].T @ du
             grads[pre + "b1"] += du.sum(axis=0)
             dfpost = du @ p[pre + "w1"].T

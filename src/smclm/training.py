@@ -93,13 +93,23 @@ class AdamW:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            # two scratch arrays per tensor; each line is one operation of
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # p -= lr * mhat / (sqrt(vhat) + eps), in that order. The decay's
+            # product takes a new array once the scratch is freed: with a
+            # numpy float64 lr it is float64, which a scratch would round
+            a, b = np.empty_like(p), np.empty_like(p)
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += np.multiply(g, 1.0 - cfg.beta1, out=a)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            p -= (lr * (mhat / (np.sqrt(vhat) + cfg.eps))).astype(p.dtype)
+            np.multiply(g, 1.0 - cfg.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.sqrt(np.divide(v, bc2, out=a), out=a)
+            a += cfg.eps
+            np.divide(m, bc1, out=b)
+            b /= a
+            p -= np.multiply(b, lr, out=b)
+            del a, b
             if cfg.weight_decay:
                 p -= (lr * cfg.weight_decay) * p
 

@@ -27,6 +27,8 @@ equal. ``build_corpus_generator_integers`` is build_corpus with every draw a
 scalar ``Generator.integers`` call, the body its raw-stream draws must equal.
 ``gelu_unshared`` and ``gelu_prime_unshared``
 are GELU and its derivative as written before they shared the erf term.
+``adamw_step_allocating`` is the AdamW step with a new array per operation,
+the body the optimizer's two-scratch-array step must equal byte for byte.
 ``Recompute`` is the reference decoder state: it gives any model
 with a ``forward`` the ``start``/``step`` calls the decoder takes, by
 re-running the forward over every prefix. ``ClusterOracleEncoder`` is a
@@ -361,6 +363,28 @@ def gelu_prime_unshared(u):
     return 0.5 * (1.0 + erf(u / SQRT_2)) + u * INV_SQRT_2PI * np.exp(-0.5 * u * u)
 
 
+def adamw_step_allocating(opt, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                          lr: float) -> None:
+    """One step of ``training.AdamW`` ``opt``, each operation allocating its result."""
+    cfg = opt.cfg
+    opt.t += 1
+    bc1 = 1.0 - cfg.beta1**opt.t
+    bc2 = 1.0 - cfg.beta2**opt.t
+    for name, p in params.items():
+        g = grads[name]
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        mhat = m / bc1
+        vhat = v / bc2
+        p -= (lr * (mhat / (np.sqrt(vhat) + cfg.eps))).astype(p.dtype)
+        if cfg.weight_decay:
+            p -= (lr * cfg.weight_decay) * p
+
+
 def banned_next_tokens_scan(tokens: tuple[int, ...], n: int) -> set[int]:
     """The token after every earlier copy of the last n - 1 tokens, found by
     comparing one slice per prefix position."""
@@ -478,6 +502,12 @@ class ClusterOracleEncoder:
         if cid is None:
             raise KeyError(f"no cluster assigned for sentence: {sentence!r}")
         return cid
+
+    def missing(self, sentences) -> list[str]:
+        """The distinct sentences, in first-seen order, with no cluster id."""
+        if self.cluster_fn is not None or self.default is not None:
+            return []
+        return [s for s in dict.fromkeys(sentences) if normalize(s) not in self.assignment]
 
     def encode(self, sentence: str) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.float32)

@@ -358,6 +358,44 @@ class TestEmbeddingsFlag:
         assert from_table == pytest.approx(run_json(capsys, *calibrate, *hashed))
 
 
+    def test_a_table_gap_fails_before_any_score(self, tmp_path, capsys, monkeypatch):
+        from smclm import metrics
+        from smclm.encoders import write_embedding_file
+
+        records = [{"source": f"the {n} {v}", "references": [f"a {n} {v}"],
+                    "candidates": [f"the {n} {v} now", f"so the {n} {v}"]}
+                   for n, v in zip(NOUNS[:4], VERBS[:4])]
+        texts = {t for r in records for t in (r["source"], *r["references"], *r["candidates"])}
+        gap = records[-1]["candidates"][1]
+        enc = HashedBagEncoder(dim=16)
+        table = str(tmp_path / "table.smem")
+        write_embedding_file(table, {t: enc.encode(t) for t in sorted(texts - {gap})})
+        recs_path, cands_path = tmp_path / "records.jsonl", tmp_path / "cands.jsonl"
+        recs_path.write_text("".join(json.dumps({k: r[k] for k in ("source", "references")}) + "\n"
+                                     for r in records))
+        cands_path.write_text("".join(json.dumps({k: r[k] for k in ("source", "candidates")}) + "\n"
+                                      for r in records))
+        scored = []
+        monkeypatch.setattr(metrics, "_pair_bleu", lambda a, b: scored.append(a) or 0.0)
+        monkeypatch.setattr(metrics, "_NgramTable", lambda *a: scored.append(a))
+
+        evaluate = ["evaluate", "--records", str(recs_path), "--candidates", str(cands_path),
+                    "--embeddings", table]
+        rc, out, err = run(capsys, *evaluate)
+        assert (rc, out) == (1, "")
+        assert f"record 3: the encoder has no vector for 1 sentence(s), first {gap!r}" in json.loads(err)["error"]
+        pairs = [{"input": r["source"], "reference": c} for r in records for c in r["candidates"]]
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text("".join(json.dumps(p) + "\n" for p in pairs))
+        rc, out, err = run(capsys, "calibrate-beta", "--pairs", str(pairs_path), "--embeddings", table)
+        assert (rc, out) == (1, "")
+        assert f"first {gap!r}" in json.loads(err)["error"]
+        assert scored == []
+        monkeypatch.undo()
+        summary = run_json(capsys, *evaluate, "--no-strict")
+        assert summary["counts"]["evaluated"] == 3 and summary["counts"]["skipped"] == 1
+
+
 def table_spec(tmp_path, dim):
     """The spec of a dim-wide file-backed table covering the tiny input."""
     from smclm.encoders import FileBackedEncoder, write_embedding_file

@@ -41,6 +41,13 @@ class TestHashedBag:
         assert v.dtype == np.float32
         assert np.linalg.norm(v.astype(np.float64)) == pytest.approx(1.0, abs=1e-6)
 
+    def test_covers_every_sentence_without_reading_them(self):
+        def sentences():
+            raise AssertionError("read")
+            yield
+
+        assert HashedBagEncoder(dim=8).missing(sentences()) == []
+
     def test_order_invariance(self):
         enc = HashedBagEncoder(dim=64, seed=1)
         assert enc.encode("a b").tobytes() == enc.encode("b a").tobytes()
@@ -196,6 +203,12 @@ class TestFileBackedEncoder:
         with pytest.raises(KeyError, match="mystery"):
             enc.encode("mystery")
 
+    def test_missing_lists_uncovered_sentences_once(self):
+        enc = FileBackedEncoder.from_sentences({"The cat sat.": [3.0, 4.0], "a dog": [1.0, 0.0]})
+        got = enc.missing(["the cat sat", "mystery", "A dog!", "other", "mystery"])
+        assert got == ["mystery", "other"]
+        assert enc.missing(iter(["a dog"])) == []
+
     def test_from_sentences(self):
         enc = FileBackedEncoder.from_sentences({"a": np.array([0.0, 2.0])})
         np.testing.assert_allclose(enc.encode("a"), [0.0, 1.0])
@@ -252,6 +265,11 @@ class TestClusterOracle:
         enc = ClusterOracleEncoder(4, cluster_fn=lambda s: seen.append(s) or 0)
         enc.encode("The Cat!")
         assert seen == ["the cat"]
+
+    def test_missing(self):
+        assert ClusterOracleEncoder(8, assignment={"x": 3}).missing(["X!", "y", "z", "y"]) == ["y", "z"]
+        assert ClusterOracleEncoder(8, assignment={"x": 3}, default=7).missing(["y"]) == []
+        assert ClusterOracleEncoder(4, cluster_fn=lambda s: 0).missing(["y"]) == []
 
     def test_needs_exactly_one_source(self):
         with pytest.raises(ValueError):

@@ -430,6 +430,17 @@ class TestCalibrateBeta:
         )
         assert calibrate_beta(pairs, enc, embed) == want
 
+    def test_a_gap_in_the_encoder_fails_before_any_score(self, monkeypatch):
+        scored = []
+        monkeypatch.setattr(metrics, "_pair_bleu", lambda a, b: scored.append(a) or 50.0)
+        pairs = [("the cat sat", "a cat sat"), ("the dog ran", "a dog ran")]
+        enc = HashedBagEncoder(dim=16)
+        table = FileBackedEncoder.from_sentences({t: enc.encode(t) for t in ("the cat sat", "a cat sat",
+                                                                             "the dog ran")})
+        with pytest.raises(ValueError, match="no vector for 1 sentence\\(s\\), first 'a dog ran'"):
+            calibrate_beta(pairs, table)
+        assert scored == []
+
     def test_zero_bleu_mean_raises(self):
         with pytest.raises(ValueError):
             calibrate_beta_from_scores([50.0], [50.0], [0.0])
@@ -639,6 +650,47 @@ class TestEvaluateCorpus:
         assert report.counts["skipped"] == 1
         assert [row["source"] for row in report.rows] == [r["source"] for r in recs[2::-1]]
         assert tables == [3, 3, 3]
+
+    def test_a_gap_in_the_encoder_fails_before_any_score(self, monkeypatch):
+        tables = []
+
+        class Counted(metrics._NgramTable):
+            def __init__(self, sentences, max_n):
+                tables.append(len(sentences))
+                super().__init__(sentences, max_n)
+
+        monkeypatch.setattr(metrics, "_NgramTable", Counted)
+        recs = _records([("the cat sat", ["a cat sat"], ["the cat sat down", "..."]),
+                         ("the dog ran", ["a dog ran"], ["the dog ran off", "a dog sprinted"]),
+                         ("the owl", ["an owl"], ["the owl flew"])])
+        texts = {t for r in recs for t in (r["source"], *r["references"], *r["candidates"])}
+        # no vector for "..." (no words, so never scored) or one candidate of record 1
+        enc = FileBackedEncoder.from_sentences(
+            {t: self.enc.encode(t) for t in texts - {"...", "a dog sprinted"}})
+        with pytest.raises(ValueError, match="record 1: the encoder has no vector for 1 "
+                                             "sentence\\(s\\), first 'a dog sprinted'"):
+            evaluate_corpus(recs, EvalConfig(encoder=enc))
+        assert tables == []
+        report = evaluate_corpus(recs, EvalConfig(encoder=enc, strict=False))
+        assert report.counts["skipped"] == 1 and tables == [4, 3]
+        assert [row["source"] for row in report.rows] == ["the cat sat", "the owl"]
+        # a given best encodes that candidate alone
+        recs[1]["best"] = 0
+        assert evaluate_corpus(recs, EvalConfig(encoder=enc)).counts["skipped"] == 0
+        recs[1]["best"] = 1
+        with pytest.raises(ValueError, match="record 1: .* 1 sentence"):
+            evaluate_corpus(recs, EvalConfig(encoder=enc))
+
+    def test_a_gap_counts_every_missing_text_of_the_record(self):
+        rec = {"source": "the cat", "references": ["a cat", "cat"], "candidates": ["the cat ran", "..."]}
+        enc = FileBackedEncoder.from_sentences({"a cat": self.enc.encode("a cat")})
+        with pytest.raises(ValueError, match="record 0: .* 3 sentence\\(s\\), first 'the cat'"):
+            evaluate_corpus([rec], EvalConfig(encoder=enc))
+        # with no candidate that has words, the first is the best and is encoded
+        rec["candidates"] = ["...", "!!"]
+        enc = FileBackedEncoder.from_sentences({t: self.enc.encode(t) for t in ("the cat", "a cat", "cat")})
+        with pytest.raises(ValueError, match="record 0: .* 1 sentence\\(s\\), first '...'"):
+            evaluate_corpus([rec], EvalConfig(encoder=enc))
 
     def test_token_embedder_runs_once_per_distinct_word_per_record(self):
         calls = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -580,3 +581,46 @@ class TestErf:
         assert self.mismatches(x) == []
         assert erf(np.float64(0.5)).shape == () and erf(0.5) == scipy_erf(0.5)
         assert erf(np.zeros((2, 0))).shape == (2, 0)
+
+
+class TestInPlace:
+    """erf, erf_term, gelu and gelu_prime fill buffers of their own and
+    never write into their inputs."""
+
+    @pytest.mark.parametrize("values", [[-30.0, -1.5, -0.25, 0.0, np.nan, 0.75, 1.0, 2.5, np.inf],
+                                        [-1.0, -0.25, -0.0, np.nan, 0.75, 1.0]])
+    def test_read_only_float64_input(self, values):
+        # with a tail and without: erf reads a float64 input through a view,
+        # so a write would raise here
+        x = np.array(values)
+        x.setflags(write=False)
+        before = x.tobytes()
+        got = erf(x)
+        assert got.tobytes() == scipy_erf(x).tobytes()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_keeps_its_inputs(self, dtype):
+        u = np.random.default_rng(44).normal(0.0, 2.0, size=(HEAD_ROWS + 3, 8)).astype(dtype)
+        s = erf_term(u)
+        u_bytes, s_bytes = u.tobytes(), s.tobytes()
+        gelu(u, s)
+        gelu_prime(u, s)
+        assert u.tobytes() == u_bytes and s.tobytes() == s_bytes
+
+    def test_erf_term_peak_memory(self):
+        # one HEAD_ROWS slice of GELU inputs at the benchmark model's width
+        # and fresh-weight scale, so no element reaches erf's tail: widened
+        # to float64 (128 KiB) it takes four float64 arrays in all (577 KiB
+        # traced), where an array per operation peaked at 849 KiB
+        import tracemalloc
+
+        u = np.random.default_rng(45).normal(0.0, 0.16, size=(HEAD_ROWS, 256)).astype(np.float32)
+        erf_term(u)  # warm any first-call allocation
+        tracemalloc.start()
+        try:
+            erf_term(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 640 * 1024, peak

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import adamw_step_allocating
 
 from smclm.encoders import HashedBagEncoder
 from smclm.model import ROW_BUDGET, ModelConfig, TransformerLM
@@ -123,6 +124,34 @@ class TestAdamW:
         # zero grads leave the Adam term at zero, so only decay acts
         np.testing.assert_allclose(params["gain"], 1.0 - 1e-3 * 0.5)
         np.testing.assert_allclose(params["bias"], 0.0)
+
+    # 0.5: the decay's product then rounds often enough to tell float64
+    # arithmetic from float32 on these tensors
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_allocating_step(self, dtype, weight_decay):
+        # model-shaped tensors; 8 steps of a 3-step warm-up, so rates ramp
+        # up and decay to 0, every other one a numpy float64, which widens
+        # float32 arithmetic; grads span several magnitudes and hold zeros
+        cfg = TrainConfig(learning_rate=3e-2, weight_decay=weight_decay, warmup_steps=3)
+        rng = np.random.default_rng(31)
+        shapes = {"emb": (100, 32), "w": (32, 24), "b": (24,), "g": (32,)}
+        params = {k: rng.normal(0.0, 0.02, size=s).astype(dtype) for k, s in shapes.items()}
+        ref_params = {k: p.copy() for k, p in params.items()}
+        opt, ref = AdamW(params, cfg), AdamW(ref_params, cfg)
+        for step in range(1, 9):
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-6, 2, size=s)).astype(dtype)
+                     for k, s in shapes.items()}
+            grads["emb"][rng.integers(0, 100, size=30)] = 0.0
+            lr = lr_at_step(step, 8, cfg)
+            lr = np.float64(lr) if step % 2 else lr
+            opt.step(params, grads, lr)
+            adamw_step_allocating(ref, ref_params, grads, lr)
+            for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
+                for k in shapes:
+                    assert got[k].dtype == want[k].dtype == dtype
+                    assert got[k].tobytes() == want[k].tobytes(), (step, k)
+        assert opt.t == ref.t == 8
 
 
 class TestBuildExamples:
