@@ -2,7 +2,8 @@
 
 Every command prints a one-object JSON summary to stdout on success. Errors
 print a one-line JSON object to stderr and exit 1; a non-finite training loss
-exits 2. File outputs are written to a temp file and renamed into place.
+exits 2. File outputs are written to a temp file and renamed into place,
+except train's --log, which is written record by record as training runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .decoding import BeamSearchConfig
-from .encoders import DEFAULT_DIM, HashedTokenEmbedder, encoder_from_spec
+from .encoders import DEFAULT_DIM, encoder_from_spec
 from .jsonl import read_jsonl, string_list, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
@@ -61,13 +62,19 @@ def _write_lines(lines: list[str], path: str) -> None:
                 f.write(line + "\n")
 
 
-def _flag_spec(args, default_dim: int) -> dict:
-    """The encoder spec that --embeddings FILE or --encoder KIND names; FILE is
-    stored absolute, so a checkpoint's spec loads from any directory."""
+def _flag_spec(args, dim: int) -> dict:
+    """The encoder spec that --embeddings FILE or --encoder KIND names; KIND
+    is dim wide unless --encoder-dim (evaluate and calibrate-beta only) says
+    otherwise. FILE is stored absolute, so a checkpoint's spec loads from any
+    directory."""
+    encoder_dim = getattr(args, "encoder_dim", None)
     if args.embeddings:
+        if encoder_dim:
+            raise ValueError("--encoder-dim sizes --encoder hashed-bag; with --embeddings "
+                             "the table sets the dim")
         return {"kind": "file-backed", "path": os.path.abspath(args.embeddings)}
     if args.encoder:
-        return {"kind": args.encoder, "dim": args.encoder_dim or default_dim, "seed": args.encoder_seed}
+        return {"kind": args.encoder, "dim": encoder_dim or dim, "seed": 0}
     raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")
 
 
@@ -176,6 +183,8 @@ def cmd_train(args) -> dict:
     if args.model_seed is not None:
         model_kw["seed"] = args.model_seed
     train_cfg = TrainConfig(**train_kw)
+    if train_cfg.mode == "clm" and (args.embeddings or args.encoder):
+        raise ValueError("--mode clm injects no sentence embedding; drop --encoder and --embeddings")
     vocab = load_vocabulary(args.vocab)
     model_cfg = ModelConfig(vocab_size=len(vocab), **model_kw)
     dim = model_cfg.embed_dim
@@ -273,7 +282,6 @@ def cmd_evaluate(args) -> dict:
     encoder = encoder_from_spec(_flag_spec(args, DEFAULT_DIM))
     cfg = metrics_mod.EvalConfig(
         encoder=encoder,
-        token_embedder=HashedTokenEmbedder(args.token_dim),
         beta=args.beta,
         ref_reduce=args.ref_reduce,
         strict=args.strict,
@@ -306,7 +314,7 @@ def _calibration_pairs(rec: dict) -> list[tuple[str, str]]:
 def cmd_calibrate_beta(args) -> dict:
     pairs = [p for rec_pairs in read_jsonl(args.pairs, _calibration_pairs) for p in rec_pairs]
     encoder = encoder_from_spec(_flag_spec(args, DEFAULT_DIM))
-    result = metrics_mod.calibrate_beta(pairs, encoder, HashedTokenEmbedder(args.token_dim))
+    result = metrics_mod.calibrate_beta(pairs, encoder)
     return {**result.to_dict(), "pairs": len(pairs)}
 
 
@@ -321,15 +329,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_encoder_flags(p: argparse.ArgumentParser, with_token_dim: bool = False):
-    p.add_argument("--embeddings", help="binary embedding table for the file-backed encoder")
-    p.add_argument("--encoder", choices=["hashed-bag"], help="built-in encoder kind")
-    p.add_argument("--encoder-dim", type=_positive_int, dest="encoder_dim",
-                   help="encoder output dim")
-    p.add_argument("--encoder-seed", type=int, dest="encoder_seed", default=0)
-    if with_token_dim:
-        p.add_argument("--token-dim", type=_positive_int, dest="token_dim", default=DEFAULT_DIM,
-                       help="dim of the hashed per-token embedder")
+def _add_encoder_flags(p: argparse.ArgumentParser, with_dim: bool = False):
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--embeddings", help="binary embedding table for the file-backed encoder")
+    source.add_argument("--encoder", choices=["hashed-bag"], help="built-in encoder kind")
+    if with_dim:
+        p.add_argument("--encoder-dim", type=_positive_int, dest="encoder_dim",
+                       help=f"--encoder output dim (default {DEFAULT_DIM})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="also print the text table to stderr")
     p.add_argument("--strict", action=argparse.BooleanOptionalAction,
                    default=metrics_mod.EvalConfig.strict)
-    _add_encoder_flags(p, with_token_dim=True)
+    _add_encoder_flags(p, with_dim=True)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("calibrate-beta", help="choose beta from (input, reference) pairs")
     p.add_argument("--pairs", required=True,
                    help="JSONL of {input, reference} or {source, references}")
-    _add_encoder_flags(p, with_token_dim=True)
+    _add_encoder_flags(p, with_dim=True)
     p.set_defaults(fn=cmd_calibrate_beta)
 
     return parser

@@ -220,6 +220,13 @@ def read_embedding_file(path: str) -> tuple[dict[bytes, np.ndarray], int]:
     return table, dim
 
 
+def check_covered(encoder, texts: Iterable[str]) -> None:
+    """Raise, before any work, when ``encoder`` has no vector for some text."""
+    missing = encoder.missing(texts)
+    if missing:
+        raise ValueError(f"the encoder has no vector for {len(missing)} sentence(s), first {missing[0]!r}")
+
+
 def encoder_from_spec(spec: dict) -> object:
     """Rebuild an encoder from its checkpoint spec blob."""
     kind = spec.get("kind")

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoders import HashedTokenEmbedder, cosine, sentence_key
+from .encoders import HashedTokenEmbedder, check_covered, cosine, sentence_key
 from .jsonl import read_jsonl, string_list
 from .tokenization import normalize
 
@@ -363,7 +363,7 @@ def calibrate_beta(
     """Measure (input, reference) pairs and choose beta from the score ratios."""
     if not pairs:
         raise ValueError("no calibration pairs")
-    _check_covered(encoder, chain.from_iterable(pairs))
+    check_covered(encoder, chain.from_iterable(pairs))
     token_scores, sentence_scores, bleu_scores = [], [], []
     for inp, ref in pairs:
         # one record per distinct text of the pair and one word table, for all three scores
@@ -499,13 +499,6 @@ def _encoded_texts(source: str, references: list[str], candidates: list[str], be
         yield from [c for c in candidates if normalize(c).split()] or candidates[:1]
 
 
-def _check_covered(encoder, texts: Iterable[str]) -> None:
-    """Raise, before any score, when ``encoder`` has no vector for some text."""
-    missing = encoder.missing(texts)
-    if missing:
-        raise ValueError(f"the encoder has no vector for {len(missing)} sentence(s), first {missing[0]!r}")
-
-
 def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     """Score generation records and aggregate the full metric table.
 
@@ -526,7 +519,7 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     for idx, rec in enumerate(records):
         try:
             record = _check_record(rec)
-            _check_covered(cfg.encoder, _encoded_texts(*record))
+            check_covered(cfg.encoder, _encoded_texts(*record))
             checked.append(record)
         except ValueError as e:
             if cfg.strict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from .decoding import BeamSearchConfig, diverse_beam_search
+from .encoders import check_covered
 from .jsonl import write_jsonl
 from .metrics import DEFAULT_BETA, check_beta, sbert_ibleu
 from .tokenization import BOS_ID, PAD_ID, UNK_ID, Vocabulary, normalize
@@ -66,7 +67,11 @@ def paraphrase(model, vocab: Vocabulary, encoder, source: str, cfg: PipelineConf
 def paraphrase_batch(
     model, vocab: Vocabulary, encoder, sources: list[str], cfg: PipelineConfig
 ) -> list[CandidateSet]:
-    """paraphrase() over many sources, in order; the first failure raises."""
+    """paraphrase() over many sources, in order; the first failure raises.
+
+    A source the encoder has no vector for raises before the first decode.
+    """
+    check_covered(encoder, sources)
     return [paraphrase(model, vocab, encoder, source, cfg) for source in sources]
 
 

@@ -7,9 +7,11 @@ import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
+from .encoders import check_covered
 from .model import TransformerLM, check_field_types
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
@@ -173,9 +175,13 @@ def train(
     per-token mean NLL. Shuffling is drawn from cfg.seed only, so a run is
     reproducible bit for bit on one platform. A non-finite loss aborts with
     the offending step and batch index. A validation corpus with no
-    sentence that fits max_positions raises before the first step.
+    sentence that fits max_positions raises before the first step, and in
+    smclm mode a training or validation sentence the encoder has no vector
+    for raises before any sentence is encoded.
     """
     start = time.monotonic()
+    if cfg.mode == "smclm" and encoder is not None:
+        check_covered(encoder, chain(corpus, valid_corpus or ()))
     examples, skipped = build_examples(
         corpus, vocab, cfg.mode, encoder, model.config.max_positions
     )

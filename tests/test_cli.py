@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -283,29 +284,39 @@ class TestTrainShowDefaults:
         assert summary["model"]["embed_dim"] == 64
 
 
+def record_dims(monkeypatch) -> list:
+    """Record the dim of each encoder the CLI builds, then the dim of each
+    word table's token embedder; the CLI passes none, so the library's
+    default embedder is built."""
+    import smclm.cli as cli
+    from smclm import metrics
+
+    dims = []
+    build = cli.encoder_from_spec
+
+    def recording(spec):
+        dims.append(("encoder", spec["dim"]))
+        return build(spec)
+
+    class RecordingTable(metrics._WordTable):
+        def __init__(self, token_embedder):
+            super().__init__(token_embedder)
+            dims.append(("token", token_embedder, self.embed.dim))
+
+    monkeypatch.setattr(cli, "encoder_from_spec", recording)
+    monkeypatch.setattr(metrics, "_WordTable", RecordingTable)
+    return dims
+
+
 class TestEncoderDefaults:
     def test_calibrate_beta_uses_the_library_default_dim(self, tmp_path, capsys, monkeypatch):
-        import smclm.cli as cli
         from smclm.encoders import DEFAULT_DIM, HashedTokenEmbedder
 
-        dims = []
-        build = cli.encoder_from_spec
-
-        def recording(spec):
-            dims.append(("encoder", spec["dim"]))
-            return build(spec)
-
-        class RecordingEmbedder(HashedTokenEmbedder):
-            def __init__(self, dim=DEFAULT_DIM, seed=0):
-                dims.append(("token", dim))
-                super().__init__(dim, seed)
-
-        monkeypatch.setattr(cli, "encoder_from_spec", recording)
-        monkeypatch.setattr(cli, "HashedTokenEmbedder", RecordingEmbedder)
+        dims = record_dims(monkeypatch)
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text('{"input": "the cat sat on the mat", "reference": "the cat sat on a mat"}\n')
         run_json(capsys, "calibrate-beta", "--pairs", str(pairs), "--encoder", "hashed-bag")
-        assert dims == [("encoder", DEFAULT_DIM), ("token", DEFAULT_DIM)]
+        assert dims == [("encoder", DEFAULT_DIM), ("token", None, DEFAULT_DIM)]
         assert HashedTokenEmbedder().dim == DEFAULT_DIM == 64
 
 
@@ -518,8 +529,8 @@ class TestSelfContainedCheckpoint:
 
 
 class TestSizeFlags:
-    """--encoder-dim and --token-dim take positive integers; any
-    other value exits 2 naming the flag, before a file is read."""
+    """--encoder-dim takes a positive integer; any other value exits 2
+    naming the flag, before a file is read."""
 
     @staticmethod
     def inputs(command, path):
@@ -529,8 +540,7 @@ class TestSizeFlags:
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     @pytest.mark.parametrize("command,flag", [
-        ("evaluate", "--encoder-dim"), ("evaluate", "--token-dim"),
-        ("calibrate-beta", "--encoder-dim"), ("calibrate-beta", "--token-dim"),
+        ("evaluate", "--encoder-dim"), ("calibrate-beta", "--encoder-dim"),
     ])
     def test_a_bad_size_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, value):
         missing = tmp_path / "missing.jsonl"  # never opened: argparse exits first
@@ -542,28 +552,157 @@ class TestSizeFlags:
 
     @pytest.mark.parametrize("command", ["evaluate", "calibrate-beta"])
     def test_given_sizes_reach_the_library(self, tmp_path, capsys, monkeypatch, command):
-        import smclm.cli as cli
-        from smclm.encoders import HashedTokenEmbedder
-
-        dims = []
-        build = cli.encoder_from_spec
-
-        def recording(spec):
-            dims.append(("encoder", spec["dim"]))
-            return build(spec)
-
-        class RecordingEmbedder(HashedTokenEmbedder):
-            def __init__(self, dim, seed=0):
-                dims.append(("token", dim))
-                super().__init__(dim, seed)
-
-        monkeypatch.setattr(cli, "encoder_from_spec", recording)
-        monkeypatch.setattr(cli, "HashedTokenEmbedder", RecordingEmbedder)
+        dims = record_dims(monkeypatch)
         path = tmp_path / "in.jsonl"
         path.write_text('{"source": "the cat sat on the mat", "references": ["the cat sat"]}\n')
         run_json(capsys, command, *self.inputs(command, path),
-                 "--encoder", "hashed-bag", "--encoder-dim", "1", "--token-dim", "3")
-        assert dims == [("encoder", 1), ("token", 3)]
+                 "--encoder", "hashed-bag", "--encoder-dim", "1")
+        assert dims == [("encoder", 1), ("token", None, 64)]
+
+
+# each subcommand's option strings: a new or removed knob is a reviewed edit here
+FLAG_INVENTORY = {
+    "build-corpus": "--source --target --seed --min-chars --out --manifest",
+    "split-dataset": "--groups --ratios --seed --out-dir --emit-corpora --emit-pairs",
+    "build-vocab": "--corpus --min-freq --out",
+    "train": "--mode --corpus --valid --vocab --out --config --log --learning-rate --lr "
+             "--batch-size --weight-decay --epochs --warmup-steps --seed --embed-dim --layers "
+             "--heads --ff-dim --max-positions --init-std --model-seed --show-defaults "
+             "--embeddings --encoder",
+    "generate": "--checkpoint --input --out --beams --groups --diversity --no-repeat "
+                "--max-length --alpha --beta --embeddings",
+    "evaluate": "--records --candidates --copy-input --beta --ref-reduce --fluency --report "
+                "--table --strict --no-strict --embeddings --encoder --encoder-dim",
+    "calibrate-beta": "--pairs --embeddings --encoder --encoder-dim",
+}
+
+
+def test_flag_inventory():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: [a.option_strings for a in p._actions if "--help" not in a.option_strings]
+        for name, p in sub.choices.items()
+    }
+    assert {name: " ".join(sum(f, [])) for name, f in flags.items()} == FLAG_INVENTORY
+    assert [len(f) for f in flags.values()] == [6, 6, 3, 23, 11, 12, 4]  # 65 flags
+
+
+def encoder_command(tmp_path, command) -> list[str]:
+    """command with valid input for every file it reads, and no encoder flag."""
+    words = ["<bos>", "<eos>", "<unk>", "<pad>", "cat", "sat", "mat"]
+    (tmp_path / "vocab.txt").write_text("\n".join(words) + "\n")
+    (tmp_path / "corpus.txt").write_text("cat sat mat\n")
+    (tmp_path / "in.jsonl").write_text('{"source": "cat sat mat", "references": ["cat sat mat"]}\n')
+    if command == "train":
+        return ["train", "--corpus", f"{tmp_path}/corpus.txt", "--vocab", f"{tmp_path}/vocab.txt",
+                "--out", f"{tmp_path}/m.smck", "--embed-dim", "8", "--layers", "1", "--heads",
+                "2", "--ff-dim", "12", "--max-positions", "8", "--warmup-steps", "0"]
+    if command == "evaluate":
+        return ["evaluate", "--records", f"{tmp_path}/in.jsonl", "--copy-input"]
+    return ["calibrate-beta", "--pairs", f"{tmp_path}/in.jsonl"]
+
+
+class TestEncoderFlags:
+    """Every encoder flag a subcommand takes changes its run: the rest are
+    usage errors, and a flag that would be ignored exits 1."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", ["--encoder-dim", "8"]), ("train", ["--encoder-seed", "0"]),
+        ("evaluate", ["--encoder-seed", "0"]), ("evaluate", ["--token-dim", "64"]),
+        ("calibrate-beta", ["--encoder-seed", "0"]), ("calibrate-beta", ["--token-dim", "64"]),
+    ])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*encoder_command(tmp_path, command), "--encoder", "hashed-bag", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "m.smck").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "calibrate-beta"])
+    def test_embeddings_and_encoder_are_exclusive(self, tmp_path, capsys, command):
+        # --embeddings once won silently over --encoder
+        table = table_spec(tmp_path, 8)["path"]
+        with pytest.raises(SystemExit) as exc:
+            main([*encoder_command(tmp_path, command), "--embeddings", table,
+                  "--encoder", "hashed-bag"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --encoder: not allowed with argument --embeddings" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "calibrate-beta"])
+    def test_encoder_dim_with_embeddings_exits_1(self, tmp_path, capsys, command):
+        # --encoder-dim was once ignored next to --embeddings
+        table = table_spec(tmp_path, 8)["path"]
+        rc, out, err = run(capsys, *encoder_command(tmp_path, command),
+                           "--embeddings", table, "--encoder-dim", "8")
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == (
+            "--encoder-dim sizes --encoder hashed-bag; with --embeddings the table sets the dim"
+        )
+
+    @pytest.mark.parametrize("flag", [["--encoder", "hashed-bag"], ["--embeddings", "missing.bin"]])
+    def test_clm_train_refuses_an_encoder_flag(self, tmp_path, capsys, flag):
+        # both flags were once ignored at --mode clm, which exited 0; neither
+        # the vocabulary nor the corpus exists, so the check comes before both
+        argv = encoder_command(tmp_path, "train")
+        os.remove(tmp_path / "vocab.txt")
+        os.remove(tmp_path / "corpus.txt")
+        rc, out, err = run(capsys, *argv, "--mode", "clm", *flag)
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == (
+            "--mode clm injects no sentence embedding; drop --encoder and --embeddings"
+        )
+
+    @pytest.mark.parametrize("gap", ["corpus", "valid"])
+    def test_a_train_table_gap_fails_before_any_sentence_is_encoded(
+        self, tmp_path, capsys, monkeypatch, gap
+    ):
+        # a gap once raised a bare KeyError after the earlier sentences were encoded
+        from smclm.encoders import FileBackedEncoder, write_embedding_file
+
+        texts = [f"the {n} {v} today" for n, v in zip(NOUNS, VERBS)]
+        corpus, valid = tmp_path / "corpus.txt", tmp_path / "valid.txt"
+        corpus.write_text("".join(t + "\n" for t in texts[:-1]))
+        valid.write_text(texts[-1] + "\n")
+        missing = texts[-2] if gap == "corpus" else texts[-1]
+        table = str(tmp_path / "table.smem")
+        write_embedding_file(table, {t: HashedBagEncoder(8).encode(t) for t in texts if t != missing})
+        run_json(capsys, "build-vocab", "--corpus", str(corpus), "--out", f"{tmp_path}/vocab.txt")
+        encoded = []
+        encode = FileBackedEncoder.encode
+        monkeypatch.setattr(FileBackedEncoder, "encode", lambda e, s: encoded.append(s) or encode(e, s))
+        rc, out, err = run(
+            capsys, "train", "--corpus", str(corpus), "--valid", str(valid),
+            "--vocab", f"{tmp_path}/vocab.txt", "--out", f"{tmp_path}/m.smck",
+            "--embeddings", table, "--embed-dim", "8", "--layers", "1", "--heads", "2",
+            "--ff-dim", "12", "--max-positions", "10", "--epochs", "1", "--warmup-steps", "0",
+        )
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == (
+            f"the encoder has no vector for 1 sentence(s), first {missing!r}"
+        )
+        assert encoded == []
+        assert not (tmp_path / "m.smck").exists()
+
+    def test_a_generate_table_gap_fails_before_the_first_decode(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the first source was once decoded before the second's gap raised
+        from smclm import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        ckpt, src = write_tiny_checkpoint(tmp_path, table_spec(tmp_path, 8))
+        with open(src, "a") as f:
+            f.write("mat sat cat\n")
+        rc, out, err = run(capsys, "generate", "--checkpoint", ckpt, "--input", src,
+                           "--out", f"{tmp_path}/out.jsonl")
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == (
+            "the encoder has no vector for 1 sentence(s), first 'mat sat cat'"
+        )
+        assert calls == []
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestErrorPaths:
@@ -852,8 +991,7 @@ class TestErrorPaths:
             "--corpus", str(corpus),
             "--vocab", str(vocab),
             "--out", f"{tmp_path}/m.smck",
-            "--encoder", "hashed-bag",
-            "--encoder-dim", "32",
+            "--embeddings", table_spec(tmp_path, 32)["path"],
             "--embed-dim", "8",
             "--layers", "1",
             "--heads", "2",
@@ -861,7 +999,7 @@ class TestErrorPaths:
             "--max-positions", "8",
         )
         assert rc == 1
-        assert "must match embed_dim" in json.loads(err)["error"]
+        assert "encoder dim 32 must match embed_dim 8" in json.loads(err)["error"]
 
     def test_encoder_dim_mismatch_at_generate_fails_before_decoding(
         self, tmp_path, capsys, monkeypatch
