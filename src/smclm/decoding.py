@@ -22,46 +22,35 @@ one whose score rounds to a kept cell's, can still win on its lower id.
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_field_types
+from .model import FINITE, NON_NEGATIVE, TYPE_RULES, at_least, check_fields, ranged
 from .tokenization import EOS_ID
 
 
 @dataclass(frozen=True)
 class BeamSearchConfig:
-    beam_count: int = 5
-    group_count: int = 5
-    diversity_strength: float = 0.6
-    no_repeat_ngram: int = 2  # 0 disables the constraint
-    max_length: int = 32
-    length_alpha: float = 1.0
-    eos_id: int = EOS_ID
+    beam_count: int = ranged(5, at_least(1))
+    group_count: int = ranged(5, at_least(1))
+    diversity_strength: float = ranged(0.6, NON_NEGATIVE)  # nan would walk every full row
+    no_repeat_ngram: int = ranged(2, at_least(0))  # 0 disables the constraint
+    max_length: int = ranged(32, at_least(1))
+    length_alpha: float = ranged(1.0, FINITE)
+    eos_id: int = ranged(EOS_ID, at_least(0))  # a negative id would end no beam
     banned_ids: frozenset[int] = frozenset()  # ids no beam may select
 
     def __post_init__(self):
-        check_field_types(self)
-        object.__setattr__(self, "banned_ids", frozenset(self.banned_ids))
-        if min(self.banned_ids, default=0) < 0:
-            raise ValueError(f"banned_ids must be >= 0, got {min(self.banned_ids)}")
-        if self.beam_count < 1 or self.group_count < 1:
-            raise ValueError("beam_count and group_count must be >= 1")
+        check_fields(self)
         if self.beam_count % self.group_count != 0:
             raise ValueError("beam_count must be divisible by group_count")
-        # written so that nan fails: a nan penalty sends every selection
-        # through a full-row walk
-        if not (math.isfinite(self.diversity_strength) and self.diversity_strength >= 0):
-            raise ValueError(f"diversity_strength must be finite and >= 0, got {self.diversity_strength!r}")
-        if not math.isfinite(self.length_alpha):
-            raise ValueError(f"length_alpha must be finite, got {self.length_alpha!r}")
-        if not self.no_repeat_ngram >= 0:
-            raise ValueError("no_repeat_ngram must be >= 0")
-        if not self.max_length >= 1:
-            raise ValueError("max_length must be >= 1")
+        object.__setattr__(self, "banned_ids", frozenset(self.banned_ids))
+        for i in self.banned_ids:
+            TYPE_RULES["int"].check("banned_ids", i)
+        # a negative id would mask the last vocabulary columns
+        at_least(0).check("banned_ids", min(self.banned_ids, default=0))
 
 
 @dataclass(frozen=True)

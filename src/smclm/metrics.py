@@ -19,6 +19,7 @@ import numpy as np
 
 from .encoders import HashedTokenEmbedder, check_covered, cosine, sentence_key
 from .jsonl import read_jsonl, string_list
+from .model import POSITIVE, check_fields, one_of, ranged
 from .tokenization import normalize
 
 DEFAULT_BETA = 2.0
@@ -272,12 +273,6 @@ def sentence_cosine_similarity(a: str, b: str, encoder) -> float:
     return _sentence_cosine(_Sentence(a, encoder), _Sentence(b, encoder))
 
 
-def check_beta(beta: float) -> None:
-    """Reject a beta that is not a finite number > 0: nan and inf combine to nan."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
-
-
 def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
     """Weighted-harmonic combination of semantic similarity and source novelty.
 
@@ -286,7 +281,7 @@ def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
     semantic == 0 or b_bleu == 1 mapping to 0. Increasing in beta when
     semantic > 1 - b_bleu, decreasing when semantic < 1 - b_bleu.
     """
-    check_beta(beta)
+    POSITIVE.check("beta", beta)  # nan and inf combine to nan
     if not 0.0 <= semantic <= 1.0:
         raise ValueError(f"semantic similarity {semantic} outside [0, 1]")
     if not 0.0 <= b_bleu <= 1.0:
@@ -395,15 +390,13 @@ class EvalConfig:
 
     encoder: object = None
     token_embedder: TokenEmbedder | None = None
-    beta: float = DEFAULT_BETA
-    ref_reduce: str = "mean"  # or "max": how BERT/SBERT aggregate references
+    beta: float = ranged(DEFAULT_BETA, POSITIVE)
+    ref_reduce: str = ranged("mean", one_of(("mean", "max")))  # how BERT/SBERT aggregate refs
     strict: bool = True
     fluency: Mapping[str, float] | None = None  # sha256 hex of normalized sentence -> score
 
     def __post_init__(self):
-        check_beta(self.beta)
-        if self.ref_reduce not in ("mean", "max"):
-            raise ValueError("ref_reduce must be 'mean' or 'max'")
+        check_fields(self)
 
 
 @dataclass

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,44 +49,70 @@ _Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062
       1.65666309194161350182e3, 5.57535340817727675546e2)
 
 
-_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real}
+class Rule(NamedTuple):
+    """A config value's type or bound: text names it in the error, and test
+    is written so that nan fails it."""
+
+    text: str
+    test: Callable[[object], bool]
+
+    def check(self, name: str, value) -> None:
+        if not self.test(value):
+            raise ValueError(f"{name} must be {self.text}, got {value!r}")
 
 
-def check_field_types(config) -> None:
-    """Reject a non-integer (or a bool) in an int field and a non-number (or
-    a bool) in a float field, naming the field: a JSON config value of the
-    wrong type fails late or passes silently (true is batch size 1)."""
-    for field in fields(config):
-        value = getattr(config, field.name)
-        kind = _FIELD_KINDS.get(field.type)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+def at_least(n: int) -> Rule:
+    return Rule(f">= {n}", lambda v: v >= n)
+
+
+def one_of(options: tuple) -> Rule:
+    return Rule(f"one of {options}", lambda v: v in options)
+
+
+POSITIVE = Rule("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+NON_NEGATIVE = Rule("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+FINITE = Rule("finite", math.isfinite)
+UNIT_INTERVAL = Rule("in [0, 1)", lambda v: 0 <= v < 1)
+
+# keyed by the string annotations of ``from __future__ import annotations``;
+# a bool is an Integral, so only a bool field takes one (true is batch size 1)
+TYPE_RULES = {
+    "int": Rule("int", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": Rule("float", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "bool": Rule("bool", lambda v: isinstance(v, bool)),
+}
+
+
+def ranged(default, rule: Rule):
+    """A dataclass field whose value check_fields holds to rule."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def check_fields(config) -> None:
+    """Hold each field to its type rule, then its range rule, naming the field
+    and the value: a bad JSON config value would otherwise fail late or pass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for rule in (TYPE_RULES.get(f.type), f.metadata.get("rule")):
+            if rule is not None:
+                rule.check(f.name, value)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab_size: int
-    embed_dim: int = 64
-    layer_count: int = 2
-    head_count: int = 4
-    ff_dim: int = 256
-    max_positions: int = 64
-    init_std: float = 0.02
-    seed: int = 0
+    vocab_size: int = ranged(MISSING, at_least(5))  # the 4 specials plus a word
+    embed_dim: int = ranged(64, at_least(1))
+    layer_count: int = ranged(2, at_least(1))
+    head_count: int = ranged(4, at_least(1))
+    ff_dim: int = ranged(256, at_least(1))
+    max_positions: int = ranged(64, at_least(2))
+    init_std: float = ranged(0.02, POSITIVE)
+    seed: int = ranged(0, at_least(0))
 
     def __post_init__(self):
-        check_field_types(self)
-        # each check is written so that nan fails it
-        if not self.vocab_size >= 5:
-            raise ValueError("vocab_size must cover the 4 specials plus a word")
-        if not all(n >= 1 for n in (self.embed_dim, self.layer_count, self.head_count, self.ff_dim)):
-            raise ValueError("embed_dim, layer_count, head_count, ff_dim must be >= 1")
+        check_fields(self)
         if self.embed_dim % self.head_count != 0:
             raise ValueError("embed_dim must be divisible by head_count")
-        if not self.max_positions >= 2:
-            raise ValueError("max_positions must be >= 2")
-        if not (math.isfinite(self.init_std) and self.init_std > 0):
-            raise ValueError(f"init_std must be finite and > 0, got {self.init_std!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -7,7 +7,8 @@ from dataclasses import asdict, dataclass, field, replace
 from .decoding import BeamSearchConfig, diverse_beam_search
 from .encoders import check_covered
 from .jsonl import write_jsonl
-from .metrics import DEFAULT_BETA, check_beta, sbert_ibleu
+from .metrics import DEFAULT_BETA, sbert_ibleu
+from .model import POSITIVE, check_fields, ranged
 from .tokenization import BOS_ID, PAD_ID, UNK_ID, Vocabulary, normalize
 
 # ids a candidate never holds: detokenize drops <bos> and <pad>, and <unk>
@@ -36,10 +37,10 @@ class PipelineConfig:
     """Decoding settings and the SBERT-iBLEU beta that selects the best candidate."""
 
     beam: BeamSearchConfig = field(default_factory=BeamSearchConfig)
-    beta: float = DEFAULT_BETA
+    beta: float = ranged(DEFAULT_BETA, POSITIVE)
 
     def __post_init__(self):
-        check_beta(self.beta)
+        check_fields(self)
 
 
 def paraphrase(model, vocab: Vocabulary, encoder, source: str, cfg: PipelineConfig) -> CandidateSet:

@@ -12,42 +12,32 @@ from itertools import chain
 import numpy as np
 
 from .encoders import check_covered
-from .model import TransformerLM, check_field_types
+from .model import (
+    NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, TransformerLM, at_least, check_fields, one_of, ranged,
+)
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
 MODES = ("clm", "smclm")
+MODE = one_of(MODES)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Published defaults; override per run."""
 
-    mode: str = "smclm"
-    learning_rate: float = 5e-6
-    batch_size: int = 32
-    weight_decay: float = 1e-2
-    epochs: int = 8
-    warmup_steps: int = 2000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
+    mode: str = ranged("smclm", MODE)
+    learning_rate: float = ranged(5e-6, POSITIVE)
+    batch_size: int = ranged(32, at_least(1))
+    weight_decay: float = ranged(1e-2, NON_NEGATIVE)
+    epochs: int = ranged(8, at_least(1))
+    warmup_steps: int = ranged(2000, at_least(0))
+    beta1: float = ranged(0.9, UNIT_INTERVAL)
+    beta2: float = ranged(0.999, UNIT_INTERVAL)
+    eps: float = ranged(1e-8, POSITIVE)
+    seed: int = ranged(0, at_least(0))
 
     def __post_init__(self):
-        check_field_types(self)
-        # each check is written so that nan fails it
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if not (self.learning_rate > 0 and self.batch_size >= 1 and self.epochs >= 1):
-            raise ValueError("learning_rate, batch_size, epochs must be positive")
-        if not (self.warmup_steps >= 0 and self.weight_decay >= 0):
-            raise ValueError("warmup_steps and weight_decay must be >= 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
-        if not all(map(math.isfinite, (self.learning_rate, self.weight_decay, self.eps))):
-            raise ValueError("learning_rate, weight_decay and eps must be finite")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,8 +127,7 @@ def build_examples(
     are (<bos> + body + <eos>, None). Sequences needing more than
     max_positions input rows are skipped and counted.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    MODE.check("mode", mode)
     if mode == "smclm" and encoder is None:
         raise ValueError("smclm mode needs a sentence encoder")
     examples = []

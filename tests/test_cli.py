@@ -3,14 +3,19 @@ import json
 import os
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from smclm.checkpoint import load_checkpoint
 from smclm.cli import atomic_path, build_parser, main
+from smclm.decoding import BeamSearchConfig
 from smclm.encoders import HashedBagEncoder
-from smclm.metrics import fluency_key
+from smclm.metrics import EvalConfig, fluency_key
+from smclm.model import ModelConfig
+from smclm.pipeline import PipelineConfig
+from smclm.training import TrainConfig
 
 NOUNS = ["cat", "dog", "bird", "horse", "train", "river", "cloud", "stone",
          "apple", "house", "boat", "tree", "road", "clock", "book", "lamp",
@@ -1133,6 +1138,41 @@ class TestTrainConfigTypes:
         assert json.loads(err)["error"].startswith(f"{field} must be ")
         assert calls == []
         assert not (tmp_path / "m.smck").exists()
+
+
+CONFIG_FIELDS = {f.name for config in (ModelConfig, TrainConfig, BeamSearchConfig, EvalConfig,
+                                        PipelineConfig) for f in fields(config)}
+
+
+@pytest.mark.parametrize("command,argv,field,value", [
+    ("train", ["--lr", "nan"], "learning_rate", "nan"),
+    ("train", ["--epochs", "0"], "epochs", "0"),
+    ("train", ["--embed-dim", "0"], "embed_dim", "0"),
+    ("train", ["--config", "config.json"], "beta1", "1.0"),
+    ("train", ["--seed", "-1"], "seed", "-1"),
+    ("train", ["--model-seed", "-1"], "seed", "-1"),
+    ("generate", ["--beams", "0"], "beam_count", "0"),
+])
+def test_a_range_error_names_one_field_and_its_value(
+    tmp_path, capsys, monkeypatch, command, argv, field, value
+):
+    # --lr nan once named three fields and no value; a seed of -1 was read
+    # only after every corpus sentence had been encoded. The train corpus is
+    # missing, so each train case fails before it is read
+    monkeypatch.chdir(tmp_path)
+    if command == "train":
+        Path("vocab.txt").write_text("\n".join(TINY_TOKENS) + "\n")
+        Path("config.json").write_text(json.dumps({"train": {"beta1": 1.0}}))
+        args = ["--corpus", "missing.txt", "--vocab", "vocab.txt", "--out", "m.smck",
+                "--encoder", "hashed-bag"]
+    else:
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        args = ["--checkpoint", ckpt, "--input", src, "--out", "cands.jsonl"]
+    rc, out, err = run(capsys, command, *args, *argv)
+    assert rc == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith(f"{field} must be ") and error.endswith(f", got {value}")
+    assert set(re.findall(r"\w+", error)) & CONFIG_FIELDS == {field}
 
 
 def command_args(tmp_path, command) -> list[str]:

@@ -2,15 +2,19 @@
 the wrong type when it is built."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
 from smclm.decoding import BeamSearchConfig
-from smclm.model import ModelConfig
+from smclm.metrics import EvalConfig
+from smclm.model import TYPE_RULES, ModelConfig
+from smclm.pipeline import PipelineConfig
 from smclm.training import TrainConfig
 
 nan, inf = math.nan, math.inf
-REQUIRED = {ModelConfig: {"vocab_size": 5}, TrainConfig: {}, BeamSearchConfig: {}}
+REQUIRED = {ModelConfig: {"vocab_size": 5}, TrainConfig: {}, BeamSearchConfig: {},
+            EvalConfig: {}, PipelineConfig: {}}
 
 
 @pytest.mark.parametrize("config,field,value", [
@@ -60,6 +64,19 @@ REQUIRED = {ModelConfig: {"vocab_size": 5}, TrainConfig: {}, BeamSearchConfig: {
     (BeamSearchConfig, "eos_id", None),
     (BeamSearchConfig, "diversity_strength", "0.6"),
     (BeamSearchConfig, "length_alpha", False),
+    (EvalConfig, "beta", True),
+    (EvalConfig, "beta", nan),
+    (EvalConfig, "beta", "2"),
+    (EvalConfig, "strict", "no"),
+    (EvalConfig, "strict", 1),
+    (EvalConfig, "ref_reduce", "sum"),
+    (PipelineConfig, "beta", True),
+    (PipelineConfig, "beta", "1"),
+    (PipelineConfig, "beta", 0.0),
+    (ModelConfig, "seed", -1),
+    (TrainConfig, "seed", -1),
+    (TrainConfig, "mode", "mlm"),
+    (BeamSearchConfig, "eos_id", -1),
 ])
 def test_out_of_range_value_is_rejected_naming_its_field(config, field, value):
     with pytest.raises(ValueError, match=field):
@@ -74,6 +91,47 @@ def test_out_of_range_value_is_rejected_naming_its_field(config, field, value):
     (TrainConfig, "beta2", 0.0),
     (BeamSearchConfig, "diversity_strength", 0.0),
     (BeamSearchConfig, "length_alpha", -1.0),
+    (EvalConfig, "strict", False),
+    (EvalConfig, "ref_reduce", "max"),
+    (PipelineConfig, "beta", 1),
+    (ModelConfig, "seed", 0),
+    (TrainConfig, "seed", 0),
+    (BeamSearchConfig, "eos_id", 0),
 ])
 def test_edge_value_is_accepted(config, field, value):
     assert getattr(config(**REQUIRED[config], **{field: value}), field) == value
+
+
+@pytest.mark.parametrize("config,field,value,text", [
+    (ModelConfig, "vocab_size", 3, ">= 5"),
+    (TrainConfig, "learning_rate", nan, "finite and > 0"),
+    (TrainConfig, "beta2", 1.0, "in [0, 1)"),
+    (TrainConfig, "batch_size", True, "int"),
+    (EvalConfig, "strict", "no", "bool"),
+    (PipelineConfig, "beta", "1", "float"),
+    (BeamSearchConfig, "eos_id", -1, ">= 0"),
+])
+def test_the_error_names_one_field_its_rule_and_the_value(config, field, value, text):
+    with pytest.raises(ValueError) as e:
+        config(**{**REQUIRED[config], field: value})
+    assert str(e.value) == f"{field} must be {text}, got {value!r}"
+
+
+@pytest.mark.parametrize("ids,bad", [({1.5}, 1.5), ({2, "a"}, "a"), ({True}, True)])
+def test_a_banned_id_that_is_not_an_int_is_rejected(ids, bad):
+    # 1.5 once failed only at decode with an IndexError, and "a" with a
+    # TypeError from min
+    with pytest.raises(ValueError) as e:
+        BeamSearchConfig(banned_ids=ids)
+    assert str(e.value) == f"banned_ids must be int, got {bad!r}"
+
+
+@pytest.mark.parametrize("config", list(REQUIRED), ids=lambda c: c.__name__)
+def test_every_number_field_carries_a_rule(config):
+    # the type rules are keyed by string annotations, so a module that loses
+    # ``from __future__ import annotations`` would skip them silently
+    numeric = [f for f in fields(config) if f.type in ("int", "float", "bool", int, float, bool)]
+    assert numeric
+    for f in numeric:
+        assert f.type in TYPE_RULES, f.name
+        assert f.type == "bool" or "rule" in f.metadata, f.name
