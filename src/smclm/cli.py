@@ -13,6 +13,8 @@ import contextlib
 import json
 import os
 import sys
+from collections import defaultdict
+from dataclasses import fields, replace
 
 from . import checkpoint as ckpt
 from . import corpus as corpus_mod
@@ -44,10 +46,6 @@ def _check_output_dirs(args) -> None:
         path = getattr(args, flag, None)
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"the directory of --{flag} {path} does not exist")
-
-
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
 
 
 def _read_lines(path: str) -> list[str]:
@@ -147,46 +145,59 @@ def cmd_build_vocab(args) -> dict:
     return {"out": args.out, "size": len(vocab)}
 
 
-MODEL_FLAGS = ("embed_dim", "layer_count", "head_count", "ff_dim", "max_positions", "init_std")
-TRAIN_FLAGS = (
-    "mode", "learning_rate", "batch_size", "weight_decay", "epochs", "warmup_steps", "seed",
-)
+def _config_flags(args, base: dict | None = None) -> defaultdict[str, dict]:
+    """base's sections (train's --config) with the flags laid over them: a flag
+    given a value whose dest is "<section>.<field>" sets that field."""
+    sections = defaultdict(dict, {name: dict(keys) for name, keys in (base or {}).items()})
+    for dest, value in vars(args).items():
+        section, dot, name = dest.partition(".")
+        if dot and value is not None:
+            sections[section][name] = value
+    return sections
 
 
-def _load_config_file(path: str | None) -> dict:
+def _config_defaults() -> dict[str, dict]:
+    """The keys train --config may set, by section, at their defaults (--vocab sets vocab_size)."""
+    model = {f.name: f.default for f in fields(ModelConfig) if f.name != "vocab_size"}
+    return {"model": model, "train": TrainConfig().to_dict()}
+
+
+def _read_config(path: str | None) -> dict:
+    """train --config: an object whose sections and keys _config_defaults lists."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: bad JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    known = _config_defaults()
+    for section, keys in cfg.items():
+        if section not in known:
+            raise ValueError(f"{path}: unknown section {section!r}, not model or train")
+        if not isinstance(keys, dict):
+            raise ValueError(f"{path}: section {section!r} must be a JSON object, got {keys!r}")
+        for key in keys:
+            if key not in known[section]:
+                why = "comes from --vocab" if key == "vocab_size" else "is not a config field"
+                raise ValueError(f"{path}: {section}.{key} {why}")
     return cfg
 
 
 def cmd_train(args) -> dict:
     if args.show_defaults:
-        return {"model": ModelConfig(vocab_size=5).to_dict(), "train": TrainConfig().to_dict()}
+        return _config_defaults()
     for required in ("corpus", "vocab", "out"):
         if getattr(args, required) is None:
             raise ValueError(f"--{required} is required")
-    file_cfg = _load_config_file(args.config)
-    model_kw = dict(file_cfg.get("model", {}))
-    train_kw = dict(file_cfg.get("train", {}))
-    for flag in MODEL_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            model_kw[flag] = value
-    for flag in TRAIN_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            train_kw[flag] = value
-    if args.model_seed is not None:
-        model_kw["seed"] = args.model_seed
-    train_cfg = TrainConfig(**train_kw)
+    kw = _config_flags(args, _read_config(args.config))
+    train_cfg = TrainConfig(**kw["train"])
     if train_cfg.mode == "clm" and (args.embeddings or args.encoder):
         raise ValueError("--mode clm injects no sentence embedding; drop --encoder and --embeddings")
     vocab = load_vocabulary(args.vocab)
-    model_cfg = ModelConfig(vocab_size=len(vocab), **model_kw)
+    model_cfg = ModelConfig(vocab_size=len(vocab), **kw["model"])
     dim = model_cfg.embed_dim
     encoder = _model_encoder(_flag_spec(args, dim), dim) if train_cfg.mode == "smclm" else None
     corpus = _read_lines(args.corpus)
@@ -220,15 +231,10 @@ def cmd_generate(args) -> dict:
         spec = {**spec, "path": args.embeddings}
     vocab = Vocabulary(tuple(tokens))
     encoder = _model_encoder(spec, model.config.embed_dim)
-    beam = BeamSearchConfig(
-        beam_count=args.beams,
-        group_count=args.groups,
-        diversity_strength=args.diversity,
-        no_repeat_ngram=args.no_repeat,
-        max_length=min(args.max_length, model.config.max_positions),
-        length_alpha=args.alpha,
-    )
-    cfg = PipelineConfig(beam=beam, beta=args.beta)
+    kw = _config_flags(args)
+    beam = BeamSearchConfig(**kw["beam"])
+    beam = replace(beam, max_length=min(beam.max_length, model.config.max_positions))
+    cfg = PipelineConfig(beam=beam, **kw["pipeline"])
     results = paraphrase_batch(model, vocab, encoder, sources, cfg)
     with atomic_path(args.out) as tmp:
         write_candidates_jsonl(results, tmp)
@@ -248,12 +254,12 @@ def _by_source(items: list, path: str) -> dict[str, dict]:
     are left to evaluate_corpus, which treats them as malformed.
     """
     index: dict[str, dict] = {}
-    for item in items:
+    for i, item in enumerate(items):
         source = _source(item)
         if source is None:
             continue
         if source in index:
-            raise ValueError(f"duplicate source in {path}: {source!r}")
+            raise ValueError(f"duplicate source in {path}: record {i} repeats {source!r}")
         index[source] = item
     return index
 
@@ -280,13 +286,8 @@ def cmd_evaluate(args) -> dict:
             cand = by_source.get(_source(r), {})
             joined.append({**r, "candidates": cand.get("candidates"), "best": cand.get("best")})
     encoder = encoder_from_spec(_flag_spec(args, DEFAULT_DIM))
-    cfg = metrics_mod.EvalConfig(
-        encoder=encoder,
-        beta=args.beta,
-        ref_reduce=args.ref_reduce,
-        strict=args.strict,
-        fluency=metrics_mod.load_fluency_file(args.fluency) if args.fluency else None,
-    )
+    fluency = metrics_mod.load_fluency_file(args.fluency) if args.fluency else None
+    cfg = metrics_mod.EvalConfig(encoder=encoder, fluency=fluency, **_config_flags(args)["eval"])
     report = metrics_mod.evaluate_corpus(joined, cfg)
     if args.report:
         with atomic_path(args.report) as tmp:
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a conditioned or plain causal LM")
-    p.add_argument("--mode", choices=["smclm", "clm"],
+    p.add_argument("--mode", choices=["smclm", "clm"], dest="train.mode",
                    help="default: the config file's train.mode, else smclm")
     p.add_argument("--corpus", help="training sentences, one per line")
     p.add_argument("--valid", help="validation sentences, one per line")
@@ -378,19 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="checkpoint path")
     p.add_argument("--config", help="JSON file with model/train sections")
     p.add_argument("--log", help="JSONL per-step training log")
-    p.add_argument("--learning-rate", "--lr", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup-steps", type=int, dest="warmup_steps")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--layers", type=int, dest="layer_count")
-    p.add_argument("--heads", type=int, dest="head_count")
-    p.add_argument("--ff-dim", type=int, dest="ff_dim")
-    p.add_argument("--max-positions", type=int, dest="max_positions")
-    p.add_argument("--init-std", type=float, dest="init_std")
-    p.add_argument("--model-seed", type=int, dest="model_seed")
+    p.add_argument("--learning-rate", "--lr", type=float, dest="train.learning_rate")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
+    p.add_argument("--weight-decay", type=float, dest="train.weight_decay")
+    p.add_argument("--epochs", type=int, dest="train.epochs")
+    p.add_argument("--warmup-steps", type=int, dest="train.warmup_steps")
+    p.add_argument("--seed", type=int, dest="train.seed")
+    p.add_argument("--embed-dim", type=int, dest="model.embed_dim")
+    p.add_argument("--layers", type=int, dest="model.layer_count")
+    p.add_argument("--heads", type=int, dest="model.head_count")
+    p.add_argument("--ff-dim", type=int, dest="model.ff_dim")
+    p.add_argument("--max-positions", type=int, dest="model.max_positions")
+    p.add_argument("--init-std", type=float, dest="model.init_std")
+    p.add_argument("--model-seed", type=int, dest="model.seed")
     p.add_argument("--show-defaults", action="store_true", dest="show_defaults",
                    help="print the default hyperparameters and exit")
     _add_encoder_flags(p)
@@ -400,17 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="source sentences, one per line")
     p.add_argument("--out", required=True, help="candidates JSONL")
-    p.add_argument("--beams", type=int, default=BeamSearchConfig.beam_count)
-    p.add_argument("--groups", type=int, default=BeamSearchConfig.group_count)
-    p.add_argument("--diversity", type=float, default=BeamSearchConfig.diversity_strength)
-    p.add_argument("--no-repeat", type=int, dest="no_repeat",
-                   default=BeamSearchConfig.no_repeat_ngram)
-    p.add_argument("--max-length", type=int, dest="max_length",
-                   default=BeamSearchConfig.max_length,
+    p.add_argument("--beams", type=int, dest="beam.beam_count")
+    p.add_argument("--groups", type=int, dest="beam.group_count")
+    p.add_argument("--diversity", type=float, dest="beam.diversity_strength")
+    p.add_argument("--no-repeat", type=int, dest="beam.no_repeat_ngram")
+    p.add_argument("--max-length", type=int, dest="beam.max_length",
                    help="token budget per candidate, <eos> included; clamped to the "
                         "model's max_positions")
-    p.add_argument("--alpha", type=float, default=BeamSearchConfig.length_alpha)
-    p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
+    p.add_argument("--alpha", type=float, dest="beam.length_alpha")
+    p.add_argument("--beta", type=float, dest="pipeline.beta")
     p.add_argument("--embeddings", help="another path for a file-backed checkpoint's table")
     p.set_defaults(fn=cmd_generate)
 
@@ -419,14 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="JSONL of {source, candidates, best}")
     p.add_argument("--copy-input", action="store_true", dest="copy_input",
                    help="score two copies of the source as the candidates")
-    p.add_argument("--beta", type=float, default=metrics_mod.DEFAULT_BETA)
-    p.add_argument("--ref-reduce", choices=["mean", "max"], dest="ref_reduce",
-                   default=metrics_mod.EvalConfig.ref_reduce)
+    p.add_argument("--beta", type=float, dest="eval.beta")
+    p.add_argument("--ref-reduce", choices=["mean", "max"], dest="eval.ref_reduce")
     p.add_argument("--fluency", help="JSONL of {sentence_sha256, fluency}")
     p.add_argument("--report", help="write the full per-record report JSON here")
     p.add_argument("--table", action="store_true", help="also print the text table to stderr")
-    p.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                   default=metrics_mod.EvalConfig.strict)
+    p.add_argument("--strict", action=argparse.BooleanOptionalAction, dest="eval.strict")
     _add_encoder_flags(p, with_dim=True)
     p.set_defaults(fn=cmd_evaluate)
 
@@ -445,14 +442,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_output_dirs(args)
         summary = args.fn(args)
-    except RuntimeError as e:
-        # training aborts (non-finite loss) use a distinct exit code
-        print(json.dumps({"error": str(e), "type": type(e).__name__}), file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001 - single CLI error funnel
         print(json.dumps({"error": str(e), "type": type(e).__name__}), file=sys.stderr)
-        return 1
-    _emit(summary)
+        # training aborts (non-finite loss) use a distinct exit code
+        return 2 if isinstance(e, RuntimeError) else 1
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

@@ -33,6 +33,9 @@ from .tokenization import EOS_ID
 
 @dataclass(frozen=True)
 class BeamSearchConfig:
+    """eos_id and banned_ids must lie inside the model's vocabulary (checked at
+    decode start); "no eos", every beam run to max_length, is banned_ids holding eos_id."""
+
     beam_count: int = ranged(5, at_least(1))
     group_count: int = ranged(5, at_least(1))
     diversity_strength: float = ranged(0.6, NON_NEGATIVE)  # nan would walk every full row
@@ -229,8 +232,9 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
     live: list[list[_Beam]] = [[_Beam((), 0.0, 0.0, 0)] for _ in range(cfg.group_count)]
     pools: list[list[Hypothesis]] = [[] for _ in range(cfg.group_count)]
     lp, cache = model.start(injection)  # one row, shared by every group's first beam
-    if max(cfg.banned_ids, default=0) >= lp.shape[1]:
-        raise ValueError(f"banned_ids must be < vocab_size={lp.shape[1]}, got {max(cfg.banned_ids)}")
+    for name, top in (("eos_id", cfg.eos_id), ("banned_ids", max(cfg.banned_ids, default=0))):
+        if top >= lp.shape[1]:
+            raise ValueError(f"{name} must be < vocab_size={lp.shape[1]}, got {top}")
     for t in range(cfg.max_length):
         bans = [(h.row, w) for beams in live for h in beams
                 for w in banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids]

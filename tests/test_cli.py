@@ -1269,3 +1269,208 @@ class TestAtomicPath:
             with open(tmp, "wb") as f:
                 f.write(b"new")
         assert target.read_bytes() == b"new"
+
+
+class TestBadInput:
+    """One table of bad inputs, each defect on the last record of its file
+    (or, for a flag, in the flag): every row exits 1 with empty stdout and a
+    message naming path:line, the record index, the config file or the
+    flag's field, before the command's first unit of work."""
+
+    WORK = {"train": "smclm.cli.load_vocabulary", "generate": "smclm.pipeline.diverse_beam_search",
+            "evaluate": "smclm.metrics._WordTable", "calibrate-beta": "smclm.metrics._WordTable"}
+    # each file's first and, unless a row replaces it, last record
+    GOOD = {
+        "records.jsonl": ['{"source": "a b c", "references": ["a c"]}',
+                          '{"source": "b c d", "references": ["b d"]}'],
+        "cands.jsonl": ['{"source": "a b c", "candidates": ["a c b", "c b a"], "best": 0}',
+                        '{"source": "b c d", "candidates": ["b d c", "d c b"], "best": 1}'],
+        "fluency.jsonl": [json.dumps({"sentence_sha256": fluency_key(t), "fluency": 0.5})
+                          for t in ("a c b", "d c b")],
+        "pairs.jsonl": ['{"input": "the cat sat on the mat", "reference": "the cat sat on a mat"}',
+                        '{"input": "the dog sat on the mat", "reference": "the dog sat on a mat"}'],
+        "in.txt": ["cat sat mat", "mat sat cat"],
+    }
+    TABLE_TEXTS = ["a b c", "a c", "a c b", "c b a", "b c d", "b d", "b d c", "d c b",
+                   "the cat sat on the mat", "the cat sat on a mat", "the dog sat on the mat",
+                   "the dog sat on a mat"]
+    CONFIG = {"model": {"embed_dim": 8, "layer_count": 1, "head_count": 2, "ff_dim": 12,
+                        "max_positions": 8}, "train": {"epochs": 1, "warmup_steps": 0}}
+
+    def argv(self, tmp_path, command, row_file=None, last=None) -> list[str]:
+        """command over good files in tmp_path, with last in place of
+        row_file's last record, or given as the value of flag row_file."""
+        from smclm.encoders import write_embedding_file
+
+        for name, (first, good_last) in self.GOOD.items():
+            (tmp_path / name).write_text(f"{first}\n{last if name == row_file else good_last}\n")
+        enc = HashedBagEncoder(dim=16)
+        write_embedding_file(f"{tmp_path}/table.smem", {t: enc.encode(t) for t in self.TABLE_TEXTS})
+        (tmp_path / "cfg.json").write_text(last if row_file == "cfg.json" else json.dumps(self.CONFIG))
+        flag = [row_file, last] if row_file and row_file.startswith("--") else []
+        table = ["--embeddings", f"{tmp_path}/table.smem"]
+        if command == "train":
+            (tmp_path / "vocab.txt").write_text("\n".join(TINY_TOKENS) + "\n")
+            return ["train", "--corpus", f"{tmp_path}/in.txt", "--vocab", f"{tmp_path}/vocab.txt",
+                    "--out", f"{tmp_path}/m.smck", "--config", f"{tmp_path}/cfg.json",
+                    "--encoder", "hashed-bag", *flag]
+        if command == "generate":
+            (tmp_path / "ckpt").mkdir()
+            ckpt, _ = write_tiny_checkpoint(tmp_path / "ckpt")
+            return ["generate", "--checkpoint", ckpt, "--input", f"{tmp_path}/in.txt",
+                    "--out", f"{tmp_path}/out.jsonl", *flag]
+        if command == "evaluate":
+            return ["evaluate", "--records", f"{tmp_path}/records.jsonl",
+                    "--candidates", f"{tmp_path}/cands.jsonl",
+                    "--fluency", f"{tmp_path}/fluency.jsonl", *table, *flag]
+        return ["calibrate-beta", "--pairs", f"{tmp_path}/pairs.jsonl", *table, *flag]
+
+    @pytest.mark.parametrize("command", ["train", "generate", "evaluate", "calibrate-beta"])
+    def test_the_good_files_run(self, tmp_path, capsys, monkeypatch, command):
+        # and reach the work that the bad rows never start
+        import importlib
+
+        module, name = self.WORK[command].rsplit(".", 1)
+        real, calls = getattr(importlib.import_module(module), name), []
+        monkeypatch.setattr(self.WORK[command], lambda *a, **k: calls.append(a) or real(*a, **k))
+        run_json(capsys, *self.argv(tmp_path, command))
+        assert calls
+
+    @pytest.mark.parametrize("command,row_file,last,message", [
+        # bad JSON, a wrong type, a missing key
+        ("evaluate", "records.jsonl", '{"source": "b c d"', "{dir}/records.jsonl:2: bad JSON"),
+        ("evaluate", "records.jsonl", '{"source": "b c d", "references": "b d"}',
+         "record 1: references must be a non-empty list of strings"),
+        ("evaluate", "records.jsonl", '{"source": "b c d"}',
+         "record 1: references must be a non-empty list of strings"),
+        ("evaluate", "cands.jsonl", '{"source": "b c d", "candidates": [3], "best": 0}',
+         "record 1: candidates must be a non-empty list of strings"),
+        ("calibrate-beta", "pairs.jsonl", '{"input": "the dog", "reference": 5',
+         "{dir}/pairs.jsonl:2: bad JSON"),
+        ("calibrate-beta", "pairs.jsonl", '{"input": "the dog", "reference": 5}',
+         "{dir}/pairs.jsonl:2: bad record"),
+        ("calibrate-beta", "pairs.jsonl", '{"input": "the dog"}', "{dir}/pairs.jsonl:2: bad record"),
+        # a duplicate source, an out-of-range best
+        ("evaluate", "records.jsonl", '{"source": "a b c", "references": ["b d"]}',
+         "duplicate source in {dir}/records.jsonl: record 1 repeats 'a b c'"),
+        ("evaluate", "cands.jsonl", '{"source": "a b c", "candidates": ["b d c"], "best": 0}',
+         "duplicate source in {dir}/cands.jsonl: record 1 repeats 'a b c'"),
+        ("generate", "in.txt", "cat sat mat",
+         "duplicate source in {dir}/in.txt: record 1 repeats 'cat sat mat'"),
+        ("evaluate", "cands.jsonl", '{"source": "b c d", "candidates": ["b d c"], "best": 1}',
+         "record 1: 'best' index 1 out of range"),
+        # a bad fluency key or value, a non-finite beta
+        ("evaluate", "fluency.jsonl", '{"sentence_sha256": "D C B", "fluency": 0.5}',
+         "{dir}/fluency.jsonl:2: bad record: sentence_sha256 must be 64 lowercase hex digits"),
+        ("evaluate", "fluency.jsonl", json.dumps({"sentence_sha256": "0" * 64, "fluency": "NaN"}),
+         "{dir}/fluency.jsonl:2: bad record: fluency must be a finite number"),
+        ("evaluate", "--beta", "nan", "beta must be finite and > 0, got nan"),
+        ("generate", "--beta", "inf", "beta must be finite and > 0, got inf"),
+        # a sentence missing from the --embeddings table
+        ("evaluate", "records.jsonl", '{"source": "b c d", "references": ["b d", "e f"]}',
+         "record 1: the encoder has no vector for 1 sentence(s), first 'e f'"),
+        # train --config: misspelled sections, a section that is no object,
+        # vocab_size, an unknown key, bad JSON
+        ("train", "cfg.json", '{"trian": {"epochs": 1}, "modle": {"embed_dim": 8}}',
+         "{dir}/cfg.json: unknown section 'trian', not model or train"),
+        ("train", "cfg.json", '{"model": [1]}',
+         "{dir}/cfg.json: section 'model' must be a JSON object, got [1]"),
+        ("train", "cfg.json", '{"train": "x"}',
+         "{dir}/cfg.json: section 'train' must be a JSON object, got 'x'"),
+        ("train", "cfg.json", '{"model": {"vocab_size": 9}}',
+         "{dir}/cfg.json: model.vocab_size comes from --vocab"),
+        ("train", "cfg.json", '{"model": {"nonsense": 1}}',
+         "{dir}/cfg.json: model.nonsense is not a config field"),
+        ("train", "cfg.json", '{"model": {"embed_dim": 8}', "{dir}/cfg.json: bad JSON"),
+    ])
+    def test_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, row_file, last,
+                                   message):
+        argv = self.argv(tmp_path, command, row_file, last)
+        calls = []
+        monkeypatch.setattr(self.WORK[command], lambda *a, **k: calls.append(a))
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert message.format(dir=tmp_path) in json.loads(err)["error"]
+        assert calls == []
+
+
+CONFIG_OF = {"model": ModelConfig, "train": TrainConfig, "beam": BeamSearchConfig,
+             "pipeline": PipelineConfig, "eval": EvalConfig}
+
+
+def config_actions(command: str) -> list[argparse.Action]:
+    """The command's flags that set a config field: dest "<section>.<field>"."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in sub.choices[command]._actions if "." in a.dest]
+
+
+def test_every_config_dest_names_a_field():
+    dests = [a.dest for command in ("train", "generate", "evaluate")
+             for a in config_actions(command)]
+    assert len(dests) == 24
+    for dest in dests:
+        section, name = dest.split(".")
+        assert name in {f.name for f in fields(CONFIG_OF[section])}, dest
+    assert [a.dest for c in ("build-corpus", "split-dataset", "build-vocab", "calibrate-beta")
+            for a in config_actions(c)] == []
+
+
+# every config flag of a command at a value other than its field's default
+CONFIG_SWEEP = {
+    "train": ["--mode", "clm", "--lr", "0.001", "--batch-size", "3", "--weight-decay", "0.5",
+              "--epochs", "2", "--warmup-steps", "7", "--seed", "5", "--embed-dim", "8",
+              "--layers", "1", "--heads", "2", "--ff-dim", "12", "--max-positions", "9",
+              "--init-std", "0.1", "--model-seed", "4"],
+    "generate": ["--beams", "4", "--groups", "2", "--diversity", "0.3", "--no-repeat", "3",
+                 "--max-length", "7", "--alpha", "0.5", "--beta", "3"],
+    "evaluate": ["--beta", "3", "--ref-reduce", "max", "--no-strict"],
+}
+
+
+@pytest.mark.parametrize("command,work", [
+    ("train", "smclm.cli.train"),
+    ("generate", "smclm.cli.paraphrase_batch"),
+    ("evaluate", "smclm.metrics.evaluate_corpus"),
+])
+def test_every_config_flag_reaches_its_config(tmp_path, capsys, monkeypatch, command, work):
+    # --init-std, --weight-decay, --alpha and --ref-reduce were followed by no test
+    built = {}
+    for section, config in CONFIG_OF.items():
+        def spy(self, _section=section, _post_init=config.__post_init__):
+            built[_section] = self
+            _post_init(self)
+
+        monkeypatch.setattr(config, "__post_init__", spy)
+
+    class Stop(Exception):
+        pass
+
+    def stop(*a, **k):
+        raise Stop
+
+    monkeypatch.setattr(work, stop)
+    if command == "train":
+        (tmp_path / "vocab.txt").write_text("\n".join(TINY_TOKENS) + "\n")
+        (tmp_path / "corpus.txt").write_text("cat sat mat\n")
+        inputs = ["--corpus", f"{tmp_path}/corpus.txt", "--vocab", f"{tmp_path}/vocab.txt",
+                  "--out", f"{tmp_path}/m.smck"]
+    elif command == "generate":
+        ckpt, src = write_tiny_checkpoint(tmp_path)
+        inputs = ["--checkpoint", ckpt, "--input", src, "--out", f"{tmp_path}/out.jsonl"]
+    else:
+        (tmp_path / "records.jsonl").write_text('{"source": "a b c", "references": ["a c"]}\n')
+        inputs = ["--records", f"{tmp_path}/records.jsonl", "--copy-input",
+                  "--encoder", "hashed-bag"]
+    argv = [command, *inputs, *CONFIG_SWEEP[command]]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, json.loads(err)["type"]) == (1, "", "Stop")
+    swept = [word for word in CONFIG_SWEEP[command] if word.startswith("--")]
+    assert sorted(o for a in config_actions(command) for o in a.option_strings
+                  if o in swept) == sorted(swept)
+    args = build_parser().parse_args(argv)
+    for action in config_actions(command):
+        section, name = action.dest.split(".")
+        value = getattr(args, action.dest)
+        default = {f.name: f.default for f in fields(CONFIG_OF[section])}[name]
+        assert value is not None and value != default, action.option_strings
+        assert getattr(built[section], name) == value, action.option_strings

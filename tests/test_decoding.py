@@ -51,12 +51,14 @@ def next_lp(model, prefix, injection):
     return z - logsumexp(z)
 
 
-def reference_greedy(model, injection, max_length, eos_id):
-    """Argmax over the raw last logits row, ties to the lowest id, until eos."""
+def reference_greedy(model, injection, max_length, eos_id, banned=()):
+    """Argmax over the raw last logits row less the banned ids, ties to the
+    lowest id, until eos."""
     out = []
     for _ in range(max_length):
         context = [0] + out if injection is None else out
-        row = model.forward(context, injection)[-1]
+        row = model.forward(context, injection)[-1].copy()
+        row[list(banned)] = -np.inf
         nxt = int(np.flatnonzero(row == row.max())[0])
         if nxt == eos_id:
             break
@@ -146,6 +148,21 @@ class TestConfig:
         monkeypatch.undo()  # the last in-range id decodes
         assert diverse_beam_search(m, None, replace(cfg, banned_ids={1, 3}))
 
+    def test_eos_outside_the_vocabulary_fails_before_selection(self, monkeypatch):
+        # an eos id past the vocabulary once ran every beam silently to max_length
+        selected = []
+        monkeypatch.setattr(decoding, "_select", lambda *a: selected.append(a))
+        m = Recompute(RowModel([3.0, 1.0, 0.5, 0.0]))
+        cfg = BeamSearchConfig(beam_count=2, group_count=2, max_length=4, eos_id=4)
+        with pytest.raises(ValueError, match="eos_id must be < vocab_size=4, got 4"):
+            diverse_beam_search(m, None, cfg)
+        with pytest.raises(ValueError, match="eos_id must be < vocab_size=4, got 9"):
+            greedy_decode(m, None, max_length=4, eos_id=9)
+        assert selected == []
+        monkeypatch.undo()  # "no eos" is a ban on an in-range eos
+        hyps = diverse_beam_search(m, None, replace(cfg, eos_id=3, banned_ids={3}))
+        assert [len(h.tokens) for h in hyps] == [4, 4]
+
 
 class TestBannedNextTokens:
     def test_bigram(self):
@@ -194,9 +211,13 @@ class TestGreedy:
             if seed % 2:
                 v = rng.normal(size=16)
                 inj = (v / np.linalg.norm(v)).astype(np.float32)
-            for eos_id in (1, 99):
-                got = greedy_decode(model, inj, max_length=6, eos_id=eos_id)
-                assert got == reference_greedy(model, inj, 6, eos_id), (seed, eos_id)
+            got = greedy_decode(model, inj, max_length=6, eos_id=1)
+            assert got == reference_greedy(model, inj, 6, 1), seed
+            # no eos: width-one beam search with the in-range eos banned
+            cfg = BeamSearchConfig(beam_count=1, group_count=1, diversity_strength=0.0,
+                                   no_repeat_ngram=0, max_length=6, eos_id=1, banned_ids={1})
+            got = list(diverse_beam_search(model, inj, cfg)[0].tokens)
+            assert got == reference_greedy(model, inj, 6, 1, banned={1}), seed
 
 
 class TestHandComputedDiverseBeam:
@@ -259,10 +280,12 @@ class TestHandComputedDiverseBeam:
         assert hyps[0].tokens == (0, 1, 2, 3)
 
     def test_every_extension_banned_ends_the_group(self):
-        # after (0, 1) and (1, 0) the unigram rule bans both tokens, and the
-        # eos id lies outside the vocabulary, so nothing finishes
-        m = Recompute(RowModel([1.0, 0.5]))
-        assert beam_search(m, None, beam_count=2, max_length=4, no_repeat_ngram=1, eos_id=5) == []
+        # after (0, 1) and (1, 0) the unigram rule bans both tokens, and eos
+        # is a banned id, so nothing finishes
+        m = Recompute(RowModel([1.0, 0.5, 0.0]))
+        cfg = BeamSearchConfig(beam_count=2, group_count=1, diversity_strength=0.0,
+                               no_repeat_ngram=1, max_length=4, eos_id=2, banned_ids={2})
+        assert diverse_beam_search(m, None, cfg) == []
 
     def test_all_equal_logits_tie_breaks(self):
         m = Recompute(RowModel([0.0, 0.0, 0.0, 0.0]))
@@ -433,10 +456,11 @@ class TestPositionWindow:
         assert calls == []
 
     def test_max_length_equal_to_window_decodes(self):
-        # an eos id outside the vocabulary keeps every beam running to the cap
+        # a banned eos keeps every beam running to the cap
         model = random_model(700)
         cfg = BeamSearchConfig(
-            beam_count=2, group_count=2, no_repeat_ngram=0, max_length=12, eos_id=99
+            beam_count=2, group_count=2, no_repeat_ngram=0, max_length=12, eos_id=1,
+            banned_ids={1},
         )
         assert [len(h.tokens) for h in diverse_beam_search(model, None, cfg)] == [12, 12]
 
@@ -526,8 +550,10 @@ class TestShortlistAgainstFullVocabulary:
         assert checked and sum(checked) > 0  # some shortlists were cut
 
     def test_hand_computed_cases_step_by_step(self, checked):
-        m = Recompute(RowModel([1.0, 0.5]))
-        assert beam_search(m, None, beam_count=2, max_length=4, no_repeat_ngram=1, eos_id=5) == []
+        m = Recompute(RowModel([1.0, 0.5, 0.0]))
+        cfg = BeamSearchConfig(beam_count=2, group_count=1, diversity_strength=0.0,
+                               no_repeat_ngram=1, max_length=4, eos_id=2, banned_ids={2})
+        assert diverse_beam_search(m, None, cfg) == []
         m = Recompute(RowModel([0.0] * 6))
         beam_search(m, None, beam_count=2, max_length=3, eos_id=5)
         assert checked
@@ -609,7 +635,7 @@ class TestShortlistAgainstFullVocabulary:
     def test_banned_top_cell_step_by_step(self, checked):
         m = Recompute(RowModel(self.TOP_BANNED))
         cfg = BeamSearchConfig(beam_count=2, group_count=2, no_repeat_ngram=2, max_length=5,
-                               eos_id=99, banned_ids={7})
+                               eos_id=0, banned_ids={0, 7})
         hyps = diverse_beam_search(m, None, cfg)
         assert len(hyps) == 2 and all(7 not in h.tokens for h in hyps)
         assert checked and all(checked)  # every group step saw cut shortlists
