@@ -52,7 +52,7 @@ def save_checkpoint(
 def _read_exact(f, n: int, what: str) -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise ValueError(f"truncated checkpoint while reading {what}")
+        raise ValueError(f"{f.name}: truncated checkpoint while reading {what}")
     return data
 
 

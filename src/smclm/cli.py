@@ -20,7 +20,7 @@ from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .decoding import BeamSearchConfig
-from .encoders import DEFAULT_DIM, encoder_from_spec
+from .encoders import DEFAULT_DIM, check_covered, encoder_from_spec
 from .jsonl import read_jsonl, string_list, write_jsonl
 from .model import ModelConfig, TransformerLM
 from .pipeline import PipelineConfig, paraphrase_batch, write_candidates_jsonl
@@ -74,13 +74,6 @@ def _flag_spec(args, dim: int) -> dict:
     if args.encoder:
         return {"kind": args.encoder, "dim": encoder_dim or dim, "seed": 0}
     raise ValueError("no embedding source: pass --embeddings FILE or --encoder hashed-bag")
-
-
-def _model_encoder(spec: dict, embed_dim: int):
-    encoder = encoder_from_spec(spec)
-    if encoder.dim != embed_dim:
-        raise ValueError(f"encoder dim {encoder.dim} must match embed_dim {embed_dim}")
-    return encoder
 
 
 def cmd_build_corpus(args) -> dict:
@@ -198,8 +191,8 @@ def cmd_train(args) -> dict:
         raise ValueError("--mode clm injects no sentence embedding; drop --encoder and --embeddings")
     vocab = load_vocabulary(args.vocab)
     model_cfg = ModelConfig(vocab_size=len(vocab), **kw["model"])
-    dim = model_cfg.embed_dim
-    encoder = _model_encoder(_flag_spec(args, dim), dim) if train_cfg.mode == "smclm" else None
+    encoder = (encoder_from_spec(_flag_spec(args, model_cfg.embed_dim))
+               if train_cfg.mode == "smclm" else None)
     corpus = _read_lines(args.corpus)
     valid = _read_lines(args.valid) if args.valid else None
     model = TransformerLM(model_cfg)
@@ -230,7 +223,7 @@ def cmd_generate(args) -> dict:
             raise ValueError(f"--embeddings needs a file-backed checkpoint, not {spec['kind']}")
         spec = {**spec, "path": args.embeddings}
     vocab = Vocabulary(tuple(tokens))
-    encoder = _model_encoder(spec, model.config.embed_dim)
+    encoder = encoder_from_spec(spec)
     kw = _config_flags(args)
     beam = BeamSearchConfig(**kw["beam"])
     beam = replace(beam, max_length=min(beam.max_length, model.config.max_positions))
@@ -299,8 +292,8 @@ def cmd_evaluate(args) -> dict:
             "report": args.report}
 
 
-def _calibration_pairs(rec: dict) -> list[tuple[str, str]]:
-    """The (input, reference) pairs of one --pairs record."""
+def _calibration_pairs(rec: dict, encoder) -> list[tuple[str, str]]:
+    """One --pairs record's (input, reference) pairs; a table gap raised here names path:line."""
     if "input" in rec and "reference" in rec:
         source, refs = rec["input"], [rec["reference"]]
     elif "source" in rec and "references" in rec:
@@ -309,12 +302,13 @@ def _calibration_pairs(rec: dict) -> list[tuple[str, str]]:
         raise ValueError("pair records need input/reference or source/references")
     if not isinstance(source, str) or not all(isinstance(r, str) for r in refs):
         raise ValueError(f"input and reference must be strings, got {rec!r}")
+    check_covered(encoder, [source, *refs])
     return [(source, ref) for ref in refs]
 
 
 def cmd_calibrate_beta(args) -> dict:
-    pairs = [p for rec_pairs in read_jsonl(args.pairs, _calibration_pairs) for p in rec_pairs]
     encoder = encoder_from_spec(_flag_spec(args, DEFAULT_DIM))
+    pairs = [p for rec in read_jsonl(args.pairs, lambda r: _calibration_pairs(r, encoder)) for p in rec]
     result = metrics_mod.calibrate_beta(pairs, encoder)
     return {**result.to_dict(), "pairs": len(pairs)}
 

@@ -220,8 +220,10 @@ def read_embedding_file(path: str) -> tuple[dict[bytes, np.ndarray], int]:
     return table, dim
 
 
-def check_covered(encoder, texts: Iterable[str]) -> None:
-    """Raise, before any work, when ``encoder`` has no vector for some text."""
+def check_covered(encoder, texts: Iterable[str], dim: int | None = None) -> None:
+    """Raise, before any work, when ``encoder`` is not ``dim`` wide or lacks a vector for a text."""
+    if dim is not None and encoder.dim != dim:
+        raise ValueError(f"encoder dim {encoder.dim} must match embed_dim {dim}")
     missing = encoder.missing(texts)
     if missing:
         raise ValueError(f"the encoder has no vector for {len(missing)} sentence(s), first {missing[0]!r}")

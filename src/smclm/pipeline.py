@@ -70,9 +70,15 @@ def paraphrase_batch(
 ) -> list[CandidateSet]:
     """paraphrase() over many sources, in order; the first failure raises.
 
-    A source the encoder has no vector for raises before the first decode.
+    Before the first decode, an encoder not embed_dim wide (for a model with a
+    config) and a source with no vector (naming its 0-based record) raise.
     """
-    check_covered(encoder, sources)
+    check_covered(encoder, (), model.config.embed_dim if hasattr(model, "config") else None)
+    for i, source in enumerate(sources):
+        try:
+            check_covered(encoder, [source])
+        except ValueError as e:
+            raise ValueError(f"record {i}: {e}") from None
     return [paraphrase(model, vocab, encoder, source, cfg) for source in sources]
 
 

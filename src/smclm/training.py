@@ -165,12 +165,12 @@ def train(
     reproducible bit for bit on one platform. A non-finite loss aborts with
     the offending step and batch index. A validation corpus with no
     sentence that fits max_positions raises before the first step, and in
-    smclm mode a training or validation sentence the encoder has no vector
-    for raises before any sentence is encoded.
+    smclm mode an encoder not embed_dim wide, or a training or validation
+    sentence it has no vector for, raises before any sentence is encoded.
     """
     start = time.monotonic()
     if cfg.mode == "smclm" and encoder is not None:
-        check_covered(encoder, chain(corpus, valid_corpus or ()))
+        check_covered(encoder, chain(corpus, valid_corpus or ()), model.config.embed_dim)
     examples, skipped = build_examples(
         corpus, vocab, cfg.mode, encoder, model.config.max_positions
     )

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -89,7 +90,24 @@ class TestCorruption:
         path = self.write_good(model, tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
-        with pytest.raises(ValueError, match="truncated"):
+        # the message names the file, as every other load error does
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated checkpoint "
+                                             "while reading tensor lnf_b payload$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset,data,message", [
+        (4, b"tok_emx", "tensor 'tok_emx' where 'tok_emb' expected"),
+        (4 + 7 + 4, struct.pack("<I", 12), r"tok_emb has dims \(12, 8\), expected \(11, 8\)"),
+    ], ids=["name", "dims"])
+    def test_a_tensor_header_that_does_not_match(self, model, tmp_path, offset, data, message):
+        # offset counts from the first tensor's header: u32 name length, the
+        # name "tok_emb", u32 rank, then the dims (11, 8)
+        path = self.write_good(model, tmp_path)
+        raw = bytearray(path.read_bytes())
+        at = 12 + struct.unpack("<I", raw[8:12])[0] + offset
+        raw[at : at + len(data)] = data
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("size", [10, 12])

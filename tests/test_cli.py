@@ -704,7 +704,7 @@ class TestEncoderFlags:
                            "--out", f"{tmp_path}/out.jsonl")
         assert (rc, out) == (1, "")
         assert json.loads(err)["error"] == (
-            "the encoder has no vector for 1 sentence(s), first 'mat sat cat'"
+            "record 1: the encoder has no vector for 1 sentence(s), first 'mat sat cat'"
         )
         assert calls == []
         assert not (tmp_path / "out.jsonl").exists()
@@ -1293,18 +1293,18 @@ class TestBadInput:
     }
     TABLE_TEXTS = ["a b c", "a c", "a c b", "c b a", "b c d", "b d", "b d c", "d c b",
                    "the cat sat on the mat", "the cat sat on a mat", "the dog sat on the mat",
-                   "the dog sat on a mat"]
+                   "the dog sat on a mat", "cat sat mat"]
     CONFIG = {"model": {"embed_dim": 8, "layer_count": 1, "head_count": 2, "ff_dim": 12,
                         "max_positions": 8}, "train": {"epochs": 1, "warmup_steps": 0}}
 
     def argv(self, tmp_path, command, row_file=None, last=None) -> list[str]:
         """command over good files in tmp_path, with last in place of
         row_file's last record, or given as the value of flag row_file."""
-        from smclm.encoders import write_embedding_file
+        from smclm.encoders import FileBackedEncoder, write_embedding_file
 
         for name, (first, good_last) in self.GOOD.items():
             (tmp_path / name).write_text(f"{first}\n{last if name == row_file else good_last}\n")
-        enc = HashedBagEncoder(dim=16)
+        enc = HashedBagEncoder(dim=8)
         write_embedding_file(f"{tmp_path}/table.smem", {t: enc.encode(t) for t in self.TABLE_TEXTS})
         (tmp_path / "cfg.json").write_text(last if row_file == "cfg.json" else json.dumps(self.CONFIG))
         flag = [row_file, last] if row_file and row_file.startswith("--") else []
@@ -1315,8 +1315,12 @@ class TestBadInput:
                     "--out", f"{tmp_path}/m.smck", "--config", f"{tmp_path}/cfg.json",
                     "--encoder", "hashed-bag", *flag]
         if command == "generate":
+            # in.txt's rows read the table; the good run needs hashed-bag,
+            # since no table holds the candidates that selection encodes
             (tmp_path / "ckpt").mkdir()
-            ckpt, _ = write_tiny_checkpoint(tmp_path / "ckpt")
+            spec = (FileBackedEncoder.load(table[1]).spec() if row_file == "in.txt"
+                    else HashedBagEncoder(dim=8).spec())
+            ckpt, _ = write_tiny_checkpoint(tmp_path / "ckpt", spec)
             return ["generate", "--checkpoint", ckpt, "--input", f"{tmp_path}/in.txt",
                     "--out", f"{tmp_path}/out.jsonl", *flag]
         if command == "evaluate":
@@ -1366,11 +1370,17 @@ class TestBadInput:
          "{dir}/fluency.jsonl:2: bad record: fluency must be a finite number"),
         ("evaluate", "--beta", "nan", "beta must be finite and > 0, got nan"),
         ("generate", "--beta", "inf", "beta must be finite and > 0, got inf"),
-        # a sentence missing from the --embeddings table
+        # a sentence missing from the --embeddings table (or generate's
+        # file-backed checkpoint)
         ("evaluate", "records.jsonl", '{"source": "b c d", "references": ["b d", "e f"]}',
          "record 1: the encoder has no vector for 1 sentence(s), first 'e f'"),
-        # train --config: misspelled sections, a section that is no object,
-        # vocab_size, an unknown key, bad JSON
+        ("generate", "in.txt", "e f",
+         "record 1: the encoder has no vector for 1 sentence(s), first 'e f'"),
+        ("calibrate-beta", "pairs.jsonl", '{"input": "the dog sat on the mat", "reference": "e f"}',
+         "{dir}/pairs.jsonl:2: bad record: the encoder has no vector for 1 sentence(s), first 'e f'"),
+        # train --config: no object, misspelled sections, a section that is
+        # no object, vocab_size, an unknown key, bad JSON
+        ("train", "cfg.json", "[1]", "{dir}/cfg.json: config must be a JSON object"),
         ("train", "cfg.json", '{"trian": {"epochs": 1}, "modle": {"embed_dim": 8}}',
          "{dir}/cfg.json: unknown section 'trian', not model or train"),
         ("train", "cfg.json", '{"model": [1]}',

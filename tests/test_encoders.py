@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,29 @@ class TestEncoderSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown encoder kind"):
             encoder_from_spec({"kind": "quantum"})
+
+
+def read_a_version_2_file(path):
+    path.write_bytes(EMBED_MAGIC + struct.pack("<III", 2, 0, 4))
+    return read_embedding_file(str(path))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda tmp: encoders.unit([1.0, np.nan]), "non-finite embedding vector"),
+    (lambda tmp: encoders.unit([0.0, 0.0]), "cannot normalize a zero vector"),
+    (lambda tmp: HashedTokenEmbedder(dim=0), "dim must be >= 1"),
+    (lambda tmp: HashedBagEncoder(dim=0), "dim must be >= 1"),
+    (lambda tmp: read_a_version_2_file(tmp / "v2.bin"), ".*v2\\.bin: unsupported embedding file version 2"),
+], ids=["non-finite", "zero", "token-dim-0", "bag-dim-0", "version-2"])
+def test_bad_input_raises(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(tmp_path)
+
+
+def test_check_covered_checks_the_width_before_any_text():
+    table = FileBackedEncoder.from_sentences({"a": [1.0, 0.0]})
+    encoders.check_covered(table, ["a", "A!"], dim=2)
+    read = []
+    with pytest.raises(ValueError, match="^encoder dim 2 must match embed_dim 3$"):
+        encoders.check_covered(table, (read.append(t) or t for t in ["b"]), dim=3)
+    assert read == []

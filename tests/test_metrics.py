@@ -126,6 +126,17 @@ class TestOriSelfBleu:
         assert self_bleu(cands) == self_bleu_loop(cands)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: ori_bleu("the cat", []), "no candidates"),
+    (lambda: calibrate_beta([], HashedBagEncoder(dim=16)), "no calibration pairs"),
+    (lambda: evaluate_corpus([{"source": "a b", "references": ["a b"], "candidates": ["b a"]}],
+                             EvalConfig()), "EvalConfig.encoder is required"),
+], ids=["ori_bleu", "calibrate_beta", "evaluate_corpus"])
+def test_no_input_or_no_encoder_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestNgramTableAgainstCounters:
     """The sparse n-gram table must give the Counter path's BLEU, oriBLEU and
     selfBLEU float for float."""

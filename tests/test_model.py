@@ -90,6 +90,12 @@ class TestConfigAndInit:
         with pytest.raises(ValueError, match="missing"):
             TransformerLM(cfg, params)
 
+    def test_param_of_another_shape_raises(self):
+        cfg = tiny_config()
+        params = {**init_params(cfg), "lnf_g": np.ones(15, np.float32)}
+        with pytest.raises(ValueError, match=r"^lnf_g: shape \(15,\), expected \(16,\)$"):
+            TransformerLM(cfg, params)
+
 
 class TestForward:
     def test_shapes_and_determinism(self):

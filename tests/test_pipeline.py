@@ -1,10 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import Recompute
 from smclm import pipeline
 from smclm.decoding import BeamSearchConfig
-from smclm.encoders import HashedBagEncoder
+from smclm.encoders import FileBackedEncoder, HashedBagEncoder
 from smclm.jsonl import read_jsonl
 from smclm.metrics import EvalConfig, evaluate_corpus, sbert_ibleu
 from smclm.model import ModelConfig, TransformerLM
@@ -83,6 +86,17 @@ class TestParaphrase:
         # with the lowest index among equals
         top = max(out.scores)
         assert out.best == out.scores.index(top)
+
+    def test_a_decoder_with_no_hypothesis_raises(self):
+        # <eos> banned and no word may repeat: the one word fills step 0, and
+        # at step 1 every token is banned, so no beam survives to finish
+        vocab = Vocabulary(["<bos>", "<eos>", "<unk>", "<pad>", "cat"])
+        model = TransformerLM(ModelConfig(vocab_size=5, embed_dim=8, layer_count=1, head_count=2,
+                                          ff_dim=12, max_positions=4))
+        beam = BeamSearchConfig(beam_count=2, group_count=2, no_repeat_ngram=1, max_length=2,
+                                banned_ids=frozenset({1}))
+        with pytest.raises(RuntimeError, match="^decoder produced no hypotheses for 'the cat'$"):
+            paraphrase(model, vocab, HashedBagEncoder(dim=8), "the cat", PipelineConfig(beam=beam))
 
     def test_empty_candidate_scores_zero(self):
         vocab = make_vocab()
@@ -179,6 +193,29 @@ class TestParaphraseBatch:
         with pytest.raises(RuntimeError, match="boom"):
             paraphrase_batch(model, vocab, Boom(dim=16), ["the cat sat", "the dog"], cfg)
 
+    def test_an_encoder_of_another_width_fails_before_the_first_decode(self, monkeypatch):
+        # a real model has a config, so its width is checked (the scripted doubles have none)
+        calls = []
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        vocab = make_vocab()
+        model = TransformerLM(ModelConfig(vocab_size=len(vocab), embed_dim=16, layer_count=1,
+                                          head_count=2, ff_dim=24, max_positions=10))
+        with pytest.raises(ValueError, match=r"^encoder dim 32 must match embed_dim 16$"):
+            paraphrase_batch(model, vocab, HashedBagEncoder(dim=32), ["the cat sat"],
+                             PipelineConfig())
+        assert calls == []
+
+    def test_a_table_gap_names_its_record_before_the_first_decode(self, monkeypatch):
+        model, vocab, encoder, cfg = scripted_setup()
+        calls = []
+        monkeypatch.setattr(pipeline, "diverse_beam_search", lambda *a: calls.append(a) or [])
+        table = FileBackedEncoder.from_sentences({s: encoder.encode(s)
+                                                  for s in ["the cat sat", "the dog"]})
+        with pytest.raises(ValueError, match=r"^record 2: the encoder has no vector for 1 "
+                                             r"sentence\(s\), first 'the cat'$"):
+            paraphrase_batch(model, vocab, table, ["the cat sat", "the dog", "the cat", "cat"], cfg)
+        assert calls == []
+
 
 class TestCandidateFiles:
     def test_round_trip(self, tmp_path):
@@ -201,3 +238,19 @@ class TestCandidateFiles:
         path.write_text('{"source": "a"}\nnot json\n')
         with pytest.raises(ValueError, match=r"cands\.jsonl:2"):
             read_jsonl(str(path))
+
+
+class TestReadmeLibraryUse:
+    def test_the_example_runs_on_200_sentences(self, tmp_path, monkeypatch, capsys):
+        # with TrainConfig's fine-tuning defaults (2000 warmup steps) it
+        # raised on any train.txt of 7,968 sentences or fewer
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        code = re.search(r"```python\n(.*?)```", readme.split("## Library use", 1)[1], re.S)[1]
+        nouns = "cat dog bird horse river cloud stone apple house boat".split()
+        verbs = "moves turns rests falls rises waits runs sings jumps sits".split()
+        lines = [f"the {nouns[i % 10]} {verbs[i // 10 % 10]} on the {nouns[(i * 3 + 1) % 10]}"
+                 for i in range(200)]
+        (tmp_path / "train.txt").write_text("".join(line + "\n" for line in lines))
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out.count("\n") == 1

@@ -94,6 +94,11 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="empty corpus"):
             build_vocabulary(iter([]))
 
+    @pytest.mark.parametrize("min_freq", [0, -1])
+    def test_min_freq_below_one_raises(self, min_freq):
+        with pytest.raises(ValueError, match="^min_freq must be >= 1$"):
+            build_vocabulary(["a b"], min_freq=min_freq)
+
     def test_nothing_reaches_min_freq_raises(self):
         with pytest.raises(ValueError):
             build_vocabulary(["a b"], min_freq=3)
@@ -204,6 +209,12 @@ class TestVocabularyFile:
         lines = path.read_text(encoding="utf-8").splitlines()
         for i, tok in enumerate(lines):
             assert loaded.token_id(tok) == i or tok == "<unk>"
+
+    def test_trailing_blank_lines_are_dropped(self, tmp_path):
+        # an editor's final newlines add no empty-string token after the last id
+        path = tmp_path / "vocab.txt"
+        path.write_text("<bos>\n<eos>\n<unk>\n<pad>\ncat\n\n\n", encoding="utf-8")
+        assert load_vocabulary(str(path)).tokens == ("<bos>", "<eos>", "<unk>", "<pad>", "cat")
 
     def test_too_small_file_raises(self, tmp_path):
         path = tmp_path / "vocab.txt"

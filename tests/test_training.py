@@ -269,6 +269,17 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="non-finite loss .* at step 1"):
             train(model, vocab, SENTENCES, cfg, encoder=encoder)
 
+    def test_an_encoder_of_another_width_fails_before_any_encode(self, monkeypatch):
+        # it once encoded the whole corpus, then failed on the injection shape
+        model, vocab, _ = small_setup()
+        encoded = []
+        encode = HashedBagEncoder.encode
+        monkeypatch.setattr(HashedBagEncoder, "encode", lambda e, s: encoded.append(s) or encode(e, s))
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=3, epochs=1, warmup_steps=0)
+        with pytest.raises(ValueError, match=r"^encoder dim 32 must match embed_dim 16$"):
+            train(model, vocab, SENTENCES, cfg, encoder=HashedBagEncoder(dim=32))
+        assert encoded == []
+
     def test_empty_corpus(self):
         model, vocab, encoder = small_setup()
         cfg = TrainConfig(learning_rate=1e-3, warmup_steps=0)
