@@ -1,9 +1,10 @@
 """Corpus assembly and paraphrase-group dataset splits.
 
-build_corpus draws one sentence per admitted document from nested
-domain/source pools, rejecting short or non-English-looking documents and
-repeated sentences. Groups of mutual paraphrases are split whole, so no
-sentence can straddle train/valid/test.
+split_sentences finds the terminators with ``str.find`` and matches the
+boundary pattern once per run of them. build_corpus draws one sentence per
+admitted document from nested domain/source pools, rejecting short or
+non-English-looking documents and repeated sentences. Groups of mutual
+paraphrases are split whole, so no sentence can straddle train/valid/test.
 """
 
 from __future__ import annotations
@@ -49,11 +50,27 @@ def split_sentences(text: str) -> list[str]:
     """Rule-based splitting on sentence punctuation before an uppercase/quote.
 
     A lone period after a stop-listed abbreviation is not a boundary, so
-    "Dr. Smith arrived. He left." yields two sentences. Each period's word
-    is searched for in a bounded window, so splitting is linear in len(text).
+    "Dr. Smith arrived. He left." yields two sentences. The terminators are
+    found with ``str.find`` and ``_BOUNDARY`` is matched once per run of them,
+    at its first mark: whether a run ends a sentence depends only on what
+    follows its last mark, so these are the matches ``_BOUNDARY.finditer``
+    makes. Each period's word is searched for in a bounded window, so
+    splitting is linear in len(text), punctuation runs included.
     """
+    marks = []
+    for terminator in ".?!":
+        i = text.find(terminator)
+        while i >= 0:
+            marks.append(i)
+            i = text.find(terminator, i + 1)
+    marks.sort()
     cuts = []
-    for m in _BOUNDARY.finditer(text):
+    for i, before in zip(marks, [-2, *marks]):
+        if i == before + 1:  # inside a run: the match at the run's first mark decided it
+            continue
+        m = _BOUNDARY.match(text, i)
+        if m is None:
+            continue
         if m.group(1) == ".":
             end = m.start(1)
             last = _LAST_RUN.search(text, max(0, end - _ABBREVIATION_WINDOW), end)

@@ -116,10 +116,8 @@ def build_vocabulary(corpus: Iterable[str], min_freq: int = 1) -> Vocabulary:
         counts.update(words("\n".join(chunk)))
     if not seen_any:
         raise ValueError("empty corpus")
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq and t not in SPECIAL_TOKENS),
-        key=lambda t: (-counts[t], t),
-    )
+    kept = sorted(t for t, c in counts.items() if c >= min_freq and t not in SPECIAL_TOKENS)
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: equal counts stay lexicographic
     if not kept:
         raise ValueError(f"no token reaches min_freq={min_freq}")
     return Vocabulary(SPECIAL_TOKENS + tuple(kept))

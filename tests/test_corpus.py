@@ -133,6 +133,50 @@ class TestSplitSentences:
         assert elapsed < 1, f"runtime {elapsed:.2f}s exceeds the 1s bound"
         assert out == sentences
 
+    @pytest.mark.parametrize("run", ["." * 20_000, "?!" * 10_000], ids=["periods", "alternating"])
+    @pytest.mark.parametrize("after", ["b", " b", "\n", " B"], ids=["letter", "space", "newline", "capital"])
+    def test_punctuation_run_splits_in_linear_time(self, run, after):
+        # a regex scan retried the match at every mark of the run, each try
+        # backtracking over the rest of it: about 7 s for such a run
+        text = "a" + run + after
+        start = time.monotonic()
+        out = split_sentences(text)
+        elapsed = time.monotonic() - start
+        assert elapsed < 1, f"runtime {elapsed:.2f}s exceeds the 1s bound"
+        assert out == (["a" + run, "B"] if after == " B" else [text.strip()])
+
+    @pytest.mark.parametrize("text, expected", [
+        ("A! " * 100_000, ["A!"] * 100_000),
+        ("A " + "! " * 100_000, ["A " + "! " * 99_999 + "!"]),
+    ], ids=["sentences", "no-boundary"])
+    def test_text_dense_with_terminators_splits_in_linear_time(self, text, expected):
+        start = time.monotonic()
+        out = split_sentences(text)
+        elapsed = time.monotonic() - start
+        assert elapsed < 1, f"runtime {elapsed:.2f}s exceeds the 1s bound"
+        assert out == expected
+
+    def test_punctuation_runs_equal_the_full_prefix_oracle(self):
+        # short runs only: the oracle's own scan is quadratic in a run
+        rng = random.Random(29)
+        words = ["cat", "Dog", "e.g", "Dr", "no", "x1", "é", "Σ"]
+        gaps = ["", " ", "\n", "\x85", "\u2028", " \x85", "\u2028 "]
+        starts = ["Next", "A", "b", "7", '"Go', "'so", "“Q", "‘q", "é"]
+
+        def ends():
+            if rng.random() < 0.5:
+                return "".join(rng.choice(".?!") for _ in range(rng.randint(2, 12)))
+            return rng.choice(".?!")
+
+        for _ in range(3000):
+            parts = []
+            for _ in range(rng.randint(1, 6)):
+                parts += [rng.choice(words), rng.choice(gaps), ends()]
+                # a terminator followed directly by a letter or a digit
+                parts += [rng.choice(["", "", rng.choice("aZ9é")]), rng.choice(gaps), rng.choice(starts)]
+            text = "".join(parts)
+            assert split_sentences(text) == split_sentences_full_prefix(text), repr(text)
+
 
 class TestLangFilter:
     def test_plain_english_passes(self):
