@@ -15,13 +15,7 @@ from .corpus import (
     split_groups,
     split_sentences,
 )
-from .decoding import (
-    BeamSearchConfig,
-    Hypothesis,
-    beam_search,
-    diverse_beam_search,
-    greedy_decode,
-)
+from .decoding import BeamSearchConfig, Hypothesis, diverse_beam_search
 from .encoders import (
     FileBackedEncoder,
     HashedBagEncoder,
@@ -71,7 +65,6 @@ __all__ = [
     "TrainReport",
     "TransformerLM",
     "Vocabulary",
-    "beam_search",
     "bert_ibleu",
     "bleu",
     "build_corpus",
@@ -82,7 +75,6 @@ __all__ = [
     "evaluate_corpus",
     "evaluate_nll",
     "flatten_unsupervised",
-    "greedy_decode",
     "ibleu_combine",
     "load_checkpoint",
     "load_vocabulary",

@@ -65,9 +65,17 @@ def load_checkpoint(path: str) -> tuple[TransformerLM, dict]:
         version, blob_len = struct.unpack("<II", _read_exact(f, 8, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(_read_exact(f, blob_len, "metadata blob").decode("utf-8"))
-        config = ModelConfig.from_dict(meta["config"])
+        blob = _read_exact(f, blob_len, "metadata blob")
+        try:
+            meta = json.loads(blob.decode("utf-8"))
+            config = ModelConfig(**meta["config"])
+        except KeyError:
+            raise ValueError(f"{path}: metadata holds no model config") from None
+        except (TypeError, ValueError) as e:  # not JSON, not an object, or a bad field
+            raise ValueError(f"{path}: bad metadata: {e}") from e
         tokens = meta.get("vocab")
+        if tokens is not None and not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ValueError(f"{path}: bad metadata: vocab is not a list of strings")
         if tokens is not None and len(tokens) != config.vocab_size:
             raise ValueError(f"{path}: stored vocabulary has {len(tokens)} tokens, not {config.vocab_size}")
         params = {}

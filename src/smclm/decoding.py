@@ -1,7 +1,9 @@
 """Diversity-grouped beam decoding, with plain beam and greedy as its cases.
 
-``diverse_beam_search`` is the one decode loop: ``beam_search`` is one group
-with no diversity penalty, and ``greedy_decode`` is width-one beam search.
+``diverse_beam_search`` is the one decode loop. Plain beam search is its
+``group_count=1`` case with no penalty: a lone group has no earlier group to
+penalize it, so ``diversity_strength`` plays no part. Greedy decoding is
+``beam_count=1``, width-one beam search with ties to the lowest id.
 The model is a next-token distribution behind ``TransformerLM``'s two
 decoding calls: ``start(injection)`` scores the first token from the
 injected vector (or <bos> when decoding an unconditioned model), and each
@@ -104,15 +106,6 @@ def banned_next_tokens(tokens: tuple[int, ...], n: int) -> set[int]:
     }
 
 
-def greedy_decode(model, injection, max_length: int, eos_id: int = EOS_ID) -> list[int]:
-    """Width-one beam search; ties to the lowest id; the terminal eos is dropped.
-
-    A model whose first choice is eos yields an empty sequence.
-    """
-    tokens = beam_search(model, injection, 1, max_length, eos_id=eos_id)[0].tokens
-    return list(tokens[:-1] if tokens and tokens[-1] == eos_id else tokens)
-
-
 @dataclass
 class _Beam:
     tokens: tuple[int, ...]
@@ -188,31 +181,6 @@ def _rank(pool: list[Hypothesis], alpha: float, width: int) -> list[Hypothesis]:
         enumerate(pool), key=lambda p: (-p[1].ranking_score(alpha), len(p[1].tokens), p[0])
     )
     return [h for _, h in ordered[:width]]
-
-
-def beam_search(
-    model,
-    injection,
-    beam_count: int,
-    max_length: int,
-    no_repeat_ngram: int = 0,
-    length_alpha: float = 1.0,
-    eos_id: int = EOS_ID,
-) -> list[Hypothesis]:
-    """Plain beam search: diverse beam search with one group and no penalty."""
-    return diverse_beam_search(
-        model,
-        injection,
-        BeamSearchConfig(
-            beam_count=beam_count,
-            group_count=1,
-            diversity_strength=0.0,
-            no_repeat_ngram=no_repeat_ngram,
-            max_length=max_length,
-            length_alpha=length_alpha,
-            eos_id=eos_id,
-        ),
-    )
 
 
 def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothesis]:

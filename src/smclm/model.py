@@ -117,10 +117,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 def param_entries(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Fixed (name, shape, kind) order; also the init draw order and file order."""
@@ -497,8 +493,8 @@ class TransformerLM:
         return log_softmax(logits), cache
 
     def _loss(self, examples, with_grads: bool):
-        """The one next-token loss body behind nll, nll_and_grads,
-        batch_nll_and_grads and training.evaluate_nll.
+        """The one next-token loss body behind nll, batch_nll_and_grads and
+        training.evaluate_nll.
 
         ``examples`` are (tokens, injection) pairs, all checked before any
         pass runs. ``_micro_batches`` sorts them by input length and cuts
@@ -591,11 +587,6 @@ class TransformerLM:
         losses, lps, _ = self._loss([(tokens, injection)], with_grads=False)
         return losses[0], lps[0]
 
-    def nll_and_grads(self, tokens, injection: np.ndarray | None = None):
-        """Loss, per-token log-probs, and exact gradients of the mean NLL."""
-        losses, lps, grads = self._loss([(tokens, injection)], with_grads=True)
-        return losses[0], lps[0], grads
-
     def _backward(self, dy, acts, t, embedded, ids, grads) -> None:
         """Add the gradients of one padded ``_blocks`` pass below the
         vocabulary head into ``grads``.
@@ -667,10 +658,6 @@ class TransformerLM:
         """
         losses, _, grads = self._loss(batch, with_grads=True)
         return sum(losses) / len(batch), grads
-
-    def bos_embedding(self) -> np.ndarray:
-        """The <bos> input row; injecting it must reproduce the plain forward."""
-        return self.params["tok_emb"][BOS_ID].copy()
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

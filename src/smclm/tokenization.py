@@ -68,15 +68,11 @@ class Vocabulary:
             raise ValueError(f"first four tokens must be {SPECIAL_TOKENS}")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate token in vocabulary")
-        object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.tokens)})
         # what tokenize maps: words only, so a text word spelled like a marker is <unk>
         object.__setattr__(self, "_word_ids", dict(zip(self.tokens[4:], range(4, len(self)))))
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def token_id(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
 
     def tokenize(self, text: str) -> list[int]:
         """Map text to token ids; unknown words, and words spelled like a

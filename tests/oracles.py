@@ -18,8 +18,11 @@ slots in a NumPy array. ``batch_nll_and_grads_loop`` is the per-example
 training loss the batched loss body replaced. ``select_full_vocabulary`` is
 one group's beam selection over a full ``(b, V)`` score array, the body the
 decoder's shortlist walks must equal, ``banned_next_tokens_scan`` is the
-n-gram ban as a slice per prefix position, and ``acceptable_count_per_char`` is
-the language filter's per-character count. ``split_sentences_full_prefix`` is the
+n-gram ban as a slice per prefix position, ``reference_dbs`` is diverse beam
+search as a straight loop over every prefix's full ``forward`` (``next_lp``),
+the decoder's independent reference at any group count, one included, and
+``acceptable_count_per_char`` is the language filter's per-character count.
+``split_sentences_full_prefix`` is the
 sentence splitter searching the whole text before each period for its word, and
 ``build_vocabulary_per_sentence`` counts the vocabulary one ``words`` call per
 sentence; they are the bodies the windowed splitter and the chunked count must
@@ -45,7 +48,7 @@ from collections import Counter
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, logsumexp
 
 from smclm.corpus import _BOUNDARY, ABBREVIATIONS, default_lang_filter, split_sentences
 from smclm.decoding import BeamSearchConfig, Hypothesis, _Beam, banned_next_tokens
@@ -341,14 +344,14 @@ def bag_encode_accumulating(encoder: HashedBagEncoder, sentence: str) -> np.ndar
 def batch_nll_and_grads_loop(model, batch):
     """Mean loss and equally weighted mean gradients, one example at a time.
 
-    Each example runs alone through ``nll_and_grads`` (no padding, one
+    Each example runs alone, as a batch of one (no padding, one
     micro-batch); its gradients are scaled by 1/B and summed.
     """
     total = 0.0
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     inv = 1.0 / len(batch)
     for tokens, injection in batch:
-        loss, _, g = model.nll_and_grads(tokens, injection)
+        loss, g = model.batch_nll_and_grads([(tokens, injection)])
         total += loss
         for name in grads:
             grads[name] += g[name] * np.asarray(inv, dtype=model.dtype)
@@ -436,6 +439,64 @@ def select_full_vocabulary(lp: np.ndarray, live: list[_Beam], chosen: list[int],
         else:
             new_live.append(_Beam(tokens, log_prob, score[bi, w], parent.row))
     return new_live, finished, picks
+
+
+def next_lp(model, prefix, injection):
+    """The float64 next-token log-probs after ``prefix``, from a full
+    ``forward`` and scipy's logsumexp."""
+    if injection is None:
+        logits = model.forward([BOS_ID] + list(prefix))
+    else:
+        logits = model.forward(list(prefix), injection)
+    z = logits[-1].astype(np.float64)
+    return z - logsumexp(z)
+
+
+def reference_dbs(model, injection, cfg: BeamSearchConfig):
+    """Straight-line reimplementation of the documented selection rules."""
+    per_group = cfg.beam_count // cfg.group_count
+    groups = [[((), 0.0, 0.0)] for _ in range(cfg.group_count)]  # (tokens, lp, sel)
+    done: list[list[tuple[tuple, float]]] = [[] for _ in range(cfg.group_count)]
+    for _ in range(cfg.max_length):
+        if not any(groups):
+            break
+        used: dict[int, int] = {}
+        for g in range(cfg.group_count):
+            if not groups[g]:
+                continue
+            cands = []
+            for bi, (toks, lp_sum, sel) in enumerate(groups[g]):
+                lp = next_lp(model, toks, injection)
+                banned = banned_next_tokens(toks, cfg.no_repeat_ngram) | cfg.banned_ids
+                for w in range(lp.shape[0]):
+                    if w in banned:
+                        continue
+                    pen = cfg.diversity_strength * used.get(w, 0)
+                    cands.append((sel + lp[w] - pen, w, len(toks), bi, lp[w]))
+            cands.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+            survivors = []
+            for score, w, _, bi, lpw in cands[:per_group]:
+                toks, lp_sum, _ = groups[g][bi]
+                grown = toks + (w,)
+                used[w] = used.get(w, 0) + 1
+                if w == cfg.eos_id:
+                    done[g].append((grown, lp_sum + lpw))
+                else:
+                    survivors.append((grown, lp_sum + lpw, score))
+            groups[g] = survivors
+    out = []
+    for g in range(cfg.group_count):
+        pool = done[g] + [(toks, lp_sum) for toks, lp_sum, _ in groups[g]]
+        ranked = sorted(
+            enumerate(pool),
+            key=lambda p: (
+                -(p[1][1] / max(1, len(p[1][0])) ** cfg.length_alpha),
+                len(p[1][0]),
+                p[0],
+            ),
+        )
+        out.extend((g, toks, lp_sum) for _, (toks, lp_sum) in ranked[:per_group])
+    return out
 
 
 class Recompute:

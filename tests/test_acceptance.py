@@ -5,13 +5,14 @@ criterion (see conftest)."""
 import contextlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import ClusterOracleEncoder, Recompute, oracle_bleu, oracle_rouge_l
+from oracles import ClusterOracleEncoder, Recompute, oracle_bleu, oracle_rouge_l, reference_dbs
 from smclm.corpus import ParaphraseGroup, build_corpus, split_groups
-from smclm.decoding import BeamSearchConfig, beam_search, diverse_beam_search
+from smclm.decoding import BeamSearchConfig, diverse_beam_search
 from smclm.encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
 from smclm.metrics import EvalConfig, bleu, calibrate_beta_from_scores, evaluate_corpus, rouge_l
 from smclm.model import ModelConfig, TransformerLM
@@ -149,7 +150,7 @@ def test_c05_gradient_correctness():
         inj = rng.normal(size=32)
         inj /= np.linalg.norm(inj)
         body = [5, 9, 6, 4, 10, 12, EOS_ID]
-        _, _, grads = model.nll_and_grads(body, inj)
+        _, grads = model.batch_nll_and_grads([(body, inj)])
         eps = 1e-3
         for cls, markers in GRAD_CLASSES.items():
             names = [
@@ -191,7 +192,7 @@ def test_c06_injection_identity():
         model = TransformerLM(cfg)
         body = [5, 6, 7, 4, 9]
         plain = model.forward([BOS_ID] + body)
-        injected = model.forward(body, model.bos_embedding())
+        injected = model.forward(body, model.params["tok_emb"][BOS_ID])
         assert plain.tobytes() == injected.tobytes()
 
 
@@ -299,8 +300,9 @@ def _walk_group(lp, eos, n, strength, prior_picks, max_len):
 
 
 def test_c08_diverse_beam_search():
-    """(a) G=1 equals standard beam; (b) bigram constraint on 100 random
-    models; (c) hand-set 3-token case equals the enumeration oracle."""
+    """(a) G=1 equals standard beam, an independent reference with no
+    penalty; (b) bigram constraint on 100 random models; (c) hand-set
+    3-token case equals the enumeration oracle."""
     with within(30):
         for seed in range(20):
             model = _tiny_model(seed)
@@ -308,10 +310,10 @@ def test_c08_diverse_beam_search():
                 cfg = BeamSearchConfig(beam_count=4, group_count=1, diversity_strength=0.6,
                                        no_repeat_ngram=nr, max_length=6)
                 dbs = diverse_beam_search(model, None, cfg)
-                std = beam_search(model, None, beam_count=4, max_length=6, no_repeat_ngram=nr)
-                assert [h.tokens for h in dbs] == [h.tokens for h in std], seed
+                std = reference_dbs(model, None, replace(cfg, diversity_strength=0.0))
+                assert [h.tokens for h in dbs] == [toks for _, toks, _ in std], seed
                 assert [h.log_prob for h in dbs] == pytest.approx(
-                    [h.log_prob for h in std], abs=1e-12
+                    [lp_sum for _, _, lp_sum in std], abs=1e-12
                 )
 
         for seed in range(100):

@@ -118,6 +118,33 @@ class TestCorruption:
         with pytest.raises(ValueError, match=f"stored vocabulary has {size} tokens, not 11"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda blob: blob.replace(b'"config"', b'"cfg"'), "metadata holds no model config"),
+        (lambda blob: blob[:-1] + b" ", "bad metadata: Expecting ',' delimiter: .*"),
+        (lambda blob: b"\xff" + blob[1:], "bad metadata: 'utf-8' codec can't decode byte 0xff .*"),
+        (lambda blob: b"[" + blob + b"]", "bad metadata: list indices must be integers .*"),
+        (lambda blob: blob.replace(b'"config": {', b'"config": [{', 1).replace(b"}, ", b"}], ", 1),
+         "bad metadata: .*must be a mapping, not list"),
+        (lambda blob: blob.replace(b'"config": {', b'"config": {"bogus": 1, ', 1),
+         "bad metadata: .*unexpected keyword argument 'bogus'"),
+        (lambda blob: blob.replace(b'"embed_dim": 8', b'"embed_dim": 0', 1),
+         "bad metadata: embed_dim must be >= 1, got 0"),
+        (lambda blob: blob.replace(b'"vocab": null', b'"vocab": 5', 1),
+         "bad metadata: vocab is not a list of strings"),
+        (lambda blob: blob.replace(b'"vocab": null', b'"vocab": [0]', 1),
+         "bad metadata: vocab is not a list of strings"),
+    ], ids=["missing", "not JSON", "not UTF-8", "not an object", "list", "unknown field",
+            "out of range", "vocab not a list", "vocab entry not a string"])
+    def test_bad_metadata_names_the_file(self, model, tmp_path, edit, message):
+        # each of these once raised an error that did not name the file
+        path = self.write_good(model, tmp_path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        blob = edit(raw[12 : 12 + blob_len])
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path)
+
     def test_trailing_bytes(self, model, tmp_path):
         path = self.write_good(model, tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")

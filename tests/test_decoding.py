@@ -3,19 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
-from oracles import Recompute, banned_next_tokens_scan, select_full_vocabulary
-from smclm import decoding
-from smclm.decoding import (
-    BeamSearchConfig,
-    Hypothesis,
-    banned_next_tokens,
-    beam_search,
-    diverse_beam_search,
-    greedy_decode,
+from oracles import (
+    Recompute,
+    banned_next_tokens_scan,
+    next_lp,
+    reference_dbs,
+    select_full_vocabulary,
 )
+from smclm import decoding
+from smclm.decoding import BeamSearchConfig, Hypothesis, banned_next_tokens, diverse_beam_search
 from smclm.model import ModelConfig, TransformerLM
+from smclm.tokenization import EOS_ID
 
 
 class RowModel:
@@ -42,15 +41,6 @@ def random_model(seed, vocab_size=13):
     return TransformerLM(cfg)
 
 
-def next_lp(model, prefix, injection):
-    if injection is None:
-        logits = model.forward([0] + list(prefix))
-    else:
-        logits = model.forward(list(prefix), injection)
-    z = logits[-1].astype(np.float64)
-    return z - logsumexp(z)
-
-
 def reference_greedy(model, injection, max_length, eos_id, banned=()):
     """Argmax over the raw last logits row less the banned ids, ties to the
     lowest id, until eos."""
@@ -66,51 +56,12 @@ def reference_greedy(model, injection, max_length, eos_id, banned=()):
     return out
 
 
-def reference_dbs(model, injection, cfg: BeamSearchConfig):
-    """Straight-line reimplementation of the documented selection rules."""
-    per_group = cfg.beam_count // cfg.group_count
-    groups = [[((), 0.0, 0.0)] for _ in range(cfg.group_count)]  # (tokens, lp, sel)
-    done: list[list[tuple[tuple, float]]] = [[] for _ in range(cfg.group_count)]
-    for _ in range(cfg.max_length):
-        if not any(groups):
-            break
-        used: dict[int, int] = {}
-        for g in range(cfg.group_count):
-            if not groups[g]:
-                continue
-            cands = []
-            for bi, (toks, lp_sum, sel) in enumerate(groups[g]):
-                lp = next_lp(model, toks, injection)
-                banned = banned_next_tokens(toks, cfg.no_repeat_ngram) | cfg.banned_ids
-                for w in range(lp.shape[0]):
-                    if w in banned:
-                        continue
-                    pen = cfg.diversity_strength * used.get(w, 0)
-                    cands.append((sel + lp[w] - pen, w, len(toks), bi, lp[w]))
-            cands.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-            survivors = []
-            for score, w, _, bi, lpw in cands[:per_group]:
-                toks, lp_sum, _ = groups[g][bi]
-                grown = toks + (w,)
-                used[w] = used.get(w, 0) + 1
-                if w == cfg.eos_id:
-                    done[g].append((grown, lp_sum + lpw))
-                else:
-                    survivors.append((grown, lp_sum + lpw, score))
-            groups[g] = survivors
-    out = []
-    for g in range(cfg.group_count):
-        pool = done[g] + [(toks, lp_sum) for toks, lp_sum, _ in groups[g]]
-        ranked = sorted(
-            enumerate(pool),
-            key=lambda p: (
-                -(p[1][1] / max(1, len(p[1][0])) ** cfg.length_alpha),
-                len(p[1][0]),
-                p[0],
-            ),
-        )
-        out.extend((g, toks, lp_sum) for _, (toks, lp_sum) in ranked[:per_group])
-    return out
+def greedy(model, injection, max_length, eos_id=EOS_ID):
+    """Greedy decoding: a width-one beam, with its final eos dropped."""
+    cfg = BeamSearchConfig(beam_count=1, group_count=1, diversity_strength=0.0,
+                           no_repeat_ngram=0, max_length=max_length, eos_id=eos_id)
+    tokens = diverse_beam_search(model, injection, cfg)[0].tokens
+    return list(tokens[:-1] if tokens[-1:] == (eos_id,) else tokens)
 
 
 class TestConfig:
@@ -157,7 +108,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="eos_id must be < vocab_size=4, got 4"):
             diverse_beam_search(m, None, cfg)
         with pytest.raises(ValueError, match="eos_id must be < vocab_size=4, got 9"):
-            greedy_decode(m, None, max_length=4, eos_id=9)
+            greedy(m, None, max_length=4, eos_id=9)
         assert selected == []
         monkeypatch.undo()  # "no eos" is a ban on an in-range eos
         hyps = diverse_beam_search(m, None, replace(cfg, eos_id=3, banned_ids={3}))
@@ -192,15 +143,15 @@ class TestBannedNextTokens:
 class TestGreedy:
     def test_repeats_argmax_until_cap(self):
         m = Recompute(RowModel([1.0, 0.7, 0.0]))
-        assert greedy_decode(m, None, max_length=4, eos_id=2) == [0, 0, 0, 0]
+        assert greedy(m, None, max_length=4, eos_id=2) == [0, 0, 0, 0]
 
     def test_stops_at_eos_and_drops_it(self):
         m = Recompute(RowModel([0.5, 0.0, 1.0]))
-        assert greedy_decode(m, None, max_length=4, eos_id=2) == []
+        assert greedy(m, None, max_length=4, eos_id=2) == []
 
     def test_argmax_tie_takes_lowest_id(self):
         m = Recompute(RowModel([0.0, 0.0, -1.0, -1.0]))
-        assert greedy_decode(m, None, max_length=2, eos_id=3) == [0, 0]
+        assert greedy(m, None, max_length=2, eos_id=3) == [0, 0]
 
     def test_matches_width_one_beam_on_random_models(self):
         # greedy is width-one beam search; the oracle is a plain argmax loop
@@ -211,7 +162,7 @@ class TestGreedy:
             if seed % 2:
                 v = rng.normal(size=16)
                 inj = (v / np.linalg.norm(v)).astype(np.float32)
-            got = greedy_decode(model, inj, max_length=6, eos_id=1)
+            got = greedy(model, inj, max_length=6, eos_id=1)
             assert got == reference_greedy(model, inj, 6, 1), seed
             # no eos: width-one beam search with the in-range eos banned
             cfg = BeamSearchConfig(beam_count=1, group_count=1, diversity_strength=0.0,
@@ -276,7 +227,9 @@ class TestHandComputedDiverseBeam:
 
     def test_unigram_constraint_forces_distinct_walk(self):
         m = Recompute(RowModel([3.0, 2.0, 1.0, 0.0]))
-        hyps = beam_search(m, None, beam_count=1, max_length=8, no_repeat_ngram=1, eos_id=3)
+        cfg = BeamSearchConfig(beam_count=1, group_count=1, diversity_strength=0.0,
+                               no_repeat_ngram=1, max_length=8, eos_id=3)
+        hyps = diverse_beam_search(m, None, cfg)
         assert hyps[0].tokens == (0, 1, 2, 3)
 
     def test_every_extension_banned_ends_the_group(self):
@@ -289,7 +242,9 @@ class TestHandComputedDiverseBeam:
 
     def test_all_equal_logits_tie_breaks(self):
         m = Recompute(RowModel([0.0, 0.0, 0.0, 0.0]))
-        hyps = beam_search(m, None, beam_count=2, max_length=2, eos_id=3)
+        cfg = BeamSearchConfig(beam_count=2, group_count=1, diversity_strength=0.0,
+                               no_repeat_ngram=0, max_length=2, eos_id=3)
+        hyps = diverse_beam_search(m, None, cfg)
         # ties resolve to lower token ids, then earlier parent beams
         assert [h.tokens for h in hyps] == [(0, 0), (1, 0)]
 
@@ -326,6 +281,8 @@ class TestAgainstReference:
                     assert h.log_prob == pytest.approx(lp_sum, abs=1e-9)
 
     def test_single_group_equals_standard_beam(self):
+        # one group has no earlier group to penalize it: plain beam search,
+        # checked against the reference with no penalty
         for seed in range(6):
             model = random_model(200 + seed)
             for nr in (0, 2):
@@ -337,10 +294,10 @@ class TestAgainstReference:
                     max_length=6,
                 )
                 dbs = diverse_beam_search(model, None, cfg)
-                std = beam_search(model, None, beam_count=4, max_length=6, no_repeat_ngram=nr)
-                assert [h.tokens for h in dbs] == [h.tokens for h in std]
+                std = reference_dbs(model, None, replace(cfg, diversity_strength=0.0))
+                assert [h.tokens for h in dbs] == [toks for _, toks, _ in std]
                 assert [h.log_prob for h in dbs] == pytest.approx(
-                    [h.log_prob for h in std], abs=1e-12
+                    [lp_sum for _, _, lp_sum in std], abs=1e-12
                 )
 
 
@@ -424,9 +381,9 @@ class TestCachedAgainstRecompute:
         v = np.random.default_rng(6).normal(size=64)
         inj = (v / np.linalg.norm(v)).astype(np.float32)
         for injection in (None, inj):
-            got = greedy_decode(model, injection, 16, eos_id=5)
+            got = greedy(model, injection, 16, eos_id=5)
             assert len(got) == 16
-            assert got == greedy_decode(Recompute(model), injection, 16, eos_id=5)
+            assert got == greedy(Recompute(model), injection, 16, eos_id=5)
 
 
 class TestPositionWindow:
@@ -450,9 +407,9 @@ class TestPositionWindow:
         with pytest.raises(ValueError, match="max_positions=12"):
             diverse_beam_search(model, None, cfg)
         with pytest.raises(ValueError, match="max_positions=12"):
-            beam_search(model, None, beam_count=2, max_length=13)
+            diverse_beam_search(model, None, replace(cfg, group_count=1, diversity_strength=0.0))
         with pytest.raises(ValueError, match="max_positions=12"):
-            greedy_decode(model, None, max_length=13)
+            greedy(model, None, max_length=13)
         assert calls == []
 
     def test_max_length_equal_to_window_decodes(self):
@@ -555,7 +512,9 @@ class TestShortlistAgainstFullVocabulary:
                                no_repeat_ngram=1, max_length=4, eos_id=2, banned_ids={2})
         assert diverse_beam_search(m, None, cfg) == []
         m = Recompute(RowModel([0.0] * 6))
-        beam_search(m, None, beam_count=2, max_length=3, eos_id=5)
+        cfg = BeamSearchConfig(beam_count=2, group_count=1, diversity_strength=0.0,
+                               no_repeat_ngram=0, max_length=3, eos_id=5)
+        diverse_beam_search(m, None, cfg)
         assert checked
 
     def test_more_than_k_ties_at_the_cut(self):

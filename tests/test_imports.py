@@ -126,3 +126,29 @@ def test_importing_the_package_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+PUBLIC_NAMES = [
+    "AdamW", "BeamSearchConfig", "CalibrationResult", "CandidateSet", "EvalConfig",
+    "FileBackedEncoder", "HashedBagEncoder", "HashedTokenEmbedder", "Hypothesis",
+    "MetricReport", "ModelConfig", "ParaphraseGroup", "PipelineConfig", "TrainConfig",
+    "TrainReport", "TransformerLM", "Vocabulary", "bert_ibleu", "bleu", "build_corpus",
+    "build_vocabulary", "calibrate_beta", "cosine", "diverse_beam_search",
+    "evaluate_corpus", "evaluate_nll", "flatten_unsupervised", "ibleu_combine",
+    "load_checkpoint", "load_vocabulary", "lr_at_step", "make_supervised_pairs",
+    "normalize", "ori_bleu", "paraphrase", "paraphrase_batch", "read_embedding_file",
+    "rouge_l", "save_checkpoint", "save_vocabulary", "sbert_ibleu", "self_bleu",
+    "sentence_cosine_similarity", "split_groups", "split_sentences",
+    "token_match_similarity", "train", "write_embedding_file",
+]
+
+
+def test_public_names():
+    # the package's public surface, as test_flag_inventory pins the CLI's:
+    # a name added to or dropped from __all__ is a visible change here
+    import smclm
+
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert smclm.__all__ == PUBLIC_NAMES  # 48 names
+    for name in smclm.__all__:
+        assert hasattr(smclm, name), name

@@ -109,7 +109,7 @@ class TestForward:
         m = TransformerLM(tiny_config())
         body = [5, 6, 7, 4]
         plain = m.forward([BOS_ID] + body)
-        injected = m.forward(body, m.bos_embedding())
+        injected = m.forward(body, m.params["tok_emb"][BOS_ID])
         assert plain.tobytes() == injected.tobytes()
 
     def test_injection_only_position(self):
@@ -291,13 +291,16 @@ class TestLoss:
             m.nll([], inj)
 
     @pytest.mark.parametrize("injected", [False, True])
-    def test_nll_and_grads_returns_the_nll_bits(self, injected):
+    def test_grads_path_returns_the_nll_bits(self, injected):
+        # a batch of one gives the loss bits of nll, and the loss body's
+        # grads pass gives its log-prob bits
         m = TransformerLM(tiny_config())
         seq, inj = [BOS_ID, 5, 6, 7, EOS_ID], None
         if injected:
             seq, inj = seq[1:], np.random.default_rng(11).normal(size=16).astype(np.float32)
         loss, lp = m.nll(seq, inj)
-        loss_g, lp_g, _ = m.nll_and_grads(seq, inj)
+        loss_g, _ = m.batch_nll_and_grads([(seq, inj)])
+        (lp_g,) = m._loss([(seq, inj)], with_grads=True)[1]
         assert loss == loss_g
         assert lp.dtype == lp_g.dtype == np.float64
         assert lp.tobytes() == lp_g.tobytes()
@@ -316,7 +319,7 @@ class TestLoss:
         for call in (
             lambda: m.forward([5, 6], inj),
             lambda: m.nll([5, 6, EOS_ID], inj),
-            lambda: m.nll_and_grads([BOS_ID, 5, EOS_ID]),
+            lambda: m.batch_nll_and_grads([([BOS_ID, 5, EOS_ID], None)]),
         ):
             calls.clear()
             call()
@@ -475,7 +478,7 @@ class TestGradients:
         # [EOS_ID] alone is the one-position input build_examples makes
         # from a sentence with no words
         for body in ([5, 9, 6, 4, 10, EOS_ID], [EOS_ID]):
-            _, _, grads = m.nll_and_grads(body, inj)
+            _, grads = m.batch_nll_and_grads([(body, inj)])
             for name in m.params:
                 self.check_tensor(m, body, inj, grads, name, rng)
 
@@ -483,14 +486,14 @@ class TestGradients:
         m = TransformerLM(tiny_config()).astype(np.float64)
         rng = np.random.default_rng(19)
         seq = [BOS_ID, 5, 9, 6, EOS_ID]
-        _, _, grads = m.nll_and_grads(seq)
+        _, grads = m.batch_nll_and_grads([(seq, None)])
         for name in ("tok_emb", "l0.wq", "l1.w2", "lnf_g"):
             self.check_tensor(m, seq, None, grads, name, rng)
 
     def test_unused_positions_get_zero_grad(self):
         m = TransformerLM(tiny_config()).astype(np.float64)
         body = [5, 6, EOS_ID]
-        _, _, grads = m.nll_and_grads(body, np.zeros(16))
+        _, grads = m.batch_nll_and_grads([(body, np.zeros(16))])
         assert np.all(grads["pos_emb"][3:] == 0.0)
 
     def test_unused_tokens_get_zero_grad_except_head(self):
@@ -498,7 +501,7 @@ class TestGradients:
         # check instead that the injected position contributes no tok_emb row
         m = TransformerLM(tiny_config()).astype(np.float64)
         body = [5, EOS_ID]
-        _, _, g1 = m.nll_and_grads(body, np.zeros(16))
+        _, g1 = m.batch_nll_and_grads([(body, np.zeros(16))])
         assert g1["tok_emb"].shape == (13, 16)
 
 

@@ -105,7 +105,7 @@ class TestVocabulary:
 
     def test_unknown_maps_to_unk(self):
         v = build_vocabulary(["a b"])
-        assert v.tokenize("a z b") == [v.token_id("a"), UNK_ID, v.token_id("b")]
+        assert v.tokenize("a z b") == [v.tokens.index("a"), UNK_ID, v.tokens.index("b")]
 
     def test_markers_wrap_sequence(self):
         v = build_vocabulary(["a b"])
@@ -124,10 +124,10 @@ class TestVocabulary:
         v = build_vocabulary(["the <unk> token is here", "a b <bos> <eos> <pad>"])
         assert v.tokens[:4] == SPECIAL_TOKENS
         assert not set(v.tokens[4:]) & set(SPECIAL_TOKENS)
-        assert v.tokenize("<unk> token") == [UNK_ID, v.token_id("token")]
+        assert v.tokenize("<unk> token") == [UNK_ID, v.tokens.index("token")]
         # nor are they markers: training and decoding never see one mid-sentence
         assert v.tokenize("a <eos> b <pad> <bos>") == [
-            v.token_id("a"), UNK_ID, v.token_id("b"), UNK_ID, UNK_ID
+            v.tokens.index("a"), UNK_ID, v.tokens.index("b"), UNK_ID, UNK_ID
         ]
         assert v.detokenize(v.tokenize("a <eos> b")) == "a <unk> b"
 
@@ -208,7 +208,7 @@ class TestVocabularyFile:
         # line number is the id
         lines = path.read_text(encoding="utf-8").splitlines()
         for i, tok in enumerate(lines):
-            assert loaded.token_id(tok) == i or tok == "<unk>"
+            assert loaded.tokens.index(tok) == i
 
     def test_trailing_blank_lines_are_dropped(self, tmp_path):
         # an editor's final newlines add no empty-string token after the last id
