@@ -73,6 +73,9 @@ def load_checkpoint(path: str) -> tuple[TransformerLM, dict]:
             raise ValueError(f"{path}: metadata holds no model config") from None
         except (TypeError, ValueError) as e:  # not JSON, not an object, or a bad field
             raise ValueError(f"{path}: bad metadata: {e}") from e
+        # null is a clm checkpoint's: the model takes no injected embedding
+        if not isinstance(meta.get("encoder", ()), (dict, type(None))):
+            raise ValueError(f"{path}: bad metadata: encoder must be an object or null")
         tokens = meta.get("vocab")
         if tokens is not None and not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
             raise ValueError(f"{path}: bad metadata: vocab is not a list of strings")

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,14 +24,19 @@ from .tokenization import normalize
 
 DEFAULT_BETA = 2.0
 DEFAULT_MAX_N = 3
+# words in the distinct texts of one evaluate_corpus block, about five records
+# of 20 candidates and 4 references: larger blocks gained little and raised
+# the peak memory (sweep in CHANGES.md)
+WORD_BUDGET = 1600
 
 TokenEmbedder = Callable[[str], np.ndarray]
 
 
 class _WordTable(dict):
     """Each word's unit token-embedding row, embedded on first lookup, so the
-    sentences sharing a table (one record, pair or call) embed each distinct
-    word once. A row keeps the bytes ``np.linalg.norm(axis=1)`` gives it."""
+    sentences sharing a table (one block of records, a pair or a call) embed
+    each distinct word once. A row keeps the bytes ``np.linalg.norm(axis=1)``
+    gives it."""
 
     def __init__(self, token_embedder: TokenEmbedder | None):
         super().__init__()
@@ -89,33 +94,45 @@ def _bleu(c: int, matches: Sequence[int], ref_lengths: Iterable[int]) -> float:
 
 
 class _NgramTable:
-    """The 1..max_n-gram counts of a list of sentences, one entry per
-    (sentence, gram): ``row`` is the sentence's index, ``gram`` the gram's id
-    and ``count`` how often the gram occurs in that sentence.
+    """The 1..max_n-gram counts of the sentences of one or more records, one
+    entry per (sentence, gram): ``row`` is the sentence's index, ``gram`` the
+    gram's id and ``count`` how often the gram occurs in that sentence.
+    ``per_record`` gives how many sentences, in order, each record holds; by
+    default they are all one record.
 
-    Grams are told apart exactly: a word's id comes from a dict, and an
-    order-n gram's id is the dense rank of (its first n - 1 words' id, its last
-    word's id), so no key outgrows int64 whatever max_n is. Ids run order by
-    order, so the entries sorted by (row, gram) fall into (row, order) runs.
+    Grams are told apart exactly: a word's id comes from its record's dict,
+    which numbers the record's words in first-seen order after the previous
+    record's ids, and an order-n gram's id is the dense rank of (its first
+    n - 1 words' id, its last word's id), so no key outgrows int64 whatever
+    max_n is, and no gram, and so no clip or top count, spans two records.
+    Ids run order by order, so the entries sorted by (row, gram) fall into
+    (row, order) runs. ``orders`` is the block's, but ``_bleu`` reads at most
+    a hypothesis's own length of them, so a record scores as in a table of
+    its own.
     """
 
-    def __init__(self, sentences: Sequence[Sequence[str]], max_n: int):
+    def __init__(self, sentences: Sequence[Sequence[str]], max_n: int,
+                 per_record: Sequence[int] | None = None):
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
         self.lengths = [len(w) for w in sentences]
         self.orders = min(max_n, max(self.lengths, default=0))
-        words = list(chain.from_iterable(sentences))
-        ids = dict(zip(dict.fromkeys(words), range(len(words))))
-        word = np.fromiter(map(ids.__getitem__, words), np.int64, len(words))
+        words, first, distinct = [], 0, 0
+        for size in per_record or [len(sentences)]:
+            own = list(chain.from_iterable(sentences[first : first + size]))
+            ids = dict(zip(dict.fromkeys(own), range(distinct, distinct + len(own))))
+            words += map(ids.__getitem__, own)
+            first, distinct = first + size, distinct + len(ids)
+        word = np.array(words, np.int64)
         row = np.repeat(np.arange(len(sentences)), self.lengths)
         # words from each position to its sentence's end: no window crosses it
-        left = np.repeat(np.cumsum(self.lengths), self.lengths) - np.arange(len(words))
+        left = np.repeat(np.cumsum(self.lengths), self.lengths) - np.arange(len(word))
         gram, rows, starts = [word], [row], [0]
-        pos, prev, self.size = np.arange(len(words)), word, len(ids)
+        pos, prev, self.size = np.arange(len(word)), word, distinct
         for n in range(2, self.orders + 1):
             inside = left[pos] >= n
             pos = pos[inside]
-            ids_n, prev = np.unique(prev[inside] * len(ids) + word[pos + n - 1], return_inverse=True)
+            ids_n, prev = np.unique(prev[inside] * distinct + word[pos + n - 1], return_inverse=True)
             gram.append(prev + self.size)
             rows.append(row[pos])
             starts.append(self.size)
@@ -138,36 +155,46 @@ class _NgramTable:
         total = np.concatenate(([0], np.cumsum(clip)))[self._bounds]
         return np.diff(total).reshape(len(self.lengths), self.orders).tolist()
 
-    def bleu(self, hyps: Iterable[int], refs: Sequence[int]) -> list[float]:
-        """BLEU of each hyps row against the refs rows: every gram is clipped
-        at its largest count among the references."""
-        if not refs:
+    def bleu(self, questions: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[list[float]]:
+        """For each (hyps, refs) question, the BLEU of each hyps row against
+        the refs rows: every gram is clipped at its largest count among the
+        references. One clip pass answers them all, so each question's rows
+        must come from a record that no other question reads."""
+        if not all(refs for _, refs in questions):
             raise ValueError("empty reference list")
         is_ref = np.zeros(len(self.lengths), bool)
-        is_ref[list(refs)] = True
+        is_ref[list(chain.from_iterable(refs for _, refs in questions))] = True
         top = self._per_gram(np.maximum, np.where(is_ref[self.row], self.count, 0))
         matches = self._matches(np.minimum(self.count, top[self.gram]))
-        ref_lengths = [self.lengths[r] for r in refs]
-        return [_bleu(self.lengths[h], matches[h], ref_lengths) for h in hyps]
+        answers = []
+        for hyps, refs in questions:
+            ref_lengths = [self.lengths[r] for r in refs]
+            answers.append([_bleu(self.lengths[h], matches[h], ref_lengths) for h in hyps])
+        return answers
 
-    def self_bleu(self, cands: Sequence[int]) -> float:
-        """Mean leave-one-out BLEU over the cands rows, one term per copy: a
-        copy's clip count for a gram is the set's top count, or the second one
-        where it holds the top itself (top == second when two copies hold it)."""
-        if len(cands) < 2:
+    def self_bleu(self, cand_sets: Sequence[Sequence[int]]) -> list[float]:
+        """For each set of cands rows, the mean leave-one-out BLEU, one term
+        per copy: a copy's clip count for a gram is the set's top count, or
+        the second one where it holds the top itself (top == second when two
+        copies hold it). One pass answers every set, so each set must come
+        from a record that no other set reads."""
+        if any(len(cands) < 2 for cands in cand_sets):
             raise ValueError("self_bleu needs at least 2 candidates")
-        copies = np.bincount(cands, minlength=len(self.lengths))[self.row]
+        copies = np.bincount(list(chain.from_iterable(cand_sets)), minlength=len(self.lengths))[self.row]
         own = np.where(copies > 0, self.count, 0)
         top = self._per_gram(np.maximum, own)
         at_top = own == top[self.gram]
         second = self._per_gram(np.maximum, np.where(at_top, 0, own))
         second = np.where(self._per_gram(np.add, copies * at_top) > 1, top, second)
         matches = self._matches(np.where(self.count < top[self.gram], self.count, second[self.gram]))
-        # a closest reference length depends only on which lengths the other copies have
-        lengths = [self.lengths[i] for i in cands]
-        refs = {c: set(lengths) - ({c} if lengths.count(c) == 1 else set()) for c in set(lengths)}
-        scores = {i: _bleu(self.lengths[i], matches[i], refs[self.lengths[i]]) for i in set(cands)}
-        return float(np.mean([scores[i] for i in cands]))
+        means = []
+        for cands in cand_sets:
+            # a closest reference length depends only on which lengths the other copies have
+            lengths = [self.lengths[i] for i in cands]
+            refs = {c: set(lengths) - ({c} if lengths.count(c) == 1 else set()) for c in set(lengths)}
+            scores = {i: _bleu(self.lengths[i], matches[i], refs[self.lengths[i]]) for i in set(cands)}
+            means.append(float(np.mean([scores[i] for i in cands])))
+        return means
 
 
 def bleu(hypothesis: str, references: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
@@ -179,11 +206,11 @@ def bleu(hypothesis: str, references: Sequence[str], max_n: int = DEFAULT_MAX_N)
     (ties broken toward the shorter reference). Returns 0..100.
     """
     table = _NgramTable([_Sentence(t).words for t in (hypothesis, *references)], max_n)
-    return table.bleu([0], range(1, len(references) + 1))[0]
+    return table.bleu([([0], range(1, len(references) + 1))])[0][0]
 
 
 def _pair_bleu(hyp: _Sentence, ref: _Sentence) -> float:
-    return _NgramTable([hyp.words, ref.words], DEFAULT_MAX_N).bleu([0], [1])[0]
+    return _NgramTable([hyp.words, ref.words], DEFAULT_MAX_N).bleu([([0], [1])])[0][0]
 
 
 def ori_bleu(source: str, candidates: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
@@ -191,12 +218,13 @@ def ori_bleu(source: str, candidates: Sequence[str], max_n: int = DEFAULT_MAX_N)
     if not candidates:
         raise ValueError("no candidates")
     table = _NgramTable([_Sentence(t).words for t in (source, *candidates)], max_n)
-    return float(np.mean(table.bleu(range(1, len(candidates) + 1), [0])))
+    return float(np.mean(table.bleu([(range(1, len(candidates) + 1), [0])])[0]))
 
 
 def self_bleu(candidates: Sequence[str], max_n: int = DEFAULT_MAX_N) -> float:
     """Leave-one-out BLEU among candidates; high means low diversity."""
-    return _NgramTable([_Sentence(t).words for t in candidates], max_n).self_bleu(range(len(candidates)))
+    table = _NgramTable([_Sentence(t).words for t in candidates], max_n)
+    return table.self_bleu([range(len(candidates))])[0]
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -492,6 +520,78 @@ def _encoded_texts(source: str, references: list[str], candidates: list[str], be
         yield from [c for c in candidates if normalize(c).split()] or candidates[:1]
 
 
+def _blocks(records: Iterable[tuple], encoder) -> Iterator[list[tuple[tuple, list[_Sentence]]]]:
+    """Each checked record with one sentence per distinct text, the source
+    first, cut in order into blocks whose sentences hold at most WORD_BUDGET
+    words; a record over the budget is a block alone."""
+    block, words = [], 0
+    for record in records:
+        source, references, candidates, _ = record
+        sentences = [_Sentence(t, encoder) for t in dict.fromkeys([source, *references, *candidates])]
+        size = sum(len(s.words) for s in sentences)
+        if block and words + size > WORD_BUDGET:
+            yield block
+            block, words = [], 0
+        block.append((record, sentences))
+        words += size
+    if block:
+        yield block
+
+
+def _score_block(block: list[tuple[tuple, list[_Sentence]]], cfg: EvalConfig) -> list[dict]:
+    """The rows of one block's records. All its sentences share one word
+    table and one n-gram table, and each kind of BLEU question (each
+    candidate against the source, the best against the references, and
+    selfBLEU) is answered for the whole block in one pass."""
+    word_table = _WordTable(cfg.token_embedder)
+    sentences, rows_of = [], []  # each record's source row, reference rows and candidate rows
+    for (source, references, candidates, _), own in block:
+        at = {s.text: len(sentences) + i for i, s in enumerate(own)}
+        rows_of.append((at[source], [at[r] for r in references], [at[c] for c in candidates]))
+        sentences += own
+    for s in sentences:
+        s.word_table = word_table
+    grams = _NgramTable([s.words for s in sentences], DEFAULT_MAX_N, [len(own) for _, own in block])
+    # BLEU(candidate, source) once per candidate: oriBLEU, selection, combined
+    src_bleus = grams.bleu([(cands, [src]) for src, _, cands in rows_of])
+    bests = []
+    for ((_, _, _, best_idx), _), (src, _, cands), src_bleu in zip(block, rows_of, src_bleus):
+        if best_idx is None:
+            scores = [
+                0.0 if not sentences[c].words
+                else _ibleu(_sentence_cosine(sentences[src], sentences[c]), b, cfg.beta)
+                for c, b in zip(cands, src_bleu)
+            ]
+            best_idx = int(np.argmax(scores))
+        bests.append(best_idx)
+    ref_bleus = grams.bleu([([cands[b]], refs) for (_, refs, cands), b in zip(rows_of, bests)])
+    self_bleus = iter(grams.self_bleu([cands for _, _, cands in rows_of if len(cands) >= 2]))
+    reduce_fn = np.mean if cfg.ref_reduce == "mean" else np.max
+    rows = []
+    for (src_row, ref_rows, cand_rows), best_idx, src_bleu, (ref_bleu,) in zip(
+        rows_of, bests, src_bleus, ref_bleus
+    ):
+        src, best = sentences[src_row], sentences[cand_rows[best_idx]]
+        refs = [sentences[i] for i in ref_rows]
+        ori_bert, ori_sbert = _token_match(src, best), _sentence_cosine(src, best)
+        rows.append({
+            "source": src.text,
+            "best": best_idx,
+            "oriBLEU": float(np.mean(src_bleu)),
+            "selfBLEU": next(self_bleus) if len(cand_rows) >= 2 else None,
+            "BLEU": ref_bleu,
+            "ROUGE-L": _rouge_l(best, refs),
+            "oriBERT": ori_bert,
+            "oriSBERT": ori_sbert,
+            "BERT": float(reduce_fn([_token_match(best, r) for r in refs])),
+            "SBERT": float(reduce_fn([_sentence_cosine(best, r) for r in refs])),
+            "BERT-iBLEU": _ibleu(ori_bert, src_bleu[best_idx], cfg.beta),
+            "SBERT-iBLEU": _ibleu(ori_sbert, src_bleu[best_idx], cfg.beta),
+            "fluency": cfg.fluency.get(fluency_key(best.text)) if cfg.fluency else None,
+        })
+    return rows
+
+
 def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     """Score generation records and aggregate the full metric table.
 
@@ -504,10 +604,13 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     ('candidates' absent or None), and records with a text the encoder has
     no vector for (``encoder.missing``), raise when cfg.strict, before any
     record is scored; otherwise they are skipped and counted.
+
+    The checked records are scored in blocks of whole records (see
+    ``_blocks``), each with one word table and one n-gram table; a record's
+    row is the same as when it is scored alone.
     """
     if cfg.encoder is None:
         raise ValueError("EvalConfig.encoder is required")
-    reduce_fn = np.mean if cfg.ref_reduce == "mean" else np.max
     checked, skipped = [], 0
     for idx, rec in enumerate(records):
         try:
@@ -519,41 +622,8 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
                 raise ValueError(f"record {idx}: {e}") from None
             skipped += 1
     rows = []
-    for source, references, candidates, best_idx in checked:
-        # one record per distinct text, one word table and one n-gram table
-        # over them, shared by every score of this record; the source is row 0
-        at = {t: i for i, t in enumerate(dict.fromkeys([source, *references, *candidates]))}
-        word_table = _WordTable(cfg.token_embedder)
-        sentences = [_Sentence(t, cfg.encoder, word_table) for t in at]
-        grams = _NgramTable([s.words for s in sentences], DEFAULT_MAX_N)
-        ref_rows, cand_rows = [at[r] for r in references], [at[c] for c in candidates]
-        src, refs, cands = sentences[0], [sentences[i] for i in ref_rows], [sentences[i] for i in cand_rows]
-        # BLEU(candidate, source) once per candidate: oriBLEU, selection, combined
-        src_bleu = grams.bleu(cand_rows, [0])
-        if best_idx is None:
-            scores = [
-                0.0 if not c.words else _ibleu(_sentence_cosine(src, c), b, cfg.beta)
-                for c, b in zip(cands, src_bleu)
-            ]
-            best_idx = int(np.argmax(scores))
-        best = cands[best_idx]
-        ori_bert, ori_sbert = _token_match(src, best), _sentence_cosine(src, best)
-        row = {
-            "source": source,
-            "best": best_idx,
-            "oriBLEU": float(np.mean(src_bleu)),
-            "selfBLEU": grams.self_bleu(cand_rows) if len(cand_rows) >= 2 else None,
-            "BLEU": grams.bleu([cand_rows[best_idx]], ref_rows)[0],
-            "ROUGE-L": _rouge_l(best, refs),
-            "oriBERT": ori_bert,
-            "oriSBERT": ori_sbert,
-            "BERT": float(reduce_fn([_token_match(best, r) for r in refs])),
-            "SBERT": float(reduce_fn([_sentence_cosine(best, r) for r in refs])),
-            "BERT-iBLEU": _ibleu(ori_bert, src_bleu[best_idx], cfg.beta),
-            "SBERT-iBLEU": _ibleu(ori_sbert, src_bleu[best_idx], cfg.beta),
-            "fluency": cfg.fluency.get(fluency_key(best.text)) if cfg.fluency else None,
-        }
-        rows.append(row)
+    for block in _blocks(checked, cfg.encoder):
+        rows += _score_block(block, cfg)
     if not rows:
         raise ValueError("no evaluable records")
     means = {}

@@ -209,6 +209,7 @@ def train(
                     )
                 lr = lr_at_step(step, total_steps, cfg)
                 optimizer.step(model.params, grads, lr)
+                del grads  # else this step's gradients live on while the next step builds its own
                 batch_losses.append(loss)
                 if log_file:
                     log_file.write(json.dumps({"step": step, "lr": lr, "loss": loss}) + "\n")

@@ -133,8 +133,13 @@ class TestCorruption:
          "bad metadata: vocab is not a list of strings"),
         (lambda blob: blob.replace(b'"vocab": null', b'"vocab": [0]', 1),
          "bad metadata: vocab is not a list of strings"),
+        (lambda blob: blob.replace(b'"encoder"', b'"encodex"', 1),
+         "bad metadata: encoder must be an object or null"),
+        (lambda blob: blob.replace(b'"encoder": {', b'"encoder": 5, "spec": {', 1),
+         "bad metadata: encoder must be an object or null"),
     ], ids=["missing", "not JSON", "not UTF-8", "not an object", "list", "unknown field",
-            "out of range", "vocab not a list", "vocab entry not a string"])
+            "out of range", "vocab not a list", "vocab entry not a string", "no encoder",
+            "encoder a number"])
     def test_bad_metadata_names_the_file(self, model, tmp_path, edit, message):
         # each of these once raised an error that did not name the file
         path = self.write_good(model, tmp_path)

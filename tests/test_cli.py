@@ -474,6 +474,7 @@ class TestSelfContainedCheckpoint:
 
     @pytest.mark.parametrize("case,message", [
         ("clm checkpoint", "is a clm checkpoint; generate needs an smclm one"),
+        ("no encoder entry", "m.smck: bad metadata: encoder must be an object or null"),
         ("no stored vocabulary", "stores no vocabulary"),
         ("--embeddings on hashed-bag",
          "--embeddings needs a file-backed checkpoint, not hashed-bag"),
@@ -498,6 +499,9 @@ class TestSelfContainedCheckpoint:
             kw["encoder_spec"] = table_spec(tmp_path, 8)
             flags = ["--embeddings", table_spec(tmp_path, 16)["path"]]
         ckpt, src = write_tiny_checkpoint(tmp_path, **kw)
+        if case == "no encoder entry":
+            raw = Path(ckpt).read_bytes()
+            Path(ckpt).write_bytes(raw.replace(b'"encoder"', b'"encodex"', 1))
         rc, out, err = run(
             capsys, "generate", "--checkpoint", ckpt, "--input", src,
             "--out", f"{tmp_path}/out.jsonl", *flags,

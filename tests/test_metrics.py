@@ -186,6 +186,28 @@ class TestNgramTableAgainstCounters:
         assert bleu(texts[0], texts[1:], 1000) == counter_bleu(texts[0], texts[1:], 1000) > 0.0
         assert self_bleu(texts, 1000) == counter_self_bleu(texts, 1000)
 
+    def test_each_record_of_a_shared_table_equals_the_counter_oracle(self):
+        # one table over many records, each question asked of all of them in
+        # one pass; a record of one-word texts sits among longer ones
+        rng = np.random.default_rng(59)
+        for max_n in (1, 2, 3, 4):
+            recs = list(self.candidate_sets(rng, 12)) + [("cat", ["cat", "the", "...", "cat"])]
+            sentences, per_record, firsts = [], [], []
+            for source, texts in recs:
+                firsts.append(len(sentences))
+                sentences += [normalize(t).split() for t in (source, *texts)]
+                per_record.append(1 + len(texts))
+            table = metrics._NgramTable(sentences, max_n, per_record)
+            cands = [range(f + 1, f + 1 + len(texts)) for f, (_, texts) in zip(firsts, recs)]
+            hyp_refs = table.bleu([([c[0]], c[1:] or [f]) for f, c in zip(firsts, cands)])
+            ori = table.bleu([(c, [f]) for f, c in zip(firsts, cands)])
+            sets = iter(table.self_bleu([c for c in cands if len(c) >= 2]))
+            for (source, texts), (got_bleu,), got_ori in zip(recs, hyp_refs, ori):
+                assert got_bleu == counter_bleu(texts[0], texts[1:] or [source], max_n), (texts, max_n)
+                assert float(np.mean(got_ori)) == counter_ori_bleu(source, texts, max_n)
+                if len(texts) >= 2:
+                    assert next(sets) == counter_self_bleu(texts, max_n), (texts, max_n)
+
     def test_max_n_below_one_raises(self):
         with pytest.raises(ValueError, match="max_n must be >= 1"):
             bleu("the cat", ["the cat"], 0)
@@ -577,6 +599,68 @@ class TestRecordsAgainstStrings:
         assert report.rows == want
 
 
+def count_tables(monkeypatch) -> list:
+    """Patch metrics._NgramTable to log each table's per_record sizes."""
+    tables = []
+
+    class Counted(metrics._NgramTable):
+        def __init__(self, sentences, max_n, per_record=None):
+            tables.append(per_record)
+            super().__init__(sentences, max_n, per_record)
+
+    monkeypatch.setattr(metrics, "_NgramTable", Counted)
+    return tables
+
+
+class TestBlocks:
+    """evaluate_corpus scores its records in blocks of about WORD_BUDGET
+    words; a record's row must not depend on the records it shares a block
+    with."""
+
+    def test_rows_equal_each_record_scored_alone(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        head = [
+            # the second record's candidate is the first's reference, and shares
+            # no word with its own references
+            {"source": "red sun", "references": ["big dog ran far"], "candidates": ["red sun big"]},
+            {"source": "cat sat", "references": ["mat on the"], "candidates": ["big dog ran far"]},
+            # every text shorter than max_n
+            {"source": "cat", "references": ["the cat", "cat"], "candidates": ["cat", "..."]},
+            # texts that the first record holds too
+            {"source": "red sun", "references": ["the red sun"],
+             "candidates": ["red sun big", "a red sun", "red sun big"], "best": 2},
+        ]
+        big = {"source": "the big dog", "references": [random_sentence(rng, 60, 80) for _ in range(4)],
+               "candidates": [random_sentence(rng, 60, 80) for _ in range(30)]}
+        recs = head + TestRecordsAgainstStrings.records(rng, 200)
+        recs.insert(60, big)
+        cfg = EvalConfig(encoder=HashedBagEncoder(dim=16), token_embedder=HashedTokenEmbedder(8))
+        tables = count_tables(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rouge_l on a best that normalizes to nothing
+            report = evaluate_corpus(recs, cfg)
+            blocks = list(tables)
+            alone = [evaluate_corpus([rec], cfg).rows[0] for rec in recs]
+        assert report.rows == alone
+        # the head shares the first block; a gram shared across records would
+        # have scored the second record's candidate 100 against the first's
+        # reference
+        assert blocks[0][:4] == [3, 3, 3, 4] and report.rows[1]["BLEU"] == 0.0
+        # blocks cut in order, each as full as the budget allows, and the
+        # record over the budget a block alone
+        words = [sum(len(normalize(t).split()) for t in dict.fromkeys([r["source"], *r["references"],
+                                                                    *r["candidates"]])) for r in recs]
+        assert words[60] > metrics.WORD_BUDGET and len(blocks) >= 4
+        first = 0
+        for block, after in zip(blocks, blocks[1:] + [None]):
+            size = sum(words[first : first + len(block)])
+            assert size <= metrics.WORD_BUDGET or len(block) == 1
+            if after:
+                assert size + words[first + len(block)] > metrics.WORD_BUDGET
+            first += len(block)
+        assert first == len(recs)
+
+
 class TestEvaluateCorpus:
     def setup_method(self):
         self.enc = HashedBagEncoder(dim=64)
@@ -623,33 +707,19 @@ class TestEvaluateCorpus:
         assert row["best"] == 0
         assert row["SBERT-iBLEU"] == pytest.approx(sbert_ibleu("he cat", "the cat", self.enc))
 
-    def test_one_ngram_table_per_record(self, monkeypatch):
-        # every BLEU of a record (against the source for each candidate, the
-        # best against the references, selfBLEU) reads one table
-        tables = []
-
-        class Counted(metrics._NgramTable):
-            def __init__(self, sentences, max_n):
-                tables.append(len(sentences))
-                super().__init__(sentences, max_n)
-
-        monkeypatch.setattr(metrics, "_NgramTable", Counted)
+    def test_one_ngram_table_per_block(self, monkeypatch):
+        # every BLEU of a block's records (against the source for each
+        # candidate, the best against the references, selfBLEU) reads one table
+        tables = count_tables(monkeypatch)
         src = "the cat sat on the mat"
         cands = [src, "the cat sat on mat red", "a cat is on a mat", "...", "a cat is on a mat"]
         recs = _records([(src, ["a cat sat on the mat", src], cands), ("dog ran", ["a dog ran"], ["dog ran big"])])
         evaluate_corpus(recs, self.cfg)
-        # one row per distinct text of the record
-        assert tables == [5, 3]
+        # one block of two records, with one row per distinct text of each
+        assert tables == [[5, 3]]
 
     def test_a_bad_last_record_fails_before_any_is_scored(self, monkeypatch):
-        tables = []
-
-        class Counted(metrics._NgramTable):
-            def __init__(self, sentences, max_n):
-                tables.append(len(sentences))
-                super().__init__(sentences, max_n)
-
-        monkeypatch.setattr(metrics, "_NgramTable", Counted)
+        tables = count_tables(monkeypatch)
         recs = _records([(f"the {n} sat", [f"a {n} sat"], [f"the {n} sat down"])
                          for n in ("cat", "cow", "owl")])
         recs.append({"source": "dog ran", "references": ["a dog", "dog"], "candidates": ["x"], "best": 1})
@@ -660,17 +730,10 @@ class TestEvaluateCorpus:
         report = evaluate_corpus(recs[::-1], EvalConfig(encoder=self.enc, strict=False))
         assert report.counts["skipped"] == 1
         assert [row["source"] for row in report.rows] == [r["source"] for r in recs[2::-1]]
-        assert tables == [3, 3, 3]
+        assert tables == [[3, 3, 3]]
 
     def test_a_gap_in_the_encoder_fails_before_any_score(self, monkeypatch):
-        tables = []
-
-        class Counted(metrics._NgramTable):
-            def __init__(self, sentences, max_n):
-                tables.append(len(sentences))
-                super().__init__(sentences, max_n)
-
-        monkeypatch.setattr(metrics, "_NgramTable", Counted)
+        tables = count_tables(monkeypatch)
         recs = _records([("the cat sat", ["a cat sat"], ["the cat sat down", "..."]),
                          ("the dog ran", ["a dog ran"], ["the dog ran off", "a dog sprinted"]),
                          ("the owl", ["an owl"], ["the owl flew"])])
@@ -683,7 +746,7 @@ class TestEvaluateCorpus:
             evaluate_corpus(recs, EvalConfig(encoder=enc))
         assert tables == []
         report = evaluate_corpus(recs, EvalConfig(encoder=enc, strict=False))
-        assert report.counts["skipped"] == 1 and tables == [4, 3]
+        assert report.counts["skipped"] == 1 and tables == [[4, 3]]
         assert [row["source"] for row in report.rows] == ["the cat sat", "the owl"]
         # a given best encodes that candidate alone
         recs[1]["best"] = 0
@@ -703,7 +766,7 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError, match="record 0: .* 1 sentence\\(s\\), first '...'"):
             evaluate_corpus([rec], EvalConfig(encoder=enc))
 
-    def test_token_embedder_runs_once_per_distinct_word_per_record(self):
+    def test_token_embedder_runs_once_per_distinct_word_per_block(self):
         calls = []
 
         def embed(word):
@@ -717,12 +780,10 @@ class TestEvaluateCorpus:
              "candidates": ["the big dog ran", "dog"], "best": 1},
         ]
         evaluate_corpus(recs, EvalConfig(encoder=self.enc, token_embedder=embed))
-        want = sum(
-            len({w for t in (rec["source"], rec["candidates"][rec["best"]], *rec["references"])
-                 for w in normalize(t).split()})
-            for rec in recs
-        )
-        assert len(calls) == want
+        # both records are one block: "the", "dog" and "ran" are embedded once
+        want = {w for rec in recs for t in (rec["source"], rec["candidates"][rec["best"]], *rec["references"])
+                for w in normalize(t).split()}
+        assert sorted(calls) == sorted(want)
 
     def test_explicit_best_respected(self):
         src = "the cat sat on the mat"

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -268,6 +269,27 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e-3, batch_size=3, epochs=1, warmup_steps=0)
         with pytest.raises(RuntimeError, match="non-finite loss .* at step 1"):
             train(model, vocab, SENTENCES, cfg, encoder=encoder)
+
+    def test_a_step_drops_its_gradients_before_the_next_is_built(self, monkeypatch):
+        model, vocab, encoder = small_setup()
+        batch_nll_and_grads = model.batch_nll_and_grads
+        previous, dead = [], []  # dead: whether every earlier dict was gone when a step began
+
+        class Grads(dict):  # a dict takes no weak reference; a subclass does
+            pass
+
+        def tracked(batch):
+            dead.append(all(ref() is None for ref in previous))
+            loss, grads = batch_nll_and_grads(batch)
+            grads = Grads(grads)
+            previous.append(weakref.ref(grads))
+            return loss, grads
+
+        monkeypatch.setattr(model, "batch_nll_and_grads", tracked)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=3, epochs=2, warmup_steps=0)
+        report = train(model, vocab, SENTENCES, cfg, encoder=encoder)
+        assert report.steps == len(dead) == 4
+        assert all(dead)
 
     def test_an_encoder_of_another_width_fails_before_any_encode(self, monkeypatch):
         # it once encoded the whole corpus, then failed on the injection shape
