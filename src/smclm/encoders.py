@@ -1,8 +1,10 @@
 """Frozen sentence encoders producing unit-norm vectors, plus the embedding file format.
 
 Every encoder maps a raw sentence to a deterministic float32 vector with unit
-L2 norm; encoders hold no trainable state. The binary embedding file keys
-vectors by sha256 of the normalized sentence.
+L2 norm; ``encode_many`` maps a list of sentences to the stacked rows in one
+call, and ``encode`` is its one-sentence case. Encoders hold no trainable
+state. The binary embedding file keys vectors by sha256 of the normalized
+sentence.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +29,8 @@ DEFAULT_DIM = 64
 # encoders hash the same few words again and again (80 evaluate records make
 # 21,111 calls on 541 distinct keys), and the bound keeps the memo small
 SLOT_MEMO_SIZE = 1 << 14
+# the smallest norm whose square is a normal float
+SMALLEST_NORM = math.sqrt(sys.float_info.min)
 
 
 def sentence_key(sentence: str) -> bytes:
@@ -34,26 +39,41 @@ def sentence_key(sentence: str) -> bytes:
 
 
 def unit(vec: np.ndarray) -> np.ndarray:
-    """L2-normalize to float32; zero or non-finite vectors are rejected."""
-    v = np.asarray(vec, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite embedding vector")
-    n = math.sqrt(v.dot(v))  # what np.linalg.norm computes, without its wrapper
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
+    """L2-normalize to float32; zero or non-finite vectors are rejected.
+
+    A vector whose squared norm overflows, or falls below the normal floats
+    (where it loses precision, down to 0), is first divided by its largest
+    magnitude, so every finite nonzero vector has a unit result.
+    """
+    with np.errstate(over="ignore"):  # an overflowing square is rescaled below
+        v, n = with_norm(vec)
+    if not SMALLEST_NORM <= n < math.inf:  # a nan or inf element makes n nan or inf
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite embedding vector")
+        if not v.any():
+            raise ValueError("cannot normalize a zero vector")
+        v, n = with_norm(v / np.max(np.abs(v)))
     return (v / n).astype(np.float32)
 
 
+def with_norm(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    """``vec`` as a float64 row and its L2 norm: the operands of ``row_cosine``."""
+    v = np.asarray(vec, dtype=np.float64)
+    return v, math.sqrt(v.dot(v))  # what np.linalg.norm computes, without its wrapper
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, computed in float64.
+    """Cosine similarity of two vectors, computed in float64."""
+    return row_cosine(*with_norm(a), *with_norm(b))
+
+
+def row_cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """Cosine similarity of float64 rows ``a`` and ``b`` whose norms are ``na`` and ``nb``.
 
     Clamped to [-1, 1]: rounding can push the quotient a few ulp outside
     (e.g. a hashed vector against itself), which downstream range checks
     would reject.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine undefined for zero vectors")
     return min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb))))
@@ -101,15 +121,31 @@ class HashedBagEncoder:
         self.seed = seed
 
     def encode(self, sentence: str) -> np.ndarray:
-        toks = normalize(sentence).split() or [""]
-        acc = [0.0] * self.dim  # a list of floats: no NumPy scalar indexing per word
-        for t in toks:
-            idx, sign = _signed_slot(t, self.dim, self.seed)
-            acc[idx] += sign
-        if not any(acc):
+        return self.encode_many([sentence])[0]
+
+    def encode_many(self, sentences: Sequence[str]) -> np.ndarray:
+        """The (len(sentences), dim) float32 unit rows of ``sentences``.
+
+        Each token's signed slot is added into one float64 array; every
+        entry is a sum of +-1.0 and every squared norm an exact integer, so
+        the bytes do not depend on the order of the sums.
+        """
+        dim, seed = self.dim, self.seed
+        bags = [normalize(s).split() or [""] for s in sentences]
+        slots, where, signs = {}, [], []  # slots: this call's memo in front of the shared one
+        for row, toks in enumerate(bags):
+            for t in toks:
+                slot = slots.get(t)
+                if slot is None:
+                    slot = slots[t] = _signed_slot(t, dim, seed)
+                where.append(row * dim + slot[0])
+                signs.append(slot[1])
+        acc = np.bincount(where, weights=signs, minlength=len(bags) * dim).reshape(len(bags), dim)
+        norm2 = np.add.reduce(acc * acc, axis=1)
+        for row in np.flatnonzero(norm2 == 0.0):
             # signs cancelled exactly; fall back to the bag size position
-            acc[len(toks) % self.dim] = 1.0
-        return unit(acc)
+            acc[row, len(bags[row]) % dim] = norm2[row] = 1.0
+        return (acc / np.sqrt(norm2)[:, None]).astype(np.float32)
 
     def missing(self, sentences: Iterable[str]) -> list[str]:
         """Every sentence has a vector, so none is missing; ``sentences`` is not read."""
@@ -138,11 +174,17 @@ class FileBackedEncoder:
         return cls(read_embedding_file(path)[0], path=path)
 
     def encode(self, sentence: str) -> np.ndarray:
-        key = sentence_key(sentence)
-        vec = self._table.get(key)
-        if vec is None:
-            raise KeyError(f"no embedding stored for sentence: {sentence!r}")
-        return vec
+        return self.encode_many([sentence])[0]
+
+    def encode_many(self, sentences: Sequence[str]) -> np.ndarray:
+        """The (len(sentences), dim) float32 stored rows of ``sentences``."""
+        rows = []
+        for sentence in sentences:
+            vec = self._table.get(sentence_key(sentence))
+            if vec is None:
+                raise KeyError(f"no embedding stored for sentence: {sentence!r}")
+            rows.append(vec)
+        return np.array(rows, dtype=np.float32).reshape(len(rows), self.dim)
 
     def missing(self, sentences: Iterable[str]) -> list[str]:
         """The distinct sentences, in first-seen order, whose key the table lacks."""

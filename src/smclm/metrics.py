@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .encoders import HashedTokenEmbedder, check_covered, cosine, sentence_key
+from .encoders import HashedTokenEmbedder, check_covered, row_cosine, sentence_key, with_norm
 from .jsonl import read_jsonl, string_list
 from .model import POSITIVE, check_fields, one_of, ranged
 from .tokenization import normalize
@@ -33,51 +33,54 @@ TokenEmbedder = Callable[[str], np.ndarray]
 
 
 class _WordTable(dict):
-    """Each word's unit token-embedding row, embedded on first lookup, so the
-    sentences sharing a table (one block of records, a pair or a call) embed
-    each distinct word once. A row keeps the bytes ``np.linalg.norm(axis=1)``
-    gives it."""
+    """Each word's unit token-embedding row. ``fill`` embeds the words of its
+    sentences that the table lacks, normalizes them in one stacked pass and
+    gives each sentence its rows, so the sentences sharing a table (one block
+    of records, a pair or a call) embed each distinct word once. A row keeps
+    the bytes ``np.linalg.norm(axis=1)`` gives it."""
 
     def __init__(self, token_embedder: TokenEmbedder | None):
         super().__init__()
         self.embed = token_embedder or HashedTokenEmbedder()
 
-    def __missing__(self, word: str) -> np.ndarray:
-        e = np.asarray(self.embed(word), dtype=np.float64)
-        norm = np.sqrt(np.add.reduce(e * e))
-        if norm == 0.0:
-            raise ValueError("token embedder produced a zero vector")
-        self[word] = row = e / norm
-        return row
+    def fill(self, sentences: Sequence[_Sentence]) -> None:
+        new = [w for w in dict.fromkeys(chain.from_iterable(s.words for s in sentences)) if w not in self]
+        if new:
+            e = np.array([self.embed(w) for w in new], dtype=np.float64)
+            norms = np.sqrt(np.add.reduce(e * e, axis=1))
+            if not norms.all():
+                raise ValueError("token embedder produced a zero vector")
+            self.update(zip(new, e / norms[:, None]))
+        for s in sentences:
+            s.unit_tokens = np.array([self[w] for w in s.words])
 
 
 class _Sentence:
-    """One sentence as the metrics read it: its words, split once, and its
-    encoder vector and unit token rows (from ``word_table``), each computed on
-    first use and kept, so a sentence scored against many others is encoded
-    once. No ``functools.cached_property``: it locks on each first access."""
+    """One sentence as the metrics read it: its words, split once; its
+    encoder vector as a float64 row and the row's norm, from ``_encode``; and
+    its unit token rows, from ``_WordTable.fill``. The sentences scored
+    together are encoded in one call and share one word table."""
 
-    def __init__(self, text: str, encoder=None, word_table: _WordTable | None = None):
-        self.text, self.encoder, self.word_table = text, encoder, word_table
+    def __init__(self, text: str):
+        self.text = text
         self.words = normalize(text).split()
-        self._vector = self._unit_tokens = None
-
-    @property
-    def vector(self) -> np.ndarray:
-        if self._vector is None:
-            self._vector = self.encoder.encode(self.text)
-        return self._vector
-
-    @property
-    def unit_tokens(self) -> np.ndarray:
-        if self._unit_tokens is None:
-            self._unit_tokens = np.array([self.word_table[w] for w in self.words])
-        return self._unit_tokens
+        self.row = self.norm = self.unit_tokens = None
 
 
-def _bleu(c: int, matches: Sequence[int], ref_lengths: Iterable[int]) -> float:
+def _encode(sentences: Sequence[_Sentence], encoder) -> None:
+    """Give each sentence its vector row and norm, from one ``encode_many``
+    call over the distinct texts."""
+    texts = list(dict.fromkeys(s.text for s in sentences))
+    rows = np.asarray(encoder.encode_many(texts), dtype=np.float64)
+    normed = {t: with_norm(row) for t, row in zip(texts, rows)}
+    for s in sentences:
+        s.row, s.norm = normed[s.text]
+
+
+def _bleu(c: int, matches: Sequence[int], r: int) -> float:
     """The one BLEU formula for a hypothesis of ``c`` words: ``matches[n - 1]``
-    is its clip-limited order-n match count against its references."""
+    is its clip-limited order-n match count against its references, and ``r``
+    their length closest to ``c`` (see ``_closest``)."""
     if c == 0:
         return 0.0
     log_sum = 0.0
@@ -88,9 +91,14 @@ def _bleu(c: int, matches: Sequence[int], ref_lengths: Iterable[int]) -> float:
             return 0.0
         log_sum += math.log(matched / (c - n + 1))
     geo = math.exp(log_sum / len(orders))
-    r = min(ref_lengths, key=lambda L: (abs(L - c), L))
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     return 100.0 * bp * geo
+
+
+def _closest(ref_lengths: Iterable[int], c: int) -> int:
+    """The reference length closest to ``c``, ties broken toward the shorter;
+    the BLEU questions ask it once per distinct hypothesis length."""
+    return min(ref_lengths, key=lambda L: (abs(L - c), L))
 
 
 class _NgramTable:
@@ -167,9 +175,11 @@ class _NgramTable:
         top = self._per_gram(np.maximum, np.where(is_ref[self.row], self.count, 0))
         matches = self._matches(np.minimum(self.count, top[self.gram]))
         answers = []
+        lengths = self.lengths
         for hyps, refs in questions:
-            ref_lengths = [self.lengths[r] for r in refs]
-            answers.append([_bleu(self.lengths[h], matches[h], ref_lengths) for h in hyps])
+            ref_lengths = [lengths[i] for i in refs]
+            r = {c: _closest(ref_lengths, c) for c in {lengths[h] for h in hyps}}
+            answers.append([_bleu(lengths[h], matches[h], r[lengths[h]]) for h in hyps])
         return answers
 
     def self_bleu(self, cand_sets: Sequence[Sequence[int]]) -> list[float]:
@@ -191,8 +201,9 @@ class _NgramTable:
         for cands in cand_sets:
             # a closest reference length depends only on which lengths the other copies have
             lengths = [self.lengths[i] for i in cands]
-            refs = {c: set(lengths) - ({c} if lengths.count(c) == 1 else set()) for c in set(lengths)}
-            scores = {i: _bleu(self.lengths[i], matches[i], refs[self.lengths[i]]) for i in set(cands)}
+            r = {c: _closest(set(lengths) - ({c} if lengths.count(c) == 1 else set()), c)
+                 for c in set(lengths)}
+            scores = {i: _bleu(self.lengths[i], matches[i], r[self.lengths[i]]) for i in set(cands)}
             means.append(float(np.mean([scores[i] for i in cands])))
         return means
 
@@ -272,8 +283,8 @@ def _token_match(a: _Sentence, b: _Sentence) -> float:
         return 0.0
     # unit rows can still dot to 1 + a few ulp; keep scores in range
     sims = np.minimum(np.maximum(a.unit_tokens @ b.unit_tokens.T, -1.0), 1.0)
-    p = max(0.0, float(np.add.reduce(sims.max(axis=1)) / len(a.words)))
-    r = max(0.0, float(np.add.reduce(sims.max(axis=0)) / len(b.words)))
+    p = max(0.0, float(np.add.reduce(np.maximum.reduce(sims, axis=1)) / len(a.words)))
+    r = max(0.0, float(np.add.reduce(np.maximum.reduce(sims, axis=0)) / len(b.words)))
     if p + r == 0.0:
         return 0.0
     return 100.0 * 2.0 * p * r / (p + r)
@@ -288,17 +299,20 @@ def token_match_similarity(
     tokens; recall is symmetric. Negative precision/recall is clamped to 0
     before the harmonic mean so the result stays in [0, 100].
     """
-    word_table = _WordTable(token_embedder)
-    return _token_match(_Sentence(a, word_table=word_table), _Sentence(b, word_table=word_table))
+    pair = [_Sentence(a), _Sentence(b)]
+    _WordTable(token_embedder).fill(pair)
+    return _token_match(*pair)
 
 
 def _sentence_cosine(a: _Sentence, b: _Sentence) -> float:
-    return 100.0 * max(0.0, cosine(a.vector, b.vector))
+    return 100.0 * max(0.0, row_cosine(a.row, a.norm, b.row, b.norm))
 
 
 def sentence_cosine_similarity(a: str, b: str, encoder) -> float:
     """Encoder cosine clamped at 0, scaled to 0..100."""
-    return _sentence_cosine(_Sentence(a, encoder), _Sentence(b, encoder))
+    pair = [_Sentence(a), _Sentence(b)]
+    _encode(pair, encoder)
+    return _sentence_cosine(*pair)
 
 
 def ibleu_combine(semantic: float, b_bleu: float, beta: float) -> float:
@@ -331,14 +345,15 @@ def bert_ibleu(
     token_embedder: TokenEmbedder | None = None,
 ) -> float:
     """Token-matching similarity combined with (1 - BLEU(best, source)). 0..100."""
-    word_table = _WordTable(token_embedder)
-    src, hyp = _Sentence(source, word_table=word_table), _Sentence(best, word_table=word_table)
+    src, hyp = _Sentence(source), _Sentence(best)
+    _WordTable(token_embedder).fill([src, hyp])
     return _ibleu(_token_match(src, hyp), _pair_bleu(hyp, src), beta)
 
 
 def sbert_ibleu(source: str, best: str, encoder, beta: float = DEFAULT_BETA) -> float:
     """Sentence-cosine similarity combined with (1 - BLEU(best, source)). 0..100."""
-    src, hyp = _Sentence(source, encoder), _Sentence(best, encoder)
+    src, hyp = _Sentence(source), _Sentence(best)
+    _encode([src, hyp], encoder)
     return _ibleu(_sentence_cosine(src, hyp), _pair_bleu(hyp, src), beta)
 
 
@@ -389,10 +404,10 @@ def calibrate_beta(
     check_covered(encoder, chain.from_iterable(pairs))
     token_scores, sentence_scores, bleu_scores = [], [], []
     for inp, ref in pairs:
-        # one record per distinct text of the pair and one word table, for all three scores
-        word_table = _WordTable(token_embedder)
-        sentence = {t: _Sentence(t, encoder, word_table) for t in {inp, ref}}
-        a, b = sentence[inp], sentence[ref]
+        # one encoder call and one word table for all three scores
+        a, b = _Sentence(inp), _Sentence(ref)
+        _WordTable(token_embedder).fill([a, b])
+        _encode([a, b], encoder)
         token_scores.append(_token_match(a, b))
         sentence_scores.append(_sentence_cosine(a, b))
         bleu_scores.append(_pair_bleu(a, b))
@@ -413,7 +428,7 @@ METRIC_NAMES = tuple(name for _, names in METRIC_GROUPS for name in names)
 
 @dataclass
 class EvalConfig:
-    """Knobs for evaluate_corpus; encoder (``encode`` and ``missing``) supplies
+    """Knobs for evaluate_corpus; encoder (``encode_many`` and ``missing``) supplies
     the sentence-cosine side."""
 
     encoder: object = None
@@ -508,26 +523,28 @@ def _check_record(rec: dict) -> tuple[str, list[str], list[str], int | None]:
     return source, references, candidates, best
 
 
-def _encoded_texts(source: str, references: list[str], candidates: list[str], best: int | None):
+def _encoded_texts(source: str, references: list[str], candidates: list[str], best: int | None,
+                   words: Callable[[str], list[str]] = lambda t: normalize(t).split()):
     """The texts that scoring a checked record encodes: the source, the
     references and the best candidate or, with no best, every candidate the
-    selection scores (the first when none has words: it is then the best)."""
+    selection scores (those with ``words``) and the first candidate, which is
+    the best when no candidate scores above 0, even if it has no words."""
     yield source
     yield from references
     if best is not None:
         yield candidates[best]
     else:
-        yield from [c for c in candidates if normalize(c).split()] or candidates[:1]
+        yield from [c for i, c in enumerate(candidates) if i == 0 or words(c)]
 
 
-def _blocks(records: Iterable[tuple], encoder) -> Iterator[list[tuple[tuple, list[_Sentence]]]]:
+def _blocks(records: Iterable[tuple]) -> Iterator[list[tuple[tuple, list[_Sentence]]]]:
     """Each checked record with one sentence per distinct text, the source
     first, cut in order into blocks whose sentences hold at most WORD_BUDGET
     words; a record over the budget is a block alone."""
     block, words = [], 0
     for record in records:
         source, references, candidates, _ = record
-        sentences = [_Sentence(t, encoder) for t in dict.fromkeys([source, *references, *candidates])]
+        sentences = [_Sentence(t) for t in dict.fromkeys([source, *references, *candidates])]
         size = sum(len(s.words) for s in sentences)
         if block and words + size > WORD_BUDGET:
             yield block
@@ -539,18 +556,23 @@ def _blocks(records: Iterable[tuple], encoder) -> Iterator[list[tuple[tuple, lis
 
 
 def _score_block(block: list[tuple[tuple, list[_Sentence]]], cfg: EvalConfig) -> list[dict]:
-    """The rows of one block's records. All its sentences share one word
-    table and one n-gram table, and each kind of BLEU question (each
-    candidate against the source, the best against the references, and
+    """The rows of one block's records. The texts that ``_encoded_texts``
+    names for the coverage check are encoded in one encoder call, the words
+    of each source, best and reference are embedded in one word table, all
+    the sentences share one n-gram table, and each kind of BLEU question
+    (each candidate against the source, the best against the references, and
     selfBLEU) is answered for the whole block in one pass."""
     word_table = _WordTable(cfg.token_embedder)
-    sentences, rows_of = [], []  # each record's source row, reference rows and candidate rows
-    for (source, references, candidates, _), own in block:
+    # rows_of holds each record's source row, reference rows and candidate rows
+    sentences, rows_of, encoded = [], [], []
+    for record, own in block:
+        source, references, candidates, _ = record
         at = {s.text: len(sentences) + i for i, s in enumerate(own)}
         rows_of.append((at[source], [at[r] for r in references], [at[c] for c in candidates]))
         sentences += own
-    for s in sentences:
-        s.word_table = word_table
+        # the words split once per sentence, so no text is normalized again
+        encoded += [sentences[at[t]] for t in _encoded_texts(*record, lambda t: sentences[at[t]].words)]
+    _encode(encoded, cfg.encoder)
     grams = _NgramTable([s.words for s in sentences], DEFAULT_MAX_N, [len(own) for _, own in block])
     # BLEU(candidate, source) once per candidate: oriBLEU, selection, combined
     src_bleus = grams.bleu([(cands, [src]) for src, _, cands in rows_of])
@@ -564,6 +586,9 @@ def _score_block(block: list[tuple[tuple, list[_Sentence]]], cfg: EvalConfig) ->
             ]
             best_idx = int(np.argmax(scores))
         bests.append(best_idx)
+    word_table.fill([
+        sentences[i] for (src, refs, cands), b in zip(rows_of, bests) for i in (src, cands[b], *refs)
+    ])
     ref_bleus = grams.bleu([([cands[b]], refs) for (_, refs, cands), b in zip(rows_of, bests)])
     self_bleus = iter(grams.self_bleu([cands for _, _, cands in rows_of if len(cands) >= 2]))
     reduce_fn = np.mean if cfg.ref_reduce == "mean" else np.max
@@ -606,8 +631,8 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
     record is scored; otherwise they are skipped and counted.
 
     The checked records are scored in blocks of whole records (see
-    ``_blocks``), each with one word table and one n-gram table; a record's
-    row is the same as when it is scored alone.
+    ``_blocks``), each with one encoder call, one word table and one n-gram
+    table; a record's row is the same as when it is scored alone.
     """
     if cfg.encoder is None:
         raise ValueError("EvalConfig.encoder is required")
@@ -622,7 +647,7 @@ def evaluate_corpus(records: Iterable[dict], cfg: EvalConfig) -> MetricReport:
                 raise ValueError(f"record {idx}: {e}") from None
             skipped += 1
     rows = []
-    for block in _blocks(checked, cfg.encoder):
+    for block in _blocks(checked):
         rows += _score_block(block, cfg)
     if not rows:
         raise ValueError("no evaluable records")

@@ -130,7 +130,7 @@ def build_examples(
     MODE.check("mode", mode)
     if mode == "smclm" and encoder is None:
         raise ValueError("smclm mode needs a sentence encoder")
-    examples = []
+    kept = []
     skipped = 0
     for sentence in corpus:
         ids = vocab.tokenize(sentence)
@@ -139,11 +139,12 @@ def build_examples(
         if max_positions is not None and len(ids) + 1 > max_positions:
             skipped += 1
             continue
-        if mode == "smclm":
-            injection = np.asarray(encoder.encode(sentence), dtype=np.float32)
-            examples.append((ids + [EOS_ID], injection))
-        else:
-            examples.append(([BOS_ID] + ids + [EOS_ID], None))
+        kept.append((sentence, ids))
+    if mode == "smclm":
+        injections = np.asarray(encoder.encode_many([s for s, _ in kept]), dtype=np.float32)
+        examples = [(ids + [EOS_ID], injection) for (_, ids), injection in zip(kept, injections)]
+    else:
+        examples = [([BOS_ID] + ids + [EOS_ID], None) for _, ids in kept]
     if skipped:
         warnings.warn(f"skipped {skipped} sequences longer than max_positions={max_positions}")
     return examples, skipped

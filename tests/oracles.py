@@ -574,3 +574,6 @@ class ClusterOracleEncoder:
         v = np.zeros(self.dim, dtype=np.float32)
         v[self.cluster_id(sentence) % self.dim] = 1.0
         return v
+
+    def encode_many(self, sentences) -> np.ndarray:
+        return np.array([self.encode(s) for s in sentences], dtype=np.float32).reshape(-1, self.dim)

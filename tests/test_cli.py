@@ -678,8 +678,8 @@ class TestEncoderFlags:
         write_embedding_file(table, {t: HashedBagEncoder(8).encode(t) for t in texts if t != missing})
         run_json(capsys, "build-vocab", "--corpus", str(corpus), "--out", f"{tmp_path}/vocab.txt")
         encoded = []
-        encode = FileBackedEncoder.encode
-        monkeypatch.setattr(FileBackedEncoder, "encode", lambda e, s: encoded.append(s) or encode(e, s))
+        encode_many = FileBackedEncoder.encode_many  # encode calls it too
+        monkeypatch.setattr(FileBackedEncoder, "encode_many", lambda e, s: encoded.append(s) or encode_many(e, s))
         rc, out, err = run(
             capsys, "train", "--corpus", str(corpus), "--valid", str(valid),
             "--vocab", f"{tmp_path}/vocab.txt", "--out", f"{tmp_path}/m.smck",

@@ -1,4 +1,6 @@
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +16,63 @@ from smclm.encoders import (
     encoder_from_spec,
     read_embedding_file,
     sentence_key,
+    unit,
     write_embedding_file,
 )
+
+
+def cancelling_pair(dim: int, seed: int) -> str:
+    """Two words on one slot with opposite signs, so their bag sums to zero."""
+    first = {}
+    for word in (f"t{i}" for i in range(200)):
+        slot, sign = encoders._signed_slot(word, dim, seed)
+        if (slot, -sign) in first:
+            return f"{first[slot, -sign]} {word}"
+        first.setdefault((slot, sign), word)
+    raise AssertionError("no cancelling pair in 200 words")
+
+
+def division(vec) -> np.ndarray:
+    """unit's division, with no rescaling or checks."""
+    v = np.asarray(vec, dtype=np.float64)
+    return (v / math.sqrt(v.dot(v))).astype(np.float32)
+
+
+class TestUnit:
+    def test_an_overflowing_square_is_rescaled(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            assert unit([1e200, 1e200]).tobytes() == unit([1.0, 1.0]).tobytes()
+            assert unit([-1e300, 0.0, 1e300, 2e300]).tobytes() == unit([-1.0, 0.0, 1.0, 2.0]).tobytes()
+
+    def test_an_underflowing_square_is_rescaled(self):
+        assert unit([1e-200, 0.0]).tolist() == [1.0, 0.0]
+        # a square below the normal floats loses precision: the norm read 1.00001
+        assert unit([1e-160, 1e-160]).tobytes() == unit([1.0, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("vec,message", [
+        ([0.0, 0.0], "zero"), ([], "zero"), ([np.nan, 1.0], "non-finite"),
+        ([np.inf, 0.0], "non-finite"), ([1e300, -np.inf], "non-finite"),
+    ])
+    def test_zero_and_non_finite_vectors_raise(self, vec, message):
+        with pytest.raises(ValueError, match=message):
+            unit(vec)
+
+    def test_bytes_are_the_plain_division_for_hashed_bags_and_a_gaussian_table(self):
+        rng = np.random.default_rng(71)
+        for dim in (1, 7, 64):
+            enc = HashedBagEncoder(dim, seed=2)
+            for _ in range(40):
+                acc = np.zeros(dim)
+                for word in rng.choice([f"w{i}" for i in range(50)], int(rng.integers(1, 30))):
+                    slot, sign = encoders._signed_slot(word, dim, 2)
+                    acc[slot] += sign
+                if acc.any():
+                    assert unit(acc).tobytes() == division(acc).tobytes()
+        vectors = rng.normal(size=(200, 48)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+        table = FileBackedEncoder.from_sentences({f"s {i}": v for i, v in enumerate(vectors)})
+        for i, v in enumerate(vectors):
+            assert table.encode(f"s {i}").tobytes() == division(v).tobytes()
 
 
 class TestCosine:
@@ -85,13 +142,7 @@ class TestHashedBag:
 
     def test_cancelling_signs_fall_back_to_the_bag_size_slot(self):
         enc = HashedBagEncoder(dim=4, seed=0)
-        first = {}
-        for word in (f"t{i}" for i in range(200)):
-            slot, sign = encoders._signed_slot(word, 4, 0)
-            if (slot, -sign) in first:
-                break
-            first.setdefault((slot, sign), word)
-        sentence = f"{first[slot, -sign]} {word}"
+        sentence = cancelling_pair(4, 0)
         v = enc.encode(sentence)
         assert v.tolist() == [0.0, 0.0, 1.0, 0.0]  # two words: slot 2 % 4
         assert np.array_equal(v, bag_encode_accumulating(enc, sentence))
@@ -115,6 +166,37 @@ class TestHashedBag:
             far = cosine(e, enc.encode(" ".join(disjoint)))
             wins += close > far
         assert wins >= 95
+
+
+class TestEncodeMany:
+    """encode_many's rows must equal, byte for byte, one encode per sentence."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    def test_hashed_bag_rows_equal_stacked_encode(self, dim):
+        enc = HashedBagEncoder(dim, seed=3)
+        rng = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(30)] + ["The", "cat!"]
+        sentences = [" ".join(rng.choice(words, int(rng.integers(1, 20)))) for _ in range(40)]
+        pair = cancelling_pair(dim, 3)
+        # cancelling bags of two and four words mid-list, no words, repeats
+        sentences[5:5] = [pair, "", "...", "!?", f"{pair} {pair}", "w1 w1 w1 w1", "The THE the"]
+        rows = enc.encode_many(sentences)
+        assert rows.dtype == np.float32 and rows.shape == (len(sentences), dim)
+        assert rows.tobytes() == np.stack([bag_encode_accumulating(enc, s) for s in sentences]).tobytes()
+        assert rows.tobytes() == np.stack([enc.encode(s) for s in sentences]).tobytes()
+        assert enc.encode_many([]).shape == (0, dim)
+
+    def test_file_backed_rows_equal_stacked_encode(self):
+        rng = np.random.default_rng(61)
+        texts = [f"sentence {i}" for i in range(30)]
+        enc = FileBackedEncoder.from_sentences({t: rng.normal(size=12) for t in texts})
+        picked = [texts[int(i)] for i in rng.integers(30, size=50)] + ["SENTENCE 3!"]
+        rows = enc.encode_many(picked)
+        assert rows.dtype == np.float32 and rows.shape == (51, 12)
+        assert rows.tobytes() == np.stack([enc.encode(t) for t in picked]).tobytes()
+        assert enc.encode_many([]).shape == (0, 12)
+        with pytest.raises(KeyError, match="no embedding stored for sentence: 'sentence 99'"):
+            enc.encode_many(texts[:3] + ["sentence 99"] + texts[3:5])
 
 
 class TestHashedTokenEmbedder:

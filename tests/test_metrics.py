@@ -315,6 +315,14 @@ class GaussianEmbedder:
         return (np.random.default_rng(seed).normal(size=self.dim) * 3.7).astype(self.dtype)
 
 
+def gaussian_table(texts, dim: int = 20, seed: int = 67) -> FileBackedEncoder:
+    """A file-backed encoder with a Gaussian, not hashed, vector for each
+    normalized form of ``texts``."""
+    rng = np.random.default_rng(seed)
+    forms = {normalize(t): t for t in texts}
+    return FileBackedEncoder.from_sentences({t: rng.normal(size=dim) * 2.3 for t in forms.values()})
+
+
 class TestWordTable:
     """Token rows read from one word table must equal, byte for byte, the rows
     of one embedder call per word occurrence normalized by np.linalg.norm."""
@@ -324,13 +332,18 @@ class TestWordTable:
         GaussianEmbedder(300), GaussianEmbedder(1000),
     ], ids=["hashed64", "hashed8", "gauss3", "gauss64f32", "gauss300", "gauss1000"])
     def test_rows_equal_the_per_occurrence_oracle(self, embed):
+        # filled a sentence at a time, all in one stack, and in two stacks
+        # where the second holds words the first embedded
         rng = np.random.default_rng(59)
-        table = metrics._WordTable(embed)
-        for _ in range(60):
-            sentence = metrics._Sentence(random_sentence(rng, 1, 20), word_table=table)
-            want = unit_tokens_per_occurrence(sentence.words, embed or HashedTokenEmbedder())
-            assert np.array_equal(sentence.unit_tokens, want)
-        assert sorted(table) == sorted(WORDS)
+        sentences = [metrics._Sentence(random_sentence(rng, 1, 20)) for _ in range(60)]
+        for batches in ([[s] for s in sentences], [sentences], [sentences[:7], sentences[7:]]):
+            table = metrics._WordTable(embed)
+            for batch in batches:
+                table.fill(batch)
+            for sentence in sentences:
+                want = unit_tokens_per_occurrence(sentence.words, embed or HashedTokenEmbedder())
+                assert np.array_equal(sentence.unit_tokens, want)
+            assert sorted(table) == sorted(WORDS)
 
     def test_each_word_is_embedded_once(self):
         calls = []
@@ -341,7 +354,7 @@ class TestWordTable:
 
         table = metrics._WordTable(embed)
         for text in ("the cat sat on the mat", "the mat sat", "a cat"):
-            metrics._Sentence(text, word_table=table).unit_tokens
+            table.fill([metrics._Sentence(text)])
         assert sorted(calls) == ["a", "cat", "mat", "on", "sat", "the"]
 
     def test_zero_vector_raises(self):
@@ -449,13 +462,16 @@ class TestCalibrateBeta:
         assert res.ratio_sentence == pytest.approx(1.0)
         assert res.beta == 1
 
-    @pytest.mark.parametrize("token_dim", [None, 8])
+    @pytest.mark.parametrize("token_dim", [None, 8, "gauss"])
     def test_equals_the_per_pair_string_functions(self, token_dim):
         rng = np.random.default_rng(23)
         pairs = [(random_sentence(rng), random_sentence(rng)) for _ in range(40)]
         pairs += [("the cat sat", "the cat sat"), ("...", "the cat"), ("the cat", "!?")]
-        enc = HashedBagEncoder(dim=16)
-        embed = None if token_dim is None else HashedTokenEmbedder(token_dim)
+        if token_dim == "gauss":
+            enc, embed = gaussian_table([t for pair in pairs for t in pair]), GaussianEmbedder(24)
+        else:
+            enc = HashedBagEncoder(dim=16)
+            embed = None if token_dim is None else HashedTokenEmbedder(token_dim)
         want = calibrate_beta_from_scores(
             [token_match_similarity(a, b, embed) for a, b in pairs],
             [sentence_cosine_similarity(a, b, enc) for a, b in pairs],
@@ -579,6 +595,23 @@ class TestRecordsAgainstStrings:
             report = evaluate_corpus(recs, cfg)
             want = [string_row(rec, cfg) for rec in recs]
         assert any("best" in rec for rec in recs) and any("best" not in rec for rec in recs)
+        assert report.rows == want
+
+    @pytest.mark.parametrize("ref_reduce", ["mean", "max"])
+    def test_rows_equal_string_rows_with_gaussian_vectors(self, ref_reduce):
+        # sentence and token vectors whose entries are not +-1: the block's
+        # stacked word rows and cached sentence rows and norms must still give
+        # the per-pair bytes
+        rng = np.random.default_rng(37)
+        recs = self.records(rng, 80)
+        texts = [t for rec in recs for t in (rec["source"], *rec["references"], *rec["candidates"])]
+        cfg = EvalConfig(encoder=gaussian_table(texts), token_embedder=GaussianEmbedder(24),
+                         ref_reduce=ref_reduce)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rouge_l on a best that normalizes to nothing
+            report = evaluate_corpus(recs, cfg)
+            want = [string_row(rec, cfg) for rec in recs]
+        assert any(0.0 < row["oriSBERT"] < 100.0 for row in report.rows)
         assert report.rows == want
 
     def test_rows_equal_counter_oracle_rows(self):
@@ -717,6 +750,43 @@ class TestEvaluateCorpus:
         evaluate_corpus(recs, self.cfg)
         # one block of two records, with one row per distinct text of each
         assert tables == [[5, 3]]
+
+    def test_one_encoder_call_per_block(self, monkeypatch):
+        # each block's texts that _encoded_texts names, once each, in one
+        # encode_many call; encode itself is never called
+        tables = count_tables(monkeypatch)
+        calls, singles = [], []
+        encode_many = HashedBagEncoder.encode_many
+        monkeypatch.setattr(HashedBagEncoder, "encode_many", lambda e, s: calls.append(s) or encode_many(e, s))
+        monkeypatch.setattr(HashedBagEncoder, "encode", lambda e, s: singles.append(s))
+        recs = TestRecordsAgainstStrings.records(np.random.default_rng(41), 120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rouge_l on a best that normalizes to nothing
+            evaluate_corpus(recs, self.cfg)
+        assert len(calls) == len(tables) >= 2 and singles == []
+        first = 0
+        for call, per_record in zip(calls, tables):
+            block = recs[first : first + len(per_record)]
+            named = [t for rec in block for t in metrics._encoded_texts(*metrics._check_record(rec))]
+            assert call == list(dict.fromkeys(named))
+            first += len(per_record)
+        assert first == len(recs)
+
+    @pytest.mark.filterwarnings("ignore:rouge_l")  # the best normalizes to nothing
+    def test_a_first_candidate_without_words_is_covered_as_a_possible_best(self):
+        # the candidate with words copies the source and scores 0, so the
+        # first, which has no words, is the best and is encoded; a table
+        # without it once raised a KeyError after the coverage check, in
+        # lenient runs too
+        recs = [{"source": "the cat", "references": ["a cat"], "candidates": ["...", "the cat"]},
+                {"source": "a dog", "references": ["the dog"], "candidates": ["a dog ran"]}]
+        assert evaluate_corpus(recs, self.cfg).rows[0]["best"] == 0
+        enc = FileBackedEncoder.from_sentences(
+            {t: self.enc.encode(t) for t in ("the cat", "a cat", "a dog", "the dog", "a dog ran")})
+        with pytest.raises(ValueError, match="record 0: .* 1 sentence\\(s\\), first '...'"):
+            evaluate_corpus(recs, EvalConfig(encoder=enc))
+        report = evaluate_corpus(recs, EvalConfig(encoder=enc, strict=False))
+        assert report.counts["skipped"] == 1 and [row["source"] for row in report.rows] == ["a dog"]
 
     def test_a_bad_last_record_fails_before_any_is_scored(self, monkeypatch):
         tables = count_tables(monkeypatch)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from oracles import adamw_step_allocating
 
-from smclm.encoders import HashedBagEncoder
+from smclm.encoders import FileBackedEncoder, HashedBagEncoder
 from smclm.model import ROW_BUDGET, ModelConfig, TransformerLM
-from smclm.tokenization import build_vocabulary
+from smclm.tokenization import EOS_ID, build_vocabulary
 from smclm.training import AdamW, TrainConfig, build_examples, evaluate_nll, lr_at_step, train
 
 SENTENCES = [
@@ -173,6 +173,25 @@ class TestBuildExamples:
         assert tokens[0] == 0 and tokens[-1] == 1
         assert injection is None
 
+    @pytest.mark.parametrize("table", [False, True])
+    def test_injections_equal_one_encode_per_kept_sentence(self, monkeypatch, table):
+        # the kept sentences are encoded in one call; a skipped one between
+        # them must not shift the rows
+        _, vocab, encoder = small_setup()
+        if table:
+            rng = np.random.default_rng(43)
+            encoder = FileBackedEncoder.from_sentences({t: rng.normal(size=16) for t in SENTENCES})
+        calls = []
+        encode_many = type(encoder).encode_many
+        monkeypatch.setattr(type(encoder), "encode_many", lambda e, s: calls.append(s) or encode_many(e, s))
+        corpus = SENTENCES[:2] + ["cat " * 30] + SENTENCES[2:]
+        with pytest.warns(UserWarning, match="skipped 1"):
+            examples, skipped = build_examples(corpus, vocab, "smclm", encoder, 16)
+        assert calls == [SENTENCES]
+        assert [inj.dtype for _, inj in examples] == [np.float32] * len(SENTENCES)
+        assert [inj.tobytes() for _, inj in examples] == [encoder.encode(t).tobytes() for t in SENTENCES]
+        assert [tokens for tokens, _ in examples] == [vocab.tokenize(t) + [EOS_ID] for t in SENTENCES]
+
     def test_long_sequences_skipped_and_counted(self):
         _, vocab, encoder = small_setup()
         corpus = SENTENCES + ["cat " * 30]
@@ -295,8 +314,8 @@ class TestTrain:
         # it once encoded the whole corpus, then failed on the injection shape
         model, vocab, _ = small_setup()
         encoded = []
-        encode = HashedBagEncoder.encode
-        monkeypatch.setattr(HashedBagEncoder, "encode", lambda e, s: encoded.append(s) or encode(e, s))
+        encode_many = HashedBagEncoder.encode_many  # encode calls it too
+        monkeypatch.setattr(HashedBagEncoder, "encode_many", lambda e, s: encoded.append(s) or encode_many(e, s))
         cfg = TrainConfig(learning_rate=1e-3, batch_size=3, epochs=1, warmup_steps=0)
         with pytest.raises(ValueError, match=r"^encoder dim 32 must match embed_dim 16$"):
             train(model, vocab, SENTENCES, cfg, encoder=HashedBagEncoder(dim=32))
