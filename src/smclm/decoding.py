@@ -15,11 +15,14 @@ Selection never scores the full vocabulary. Each timestep sets every live
 beam's bans (the n-gram rule's plus ``banned_ids``) to -inf in its row of the
 log-probs, which the decoder owns (``TransformerLM`` returns fresh arrays).
 Penalties only lower known tokens' scores, so up to rounding a group of width
-w picks from a row's best w + (distinct earlier picks) cells. One argpartition
-keeps every row's best beam_count + 1. A group walks its beams' lists until
-sel_score + log-prob is -inf or strictly below its width-th best; a walk past
-a list's end goes on over the rest of the row, as a cell tied at the cut, or
-one whose score rounds to a kept cell's, can still win on its lower id.
+w picks from a row's best w + (distinct earlier picks) cells. One argmax over
+the rows finds each row's best cell; a walk that reads past a row's found
+cells finds the next by one argmax of that row (see ``_cells``). Found cells
+are -inf in the log-probs and kept per row, so a row shared by several groups
+is ranked once. A group walks its beams' rows until sel_score + log-prob is
+-inf or strictly below its width-th best; argmax takes the lowest id among
+equal log-probs, so a cell whose score rounds to a found cell's still wins on
+its lower id.
 """
 
 from __future__ import annotations
@@ -116,32 +119,31 @@ class _Beam:
     row: int
 
 
-def _shortlists(lp: np.ndarray, k: int) -> list[list[tuple[float, int]]]:
-    """Each row's k best cells (all of them when V <= k) as sorted
-    (-log-prob, token) pairs, from one argpartition over every row."""
-    v = lp.shape[1]
-    k = min(k, v)
-    idx = np.argpartition(lp, v - k, axis=1)[:, v - k :]
-    neg = -np.take_along_axis(lp, idx, axis=1)
-    order = np.lexsort((idx, neg), axis=1)
-    neg = np.take_along_axis(neg, order, axis=1).tolist()
-    ids = np.take_along_axis(idx, order, axis=1).tolist()
-    return [list(zip(row, w)) for row, w in zip(neg, ids)]
+def _first_cells(lp: np.ndarray) -> list[list[tuple[float, int]]]:
+    """Each row's best cell as a one-cell list of (-log-prob, token), from one
+    argmax over every row; the cells become -inf in ``lp``."""
+    rows, best = np.arange(lp.shape[0]), lp.argmax(axis=1)
+    found = [[cell] for cell in zip((-lp[rows, best]).tolist(), best.tolist())]
+    lp[rows, best] = -np.inf
+    return found
 
 
-def _walk(lp: np.ndarray, lists, row: int):
-    """A row's shortlist, then, only if a walk gets past it, the row's other
-    cells in the same order. Every other cell's log-prob is at most the
-    list's last, and those tied at the cut come here too."""
-    cells = lists[row]
+def _cells(lp: np.ndarray, found, row: int):
+    """A row's cells in (-log-prob, token) order: the cells already found, then
+    each next one from one argmax of the row (ties go to the lower id), made
+    -inf in ``lp`` and kept in ``found``. Ends when only -inf is left."""
+    cells = found[row]
     yield from cells
-    if len(cells) < lp.shape[1]:
-        listed = {w for _, w in cells}
-        full = _shortlists(lp[row : row + 1], lp.shape[1])[0]
-        yield from (c for c in full if c[1] not in listed)
+    while True:
+        w = int(lp[row].argmax())
+        if lp[row, w] == -np.inf:
+            return
+        cells.append((-float(lp[row, w]), w))
+        lp[row, w] = -np.inf
+        yield cells[-1]
 
 
-def _select(lp: np.ndarray, lists, live: list[_Beam], picked: dict[int, int],
+def _select(lp: np.ndarray, found, live: list[_Beam], picked: dict[int, int],
             cfg: BeamSearchConfig, width: int, group: int):
     """Extend one group's live beams by one token and keep the best width.
 
@@ -149,25 +151,26 @@ def _select(lp: np.ndarray, lists, live: list[_Beam], picked: dict[int, int],
     per earlier pick of the token this timestep (``picked``, which gains this
     group's picks); -inf cells, masked bans included, never win. Higher score
     wins, then the lower token id, then the earlier beam (one group's live
-    beams share a length). Each beam walks its row (see ``_walk``) until
-    sel_score + log-prob is -inf or strictly below the width-th best score:
-    nothing later can win. Returns (continuing beams, hypotheses ended by eos).
+    beams share a length). Each beam walks its row's cells (see ``_cells``)
+    until sel_score + log-prob is -inf or strictly below the width-th best
+    score: nothing later can win. A chosen cell's log-prob comes from the cell,
+    as ``lp`` holds -inf there. Returns (continuing beams, hypotheses ended by eos).
     """
-    best: list[tuple[float, int, int]] = []  # (-score, token, beam), best first
+    best: list[tuple[float, int, int, float]] = []  # (-score, token, beam, -log-prob), best first
     for bi, h in enumerate(live):
-        for neg_lp, w in _walk(lp, lists, h.row):
+        for neg_lp, w in _cells(lp, found, h.row):
             base = h.sel_score - neg_lp  # = sel_score + log-prob, bit for bit
             if base == -np.inf or (len(best) == width and base < -best[-1][0]):
                 break
-            key = (-(base - cfg.diversity_strength * picked.get(w, 0)), w, bi)
+            key = (-(base - cfg.diversity_strength * picked.get(w, 0)), w, bi, neg_lp)
             if len(best) < width or key < best[-1]:
                 insort(best, key)
                 del best[width:]
     new_live, finished = [], []
-    for neg_score, w, bi in best:
+    for neg_score, w, bi, neg_lp in best:
         parent = live[bi]
         tokens = parent.tokens + (w,)
-        log_prob = parent.log_prob + lp[parent.row, w]
+        log_prob = parent.log_prob - neg_lp
         picked[w] = picked.get(w, 0) + 1
         if w == cfg.eos_id:
             finished.append(Hypothesis(tokens, log_prob, group=group))
@@ -207,11 +210,11 @@ def diverse_beam_search(model, injection, cfg: BeamSearchConfig) -> list[Hypothe
         bans = [(h.row, w) for beams in live for h in beams
                 for w in banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids]
         lp[[row for row, _ in bans], [w for _, w in bans]] = -np.inf  # one per beam reads slower
-        lists = _shortlists(lp, cfg.beam_count + 1)
+        found = _first_cells(lp)
         picked: dict[int, int] = {}  # picks per token by the groups done this timestep
         for g in range(cfg.group_count):
             if live[g]:
-                live[g], done = _select(lp, lists, live[g], picked, cfg, per_group, g)
+                live[g], done = _select(lp, found, live[g], picked, cfg, per_group, g)
                 pools[g].extend(done)
         beams = [h for group in live for h in group]
         if not beams or t == cfg.max_length - 1:

@@ -362,6 +362,8 @@ class TransformerLM:
             inj = np.asarray(injection, dtype=self.dtype)
             if inj.shape != (cfg.embed_dim,):
                 raise ValueError(f"injection shape {inj.shape}, expected ({cfg.embed_dim},)")
+            if not np.isfinite(inj).all():
+                raise ValueError("injection has non-finite values")
             rows = np.concatenate([inj[None, :], rows], axis=0)
         return rows + p["pos_emb"][:T]
 

@@ -1,5 +1,7 @@
 import math
+import weakref
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -113,6 +115,17 @@ class TestConfig:
         monkeypatch.undo()  # "no eos" is a ban on an in-range eos
         hyps = diverse_beam_search(m, None, replace(cfg, eos_id=3, banned_ids={3}))
         assert [len(h.tokens) for h in hyps] == [4, 4]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_injection_fails_before_selection(self, monkeypatch, value):
+        # a nan injection once decoded to Hypothesis((0, 0, 16), log_prob=nan)
+        selected = []
+        monkeypatch.setattr(decoding, "_select", lambda *a: selected.append(a))
+        model = TransformerLM(ModelConfig(vocab_size=40, max_positions=8, seed=3))
+        inj = np.full(model.config.embed_dim, value, np.float32)
+        with pytest.raises(ValueError, match="injection has non-finite values"):
+            diverse_beam_search(model, inj, BeamSearchConfig(beam_count=2, group_count=2, max_length=4))
+        assert selected == []
 
 
 class TestBannedNextTokens:
@@ -438,14 +451,16 @@ def assert_same_selection(got, want):
     ]
 
 
-class TestShortlistAgainstFullVocabulary:
-    """The shortlist walk against ``oracles.select_full_vocabulary``, the
-    full-vocabulary selection it replaced, one group step at a time."""
+class TestCellsAgainstFullVocabulary:
+    """Selection over cells found on demand against
+    ``oracles.select_full_vocabulary``, the full-vocabulary selection it
+    replaced, one group step at a time."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
         """Run the oracle beside every group step of the decoder; returns, per
-        checked step, how many of the timestep's shortlists were cut.
+        checked step, (rows whose cells were found only in part, cells found
+        past the rows' first cells) over the timestep so far.
 
         The decoder masks its bans into the log-probs that ``start``/``step``
         return; the oracle gets a copy taken before the mask and applies the
@@ -461,37 +476,38 @@ class TestShortlistAgainstFullVocabulary:
 
                 monkeypatch.setattr(cls, name, kept)
 
-        def both(lp, lists, live, picked, cfg, width, group):
+        def both(lp, found, live, picked, cfg, width, group):
             returned, raw = unmasked["lp"]
             assert lp is returned
             chosen = [w for w, c in picked.items() for _ in range(c)]
             want = select_full_vocabulary(raw, live, chosen, cfg, width, group)
             before = dict(picked)
-            got = real(lp, lists, live, picked, cfg, width, group)
+            got = real(lp, found, live, picked, cfg, width, group)
             assert_same_selection(got, want)
             for w in want[2]:
                 before[w] = before.get(w, 0) + 1
             assert picked == before
-            steps.append(sum(len(cells) < lp.shape[1] for cells in lists))
+            steps.append((sum(len(cells) < lp.shape[1] for cells in found),
+                          sum(len(cells) - 1 for cells in found)))
             return got
 
         monkeypatch.setattr(decoding, "_select", both)
         return steps
 
     @staticmethod
-    def direct(lp, live, cfg, width, k, picked=None):
+    def direct(lp, live, cfg, width, picked=None):
         """_select on a copy of lp masked the way the decoder masks it, against
-        the oracle on lp itself."""
+        the oracle on lp itself; returns the cells found and the selection."""
         masked = lp.copy()
         for h in live:
             masked[h.row, list(banned_next_tokens(h.tokens, cfg.no_repeat_ngram) | cfg.banned_ids)] = -np.inf
-        lists = decoding._shortlists(masked, k)
+        found = decoding._first_cells(masked)
         picked = dict(picked or {})
         chosen = [w for w, c in picked.items() for _ in range(c)]
         want = select_full_vocabulary(lp, live, chosen, cfg, width, 0)
-        got = decoding._select(masked, lists, live, picked, cfg, width, 0)
+        got = decoding._select(masked, found, live, picked, cfg, width, 0)
         assert_same_selection(got, want)
-        return lists, got
+        return found, got
 
     @pytest.mark.parametrize("vocab_size", [13, 64])
     def test_random_models_step_by_step(self, checked, vocab_size):
@@ -504,7 +520,9 @@ class TestShortlistAgainstFullVocabulary:
                 inj = (v / np.linalg.norm(v)).astype(np.float32)
             for kw in TestAgainstReference.CONFIGS:
                 diverse_beam_search(model, inj, BeamSearchConfig(max_length=6, **kw))
-        assert checked and sum(checked) > 0  # some shortlists were cut
+        assert checked
+        assert sum(partial for partial, _ in checked) > 0  # some rows were found in part
+        assert sum(deeper for _, deeper in checked) > 0  # some walks found cells past the first
 
     def test_hand_computed_cases_step_by_step(self, checked):
         m = Recompute(RowModel([1.0, 0.5, 0.0]))
@@ -517,78 +535,112 @@ class TestShortlistAgainstFullVocabulary:
         diverse_beam_search(m, None, cfg)
         assert checked
 
-    def test_more_than_k_ties_at_the_cut(self):
+    def test_more_ties_than_picks_at_the_stop(self):
         lp = np.full((1, 40), -1.0)
-        lp[0, 5:35] = 0.0  # 28 zeros tie at the cut of a three-cell shortlist
+        lp[0, 5:35] = 0.0  # 28 zeros tie behind the two penalized leaders
         lp[0, 7], lp[0, 20] = 2.0, 1.0
         cfg = BeamSearchConfig(beam_count=2, group_count=1, diversity_strength=5.0, no_repeat_ngram=0)
         live = [decoding._Beam((3,), -1.0, -1.5, 0)]
-        lists, (new_live, _) = self.direct(lp, live, cfg, width=2, k=3, picked={7: 1, 20: 1})
-        assert [w for _, w in lists[0]][:2] == [7, 20] and len(lists[0]) == 3
-        # both penalized leaders lose to the lowest ids among the tied zeros,
-        # whichever zero the argpartition kept
+        found, (new_live, _) = self.direct(lp, live, cfg, width=2, picked={7: 1, 20: 1})
+        # both penalized leaders lose to the lowest ids among the tied zeros
         assert [h.tokens[-1] for h in new_live] == [5, 6]
-        # a walk past the list visits every other cell once, in log-prob order
-        walked = list(decoding._walk(lp, lists, 0))
-        assert sorted(w for _, w in walked) == list(range(40))
-        assert [neg for neg, _ in walked] == sorted(neg for neg, _ in walked)
+        # every tied zero is found, by id, and the walk stops at the first
+        # cell strictly below them
+        tied = [w for w in range(5, 35) if w not in (7, 20)]
+        assert [w for _, w in found[0]] == [7, 20] + tied + [0]
+        # a walk over the whole row finds every other cell once, in
+        # (-log-prob, id) order, and ends when only -inf is left
+        masked = lp.copy()
+        walked = list(decoding._cells(masked, decoding._first_cells(masked), 0))
+        assert walked == sorted(zip((-lp[0]).tolist(), range(40)))
+        assert np.all(masked == -np.inf)
 
-    def test_rounding_tie_outside_the_shortlist_wins_on_its_lower_id(self):
+    def test_rounding_tie_found_later_wins_on_its_lower_id(self):
         # at sel_score 2**53 every sel_score + log-prob below rounds to 2**53,
-        # so token 0, outside the three-cell shortlist, ties the kept cells
-        # and wins on its id
+        # so token 0, found after the three best cells, ties them and wins on
+        # its id; every cell ties, so the walk finds the whole row
         lp = np.full((1, 30), -0.3)
         lp[0, 10:13] = (-0.01, -0.02, -0.03)
         cfg = BeamSearchConfig(beam_count=1, group_count=1, no_repeat_ngram=0)
         live = [decoding._Beam((4,), -1.0, 2.0**53, 0)]
-        lists, (new_live, _) = self.direct(lp, live, cfg, width=1, k=3)
-        assert [w for _, w in lists[0]] == [10, 11, 12]
+        found, (new_live, _) = self.direct(lp, live, cfg, width=1)
+        assert [w for _, w in found[0]] == [10, 11, 12] + [w for w in range(30) if w not in (10, 11, 12)]
         assert new_live[0].tokens == (4, 0)
 
-    def test_readme_shape_walks_stay_in_their_shortlists(self, monkeypatch):
-        # at the README settings every walk stops inside its shortlist, so no
-        # group step sorts a whole vocabulary row
-        past, walk = [], decoding._walk
+    README_SHAPE = BeamSearchConfig(
+        beam_count=20, group_count=20, diversity_strength=0.6, no_repeat_ngram=2, max_length=16
+    )
 
-        def recorded(lp, lists, row):
-            for i, cell in enumerate(walk(lp, lists, row)):
-                if i >= len(lists[row]):
-                    past.append(row)
-                yield cell
+    def readme_shape_cells(self, monkeypatch):
+        """Every timestep's found cells at the README shape, and the argmax
+        calls made on the t=0 log-probs."""
+        timesteps, first_cells = [], decoding._first_cells
 
-        monkeypatch.setattr(decoding, "_walk", recorded)
+        class CountedArgmax(np.ndarray):
+            calls = 0
+
+            def argmax(self, *args, **kwargs):
+                CountedArgmax.calls += 1
+                return super().argmax(*args, **kwargs)
+
+        def recorded(lp):
+            timesteps.append(first_cells(lp))
+            return timesteps[-1]
+
+        def counted_start(self, injection=None, _start=TransformerLM.start):
+            lp, cache = _start(self, injection)
+            return lp.view(CountedArgmax), cache
+
+        monkeypatch.setattr(decoding, "_first_cells", recorded)
+        monkeypatch.setattr(TransformerLM, "start", counted_start)
         model = TransformerLM(ModelConfig(vocab_size=2000, max_positions=16, seed=3))
-        cfg = BeamSearchConfig(
-            beam_count=20, group_count=20, diversity_strength=0.6, no_repeat_ngram=2, max_length=16
-        )
-        assert diverse_beam_search(model, None, cfg)
-        assert past == []
+        assert diverse_beam_search(model, None, self.README_SHAPE)
+        return timesteps, CountedArgmax.calls
 
-    def test_vocabulary_no_bigger_than_k(self):
+    def test_readme_shape_rows_find_at_most_beam_count_plus_one_cells(self, monkeypatch):
+        timesteps, _ = self.readme_shape_cells(monkeypatch)
+        assert len(timesteps) == self.README_SHAPE.max_length
+        assert max(len(cells) for found in timesteps for cells in found) <= self.README_SHAPE.beam_count + 1
+
+    def test_readme_shape_ranks_the_first_row_once(self, monkeypatch):
+        # all 20 groups walk the one t=0 row; each argmax of it finds a new
+        # cell, so no group ranks cells another group already found
+        timesteps, calls = self.readme_shape_cells(monkeypatch)
+        (cells,) = timesteps[0]
+        assert len(cells) > self.README_SHAPE.group_count  # every group walked the row
+        assert calls == len(cells)
+        assert len({w for _, w in cells}) == len(cells)
+
+    def test_vocabulary_no_bigger_than_the_cells_found(self):
         lp = np.log(np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]]))
         cfg = BeamSearchConfig(beam_count=3, group_count=1, diversity_strength=0.6, no_repeat_ngram=2)
         live = [decoding._Beam((1, 2, 1), -2.0, -2.0, 0), decoding._Beam((1, 2, 0), -2.5, -2.5, 1)]
-        lists, _ = self.direct(lp, live, cfg, width=3, k=5, picked={0: 1})
-        assert [len(cells) for cells in lists] == [3, 3]
+        # the bigram rule bans token 2 after (1, 2, 1): row 0 runs out of
+        # finite cells after two
+        found, _ = self.direct(lp, live, cfg, width=3, picked={0: 1})
+        assert [[w for _, w in cells] for cells in found] == [[0, 1], [2, 0]]
+        found, _ = self.direct(lp, live, cfg, width=6, picked={0: 1})
+        assert [[w for _, w in cells] for cells in found] == [[0, 1], [2, 0, 1]]
 
     def test_every_extension_banned(self):
         lp = np.log(np.array([[0.75, 0.25]]))
         cfg = BeamSearchConfig(beam_count=2, group_count=1, no_repeat_ngram=1)
         live = [decoding._Beam((0, 1), -1.0, -1.0, 0)]
-        _, got = self.direct(lp, live, cfg, width=2, k=1)
+        found, got = self.direct(lp, live, cfg, width=2)
         assert got == ([], [])
+        assert found == [[(np.inf, 0)]]  # the walk stops at the -inf first cell
 
     TOP_BANNED = np.log([0.02, 0.03, 0.05, 0.04, 0.04, 0.06, 0.2, 0.4, 0.05, 0.05])
 
-    def test_banned_top_cells_in_a_cut_row(self):
+    def test_banned_top_cells(self):
         # token 7 holds the top log-prob and is a banned id; the bigram rule
-        # bans the second best, 6, after (3, 6, 3). A cut at k = beam_count + 1
-        # keeps 5 and two of the tied 2, 8 and 9, and tied 2 wins on its id
+        # bans the second best, 6, after (3, 6, 3). The first cell is 5; 2, 8
+        # and 9 tie behind it, and tied 2 wins on its id
         lp = self.TOP_BANNED[None, :].copy()
         cfg = BeamSearchConfig(beam_count=2, group_count=1, no_repeat_ngram=2, banned_ids={7})
         live = [decoding._Beam((3, 6, 3), -1.0, -1.0, 0)]
-        lists, (new_live, _) = self.direct(lp, live, cfg, width=2, k=cfg.beam_count + 1)
-        assert len(lists[0]) == 3 and lists[0][0][1] == 5
+        found, (new_live, _) = self.direct(lp, live, cfg, width=2)
+        assert [w for _, w in found[0]] == [5, 2, 8, 9, 3]
         assert [h.tokens[-1] for h in new_live] == [5, 2]
 
     def test_banned_top_cell_step_by_step(self, checked):
@@ -597,28 +649,46 @@ class TestShortlistAgainstFullVocabulary:
                                eos_id=0, banned_ids={0, 7})
         hyps = diverse_beam_search(m, None, cfg)
         assert len(hyps) == 2 and all(7 not in h.tokens for h in hyps)
-        assert checked and all(checked)  # every group step saw cut shortlists
+        assert checked and all(partial for partial, _ in checked)  # no step found a whole row
 
     def test_minus_inf_cells_are_never_selected(self):
         lp = np.full((2, 8), -np.inf)
         lp[0, 3], lp[1, 6] = 0.0, -0.5
         cfg = BeamSearchConfig(beam_count=4, group_count=1, no_repeat_ngram=0)
         live = [decoding._Beam((1,), -1.0, -1.0, 0), decoding._Beam((2,), -1.0, -1.0, 1)]
-        _, (new_live, _) = self.direct(lp, live, cfg, width=4, k=2)
+        found, (new_live, _) = self.direct(lp, live, cfg, width=4)
         assert [h.tokens for h in new_live] == [(1, 3), (2, 6)]
+        assert found == [[(-0.0, 3)], [(0.5, 6)]]  # each walk ended with only -inf left
 
-    def test_shortlists_are_each_rows_sorted_best_cells(self):
+    def test_cells_are_each_rows_cells_in_order(self):
         # rounded log-probs tie often; tied cells order by the lower token id
         rng = np.random.default_rng(19)
         lp = np.round(rng.normal(-3.0, 1.0, size=(6, 40)), 1)
         lp[0, :5] = -np.inf
-        want = [sorted(zip((-row).tolist(), range(40))) for row in lp]
-        assert decoding._shortlists(lp, 50) == want
-        for k in (1, 7):
-            got = decoding._shortlists(lp, k)
-            # which cells tied at the cut are kept is argpartition's choice
-            assert all(cells == sorted(cells) for cells in got)
-            assert [[c[0] for c in cells] for cells in got] == [[c[0] for c in cells[:k]] for cells in want]
+        want = [sorted((-x, w) for w, x in enumerate(row.tolist()) if x > -np.inf) for row in lp]
+        for k in (1, 7, 50):
+            masked = lp.copy()
+            found = decoding._first_cells(masked)
+            got = [list(islice(decoding._cells(masked, found, row), k)) for row in range(6)]
+            assert got == [cells[:k] for cells in want]
+        assert np.all(masked == -np.inf)  # the full walks leave only -inf
+
+    def test_previous_log_probs_are_freed_before_each_step(self, monkeypatch):
+        # a timestep's (rows, V) log-probs must be gone before the step
+        # allocates the next ones
+        refs, alive = [], []
+        for name in ("start", "step"):
+            def tracked(self, *args, _call=getattr(TransformerLM, name)):
+                alive.extend(ref() is not None for ref in refs[-1:])
+                lp, cache = _call(self, *args)
+                refs.append(weakref.ref(lp))
+                return lp, cache
+
+            monkeypatch.setattr(TransformerLM, name, tracked)
+        model = TransformerLM(ModelConfig(vocab_size=200, max_positions=16, seed=3))
+        diverse_beam_search(model, None, BeamSearchConfig(beam_count=4, group_count=2, max_length=8))
+        assert len(alive) == 7 and not any(alive)
+
 
 class TestTracedCallSite:
     def test_decoder_looks_up_banned_next_tokens_as_a_module_global(self, monkeypatch):

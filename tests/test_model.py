@@ -118,6 +118,42 @@ class TestForward:
         out = m.forward([], inj)
         assert out.shape == (1, 13)
 
+    NON_FINITE = [np.nan, np.inf, -np.inf, pytest.param(  # 1e300 overflows float32
+        1e300, marks=pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning"))]
+
+    @pytest.fixture
+    def passless(self, monkeypatch):
+        """A model whose block pass fails the test if it ever runs."""
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a block pass ran")
+
+        m = TransformerLM(tiny_config())
+        monkeypatch.setattr(m, "_blocks", no_pass)
+        return m
+
+    @staticmethod
+    def bad_injection(value):
+        inj = np.random.default_rng(2).normal(size=16)
+        inj[5] = value
+        return inj
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_injection_fails_before_start(self, passless, value):
+        with pytest.raises(ValueError, match="injection has non-finite values"):
+            passless.start(self.bad_injection(value))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_injection_fails_before_nll(self, passless, value):
+        with pytest.raises(ValueError, match="injection has non-finite values"):
+            passless.nll([5, 6, EOS_ID], self.bad_injection(value))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_injection_fails_before_any_batch_pass(self, passless, value):
+        good = np.random.default_rng(3).normal(size=16).astype(np.float32)
+        batch = [([5, 6, EOS_ID], good), ([BOS_ID, 7, EOS_ID], None), ([8, EOS_ID], self.bad_injection(value))]
+        with pytest.raises(ValueError, match="injection has non-finite values"):
+            passless.batch_nll_and_grads(batch)
+
     def test_dissimilar_injections_change_first_logits(self):
         m = TransformerLM(tiny_config())
         rng = np.random.default_rng(1)
