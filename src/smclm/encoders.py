@@ -1,10 +1,12 @@
 """Frozen sentence encoders producing unit-norm vectors, plus the embedding file format.
 
 Every encoder maps a raw sentence to a deterministic float32 vector with unit
-L2 norm; ``encode_many`` maps a list of sentences to the stacked rows in one
-call, and ``encode`` is its one-sentence case. Encoders hold no trainable
-state. The binary embedding file keys vectors by sha256 of the normalized
-sentence.
+L2 norm. Its one body, ``encode_words``, maps a list of normalized word lists
+(``normalize(s).split()``) to the stacked rows in one call; ``encode_many``
+is that over raw sentences, and ``encode`` is its one-sentence case, so a
+caller that already holds the words does not normalize again. Encoders hold
+no trainable state. The binary embedding file keys vectors by sha256 of the
+normalized sentence, which is the sentence's words joined by single spaces.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ SMALLEST_NORM = math.sqrt(sys.float_info.min)
 def sentence_key(sentence: str) -> bytes:
     """32-byte lookup key: sha256 of the normalized sentence, UTF-8."""
     return hashlib.sha256(normalize(sentence).encode("utf-8")).digest()
+
+
+def words_key(words: Sequence[str]) -> bytes:
+    """``sentence_key`` of a sentence whose normalized words are ``words``."""
+    return hashlib.sha256(" ".join(words).encode("utf-8")).digest()
 
 
 def unit(vec: np.ndarray) -> np.ndarray:
@@ -124,14 +131,17 @@ class HashedBagEncoder:
         return self.encode_many([sentence])[0]
 
     def encode_many(self, sentences: Sequence[str]) -> np.ndarray:
-        """The (len(sentences), dim) float32 unit rows of ``sentences``.
+        return self.encode_words([normalize(s).split() for s in sentences])
+
+    def encode_words(self, word_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """The (len(word_lists), dim) float32 unit rows of the normalized ``word_lists``.
 
         Each token's signed slot is added into one float64 array; every
         entry is a sum of +-1.0 and every squared norm an exact integer, so
         the bytes do not depend on the order of the sums.
         """
         dim, seed = self.dim, self.seed
-        bags = [normalize(s).split() or [""] for s in sentences]
+        bags = [list(w) or [""] for w in word_lists]
         slots, where, signs = {}, [], []  # slots: this call's memo in front of the shared one
         for row, toks in enumerate(bags):
             for t in toks:
@@ -177,12 +187,20 @@ class FileBackedEncoder:
         return self.encode_many([sentence])[0]
 
     def encode_many(self, sentences: Sequence[str]) -> np.ndarray:
-        """The (len(sentences), dim) float32 stored rows of ``sentences``."""
+        """The stored rows of ``sentences``; a ``KeyError`` names the first
+        sentence, as given, whose key the table lacks."""
+        try:
+            return self.encode_words([normalize(s).split() for s in sentences])
+        except KeyError:
+            raise KeyError(f"no embedding stored for sentence: {self.missing(sentences)[0]!r}") from None
+
+    def encode_words(self, word_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """The (len(word_lists), dim) float32 stored rows of the normalized ``word_lists``."""
         rows = []
-        for sentence in sentences:
-            vec = self._table.get(sentence_key(sentence))
+        for words in word_lists:
+            vec = self._table.get(words_key(words))
             if vec is None:
-                raise KeyError(f"no embedding stored for sentence: {sentence!r}")
+                raise KeyError(f"no embedding stored for sentence: {' '.join(words)!r}")
             rows.append(vec)
         return np.array(rows, dtype=np.float32).reshape(len(rows), self.dim)
 

@@ -68,11 +68,13 @@ class _Sentence:
 
 
 def _encode(sentences: Sequence[_Sentence], encoder) -> None:
-    """Give each sentence its vector row and norm, from one ``encode_many``
-    call over the distinct texts."""
-    texts = list(dict.fromkeys(s.text for s in sentences))
-    rows = np.asarray(encoder.encode_many(texts), dtype=np.float64)
-    normed = {t: with_norm(row) for t, row in zip(texts, rows)}
+    """Give each sentence its vector row and norm, from one ``encode_words``
+    call over the words of the distinct texts, so no text is normalized
+    again."""
+    # one sentence per text, in first-seen order: a text's sentences hold the same words
+    distinct = {s.text: s for s in sentences}
+    rows = np.asarray(encoder.encode_words([s.words for s in distinct.values()]), dtype=np.float64)
+    normed = {t: with_norm(row) for t, row in zip(distinct, rows)}
     for s in sentences:
         s.row, s.norm = normed[s.text]
 
@@ -428,7 +430,7 @@ METRIC_NAMES = tuple(name for _, names in METRIC_GROUPS for name in names)
 
 @dataclass
 class EvalConfig:
-    """Knobs for evaluate_corpus; encoder (``encode_many`` and ``missing``) supplies
+    """Knobs for evaluate_corpus; encoder (``encode_words`` and ``missing``) supplies
     the sentence-cosine side."""
 
     encoder: object = None

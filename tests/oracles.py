@@ -577,3 +577,7 @@ class ClusterOracleEncoder:
 
     def encode_many(self, sentences) -> np.ndarray:
         return np.array([self.encode(s) for s in sentences], dtype=np.float32).reshape(-1, self.dim)
+
+    def encode_words(self, word_lists) -> np.ndarray:
+        """The rows of the sentences whose normalized words are ``word_lists``."""
+        return self.encode_many([" ".join(words) for words in word_lists])

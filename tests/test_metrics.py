@@ -16,7 +16,7 @@ from oracles import (
     self_bleu_loop,
     unit_tokens_per_occurrence,
 )
-from smclm import metrics
+from smclm import encoders, metrics, pipeline, tokenization
 from smclm.encoders import FileBackedEncoder, HashedBagEncoder, HashedTokenEmbedder
 from smclm.metrics import (
     EvalConfig,
@@ -752,12 +752,12 @@ class TestEvaluateCorpus:
         assert tables == [[5, 3]]
 
     def test_one_encoder_call_per_block(self, monkeypatch):
-        # each block's texts that _encoded_texts names, once each, in one
-        # encode_many call; encode itself is never called
+        # the words of each block's texts that _encoded_texts names, once
+        # each, in one encode_words call; encode itself is never called
         tables = count_tables(monkeypatch)
         calls, singles = [], []
-        encode_many = HashedBagEncoder.encode_many
-        monkeypatch.setattr(HashedBagEncoder, "encode_many", lambda e, s: calls.append(s) or encode_many(e, s))
+        encode_words = HashedBagEncoder.encode_words
+        monkeypatch.setattr(HashedBagEncoder, "encode_words", lambda e, w: calls.append(w) or encode_words(e, w))
         monkeypatch.setattr(HashedBagEncoder, "encode", lambda e, s: singles.append(s))
         recs = TestRecordsAgainstStrings.records(np.random.default_rng(41), 120)
         with warnings.catch_warnings():
@@ -768,7 +768,7 @@ class TestEvaluateCorpus:
         for call, per_record in zip(calls, tables):
             block = recs[first : first + len(per_record)]
             named = [t for rec in block for t in metrics._encoded_texts(*metrics._check_record(rec))]
-            assert call == list(dict.fromkeys(named))
+            assert call == [normalize(t).split() for t in dict.fromkeys(named)]
             first += len(per_record)
         assert first == len(recs)
 
@@ -787,6 +787,21 @@ class TestEvaluateCorpus:
             evaluate_corpus(recs, EvalConfig(encoder=enc))
         report = evaluate_corpus(recs, EvalConfig(encoder=enc, strict=False))
         assert report.counts["skipped"] == 1 and [row["source"] for row in report.rows] == ["a dog"]
+
+    def test_each_distinct_text_is_normalized_once(self, monkeypatch):
+        # the encoder reads the words each _Sentence split; it once normalized
+        # every encoded text again (810 calls where 500 would do on a
+        # 20-record benchmark round)
+        calls = []
+        original = tokenization.normalize
+        for module in (tokenization, metrics, encoders, pipeline):
+            monkeypatch.setattr(module, "normalize", lambda t: calls.append(t) or original(t))
+        recs = TestRecordsAgainstStrings.records(np.random.default_rng(47), 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rouge_l on a best that normalizes to nothing
+            evaluate_corpus(recs, self.cfg)
+        distinct = [len(dict.fromkeys([r["source"], *r["references"], *r["candidates"]])) for r in recs]
+        assert len(calls) == sum(distinct)
 
     def test_a_bad_last_record_fails_before_any_is_scored(self, monkeypatch):
         tables = count_tables(monkeypatch)
